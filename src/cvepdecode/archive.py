@@ -66,8 +66,15 @@ def read_archive(path) -> Session:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArchive(f"incomplete archive header: {exc}") from exc
 
+    if not code_lines:
+        raise CorruptArchive("archive holds no codes")
     if len({len(c) for c in code_lines}) > 1:
         raise CorruptArchive("header codes have unequal lengths")
+    labels = header.get("labels") or [None] * n_trials
+    if not isinstance(labels, list) or len(labels) != n_trials:
+        raise CorruptArchive(f"header labels do not give one label per trial ({n_trials})")
+    if any(l is not None and not (type(l) is int and 0 <= l < len(code_lines)) for l in labels):
+        raise CorruptArchive(f"header labels outside [0, {len(code_lines)})")
     expected = n_trials * channels * trial_len * 4
     if len(payload) != expected:
         raise CorruptArchive(
@@ -78,7 +85,6 @@ def read_archive(path) -> Session:
     except ValueError as exc:
         raise CorruptArchive(str(exc)) from exc
 
-    labels = header.get("labels") or [None] * n_trials
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     data = data.reshape(n_trials, channels, trial_len)
     trials = [

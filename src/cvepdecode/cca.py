@@ -167,20 +167,3 @@ class CcaDecoder:
             n_trials_seen=state.n_trials_seen + 1,
         )
 
-
-def decode(
-    trial: Trial, structures: list[StructureMatrix], state: CcaState | None = None
-) -> DecodeOutcome:
-    """Score every candidate structure against the trial; label = argmax rho."""
-    return CcaDecoder(structures, trial.n_samples).decode(trial, state)
-
-
-def update_cumulative(
-    state: CcaState,
-    trial: Trial,
-    structures: list[StructureMatrix],
-    predicted: int,
-) -> CcaState:
-    return CcaDecoder(structures, trial.n_samples).update_cumulative(
-        state, trial, predicted
-    )

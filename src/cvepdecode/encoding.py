@@ -14,6 +14,7 @@ from numpy.typing import NDArray
 
 from .codegen import BitSequence
 from .errors import InvalidLag, UnmodulatedCode
+from .sigproc import TARGET_FS
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
 EVENT_SHORT = 0
@@ -21,7 +22,6 @@ EVENT_LONG = 1
 EVENT_ONSET = 2
 
 RESPONSE_LEN = 54     # 300 ms at 180 Hz
-SAMPLES_PER_FRAME = 3  # 180 Hz / 60 Hz
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,15 @@ def _flash_runs(bits: NDArray) -> list[tuple[int, int]]:
     return runs
 
 
+def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
+    """Code cycles needed to cover n_samples samples at 180 Hz, counted in
+    whole frames of the code's own length and rate."""
+    n_frames = -(-n_samples // int(round(TARGET_FS / code.rate_hz)))
+    return max(1, -(-n_frames // len(code)))
+
+
 def extract_events(
-    code: BitSequence, n_cycles: int, fs: float = 180.0
+    code: BitSequence, n_cycles: int, fs: float = TARGET_FS
 ) -> EventTimeSeries:
     """Tile a modulated code over n_cycles and mark flash onsets at 180 Hz.
 
@@ -117,6 +124,6 @@ def build_structure_matrix(
 
 
 def structure_for_code(
-    code: BitSequence, n_cycles: int, response_len: int = RESPONSE_LEN, fs: float = 180.0
+    code: BitSequence, n_cycles: int, response_len: int = RESPONSE_LEN, fs: float = TARGET_FS
 ) -> StructureMatrix:
     return build_structure_matrix(extract_events(code, n_cycles, fs), response_len)

@@ -15,10 +15,10 @@ from . import cca as cca_mod
 from . import umm as umm_mod
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
-from .encoding import StructureMatrix, structure_for_code
+from .encoding import n_cycles_to_cover, structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCutoff
-from .sigproc import ContinuousRecording, FilterSpec, Trial, apply_zero_phase
-from .simulate import CYCLE_S, Session
+from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, Trial, apply_zero_phase
+from .simulate import Session
 from .umm import UmmDecoder, UmmState
 
 METHOD_TAGS = ("cca_e1", "cca_ec", "umm_t11", "umm_tcw")
@@ -49,7 +49,7 @@ class DecoderBank:
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float = 31.5, gamma=None):
         self.codes = codes
-        n_cycles = max(1, math.ceil(max_dur_s / CYCLE_S))
+        n_cycles = n_cycles_to_cover(codes[0], int(round(max_dur_s * TARGET_FS)))
         self.structures = [structure_for_code(c, n_cycles) for c in codes]
         self.gamma = gamma
         self._cca_cache: dict[int, CcaDecoder] = {}
@@ -71,16 +71,19 @@ def decode_session(
     bank: DecoderBank | None = None,
 ) -> list:
     """Decode every trial of the session at one duration, in session order,
-    with one cumulative state update per trial. Returns the outcomes."""
+    with one cumulative state update per trial. Returns the outcomes.
+
+    Every method sees the first duration_s seconds of each trial, cut by
+    Trial.prefix, which raises TruncatedTrial past the trial's end."""
     tag = canonical_tag(method_tag)
     if bank is None:
         bank = DecoderBank(session.codes)
-    n_samples = int(round(duration_s * session.fs))
+    trials = [trial.prefix(duration_s) for trial in session.trials]
     outcomes = []
     if tag.startswith("cca"):
-        decoder = bank.cca(n_samples)
+        decoder = bank.cca(int(round(duration_s * session.fs)))
         state = CcaState(mode=cca_mod.MODE_CUMULATIVE) if tag == "cca_ec" else None
-        for trial in session.trials:
+        for trial in trials:
             outcome = decoder.decode(trial, state)
             outcomes.append(outcome)
             if state is not None:
@@ -88,8 +91,8 @@ def decode_session(
     else:
         decoder = bank.umm()
         state = UmmState(mode=umm_mod.MODE_CUMULATIVE) if tag == "umm_tcw" else None
-        for trial in session.trials:
-            ep = umm_mod.slice_epochs(trial.prefix(duration_s))
+        for trial in trials:
+            ep = umm_mod.slice_epochs(trial)
             outcome = decoder.decode_epochs(ep, state)
             outcomes.append(outcome)
             if state is not None:

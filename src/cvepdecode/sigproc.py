@@ -11,10 +11,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import signal
 
+from .codegen import PRESENTATION_RATE_HZ
 from .errors import InvalidCutoff, TruncatedTrial
 
 TARGET_FS = 180.0
-FRAME_RATE_HZ = 60.0
 
 # reflect padding applied around each channel before filtfilt, in seconds
 EDGE_PAD_S = 1.0
@@ -86,7 +86,7 @@ class Trial:
 
     samples: NDArray[np.floating]
     fs: float = TARGET_FS
-    frame_rate_hz: float = FRAME_RATE_HZ
+    frame_rate_hz: float = PRESENTATION_RATE_HZ
     code_index_true: int | None = None
 
     def __post_init__(self):

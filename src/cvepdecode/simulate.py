@@ -14,13 +14,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .codegen import BitSequence, default_code_set
-from .encoding import N_EVENTS, RESPONSE_LEN, structure_for_code
+from .encoding import N_EVENTS, RESPONSE_LEN, n_cycles_to_cover, structure_for_code
 from .errors import InvalidSnr
-from .sigproc import Trial
+from .sigproc import TARGET_FS, Trial
 
-FS = 180.0
-CYCLE_S = 2.1            # one 126-bit code cycle at 60 Hz
-FULL_TRIAL_S = 31.5      # 15 cycles
+FULL_TRIAL_S = 31.5      # 15 cycles of a 126-frame code at 60 Hz
 
 DEFAULT_N_CHANNELS = 8
 #: occipital-ish default spatial pattern; any non-zero vector works
@@ -34,7 +32,7 @@ def default_responses(seed: int = 0) -> NDArray:
     templates use different frequencies so they stay distinguishable.
     """
     rng = np.random.default_rng(seed)
-    lags = np.arange(RESPONSE_LEN) / FS
+    lags = np.arange(RESPONSE_LEN) / TARGET_FS
     window = np.sin(np.pi * np.arange(RESPONSE_LEN) / (RESPONSE_LEN - 1))
     freqs = np.array([11.0, 7.0, 4.5]) + rng.uniform(-0.5, 0.5, size=N_EVENTS)
     decays = np.array([60.0, 45.0, 30.0]) + rng.uniform(-5.0, 5.0, size=N_EVENTS)
@@ -75,7 +73,7 @@ def _noise(rng: np.random.Generator, kind: str, shape: tuple[int, int]) -> NDArr
         return white
     # spectrally shaped white noise, 1/f amplitude profile
     spec = np.fft.rfft(white, axis=1)
-    freqs = np.fft.rfftfreq(shape[1], d=1.0 / FS)
+    freqs = np.fft.rfftfreq(shape[1], d=1.0 / TARGET_FS)
     scale = np.ones_like(freqs)
     scale[1:] = freqs[1] / freqs[1:]
     spec *= scale
@@ -99,8 +97,8 @@ def synthesize_trial(
     if dur_s > FULL_TRIAL_S:
         raise ValueError(f"trial duration capped at {FULL_TRIAL_S} s")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n_samples = int(round(dur_s * FS))
-    n_cycles = max(1, math.ceil(dur_s / CYCLE_S))
+    n_samples = int(round(dur_s * TARGET_FS))
+    n_cycles = n_cycles_to_cover(code, n_samples)
     struct = structure_for_code(code, n_cycles).truncated(n_samples)
     r = model.responses.reshape(-1)
     clean = np.outer(model.mixing, r @ struct.mat)
@@ -115,8 +113,8 @@ def synthesize_trial(
         p_noise = float(np.mean(noise**2))
         x = clean + noise * math.sqrt(p_signal / (model.snr * p_noise))
     if model.drift_slope:
-        x = x + model.drift_slope * (np.arange(n_samples) / FS)
-    return Trial(samples=x, fs=FS, code_index_true=code_index_true)
+        x = x + model.drift_slope * (np.arange(n_samples) / TARGET_FS)
+    return Trial(samples=x, fs=TARGET_FS, code_index_true=code_index_true)
 
 
 @dataclass
@@ -125,7 +123,7 @@ class Session:
 
     trials: list[Trial]
     codes: list[BitSequence]
-    fs: float = FS
+    fs: float = TARGET_FS
     seed: int | None = None
 
     @property
@@ -165,4 +163,4 @@ def synthesize_session(
                     codes[idx], model, dur_s, trial_rng, code_index_true=int(idx)
                 )
             )
-    return Session(trials=trials, codes=codes, fs=FS, seed=seed)
+    return Session(trials=trials, codes=codes, fs=TARGET_FS, seed=seed)

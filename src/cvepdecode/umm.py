@@ -1,22 +1,30 @@
 """Unsupervised mean-difference maximization (UMM) decoding.
 
-Trials are sliced into overlapping 300 ms epochs locked to the 60 Hz
-stimulus frames. Each candidate code splits the epochs into flash and
-non-flash sets; the hypothesis whose flash/non-flash mean difference has
-the largest Mahalanobis norm wins. The covariance is estimated with
-block-Toeplitz structure, lag tapering, and shrinkage toward a scaled
-identity; its inverse is applied through a block-Levinson recursion that
-never materializes the dense matrix.
+Trials are sliced into overlapping 300 ms epochs, one per 60 Hz stimulus
+frame. Each candidate code splits the epochs into flash and non-flash
+sets; the hypothesis whose flash-minus-non-flash mean difference has the
+largest Mahalanobis energy wins. The covariance is the block-Toeplitz
+projection of the epochs' sample covariance, tapered linearly over the
+lags and shrunk toward a scaled identity with a Ledoit-Wolf intensity;
+its inverse is applied through a block-Levinson recursion that never
+materializes the dense matrix.
+
+Each statistic is computed in one place: an :class:`EpochSet` forms its
+centered scatter once, :func:`_cov_model` turns pooled scatter into the
+covariance model, and every flash and non-flash mean comes from one
+weight product over the code bits that :class:`UmmDecoder` tiles once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import linalg
 
-from .codegen import BitSequence
+from .codegen import PRESENTATION_RATE_HZ, BitSequence
+from .encoding import RESPONSE_LEN
 from .errors import (
     DegenerateHypothesis,
     InsufficientEpochs,
@@ -25,10 +33,9 @@ from .errors import (
     TrialTooShort,
 )
 from .outcome import DecodeOutcome, top2_confidence
-from .sigproc import Trial
+from .sigproc import TARGET_FS, Trial
 
-EPOCH_LEN = 54        # 300 ms at 180 Hz
-SAMPLES_PER_FRAME = 3
+SAMPLES_PER_FRAME = round(TARGET_FS / PRESENTATION_RATE_HZ)
 
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
@@ -36,7 +43,7 @@ MODE_CUMULATIVE = "cumulative"
 
 @dataclass(frozen=True)
 class EpochSet:
-    """Overlapping bit-locked epochs of one trial.
+    """Overlapping frame-locked epochs of one trial.
 
     epochs: (n_epochs, n_features) with time-major feature layout, i.e.
     feature (t * C + c) is channel c at epoch sample t. Only 300 ms
@@ -47,7 +54,7 @@ class EpochSet:
     epochs: NDArray[np.floating]
     onsets: NDArray[np.int_]
     n_channels: int
-    epoch_len: int = EPOCH_LEN
+    epoch_len: int = RESPONSE_LEN
 
     @property
     def n_epochs(self) -> int:
@@ -57,8 +64,16 @@ class EpochSet:
     def n_features(self) -> int:
         return self.epochs.shape[1]
 
+    @cached_property
+    def centered_moments(self) -> tuple[NDArray, float]:
+        """(scatter, sq_norms4) about the epoch mean m: the (D, D) scatter
+        sum_k (x_k - m)(x_k - m)^T and sum_k ||x_k - m||^4, the fourth
+        moment the Ledoit-Wolf intensity needs. Computed on first use."""
+        centered = self.epochs - self.epochs.mean(axis=0)
+        return centered.T @ centered, float(np.sum(np.sum(centered**2, axis=1) ** 2))
 
-def slice_epochs(trial: Trial, epoch_len: int = EPOCH_LEN) -> EpochSet:
+
+def slice_epochs(trial: Trial, epoch_len: int = RESPONSE_LEN) -> EpochSet:
     """One epoch per 60 Hz frame whose full window fits inside the trial."""
     x = trial.samples
     n_channels, n_samples = x.shape
@@ -79,24 +94,10 @@ def slice_epochs(trial: Trial, epoch_len: int = EPOCH_LEN) -> EpochSet:
     )
 
 
-def _epoch_bits(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray[np.int8]:
-    tiled = np.tile(code.array, n_cycles)
-    if ep.onsets[-1] >= len(tiled):
-        raise ShapeError(
-            f"code tiled over {n_cycles} cycles covers {len(tiled)} frames, "
-            f"epochs extend to frame {ep.onsets[-1]}"
-        )
-    return tiled[ep.onsets]
-
-
 def mean_difference(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray:
     """Flash-ERP minus non-flash-ERP under the hypothesis that ``code``
     drove the trial."""
-    bits = _epoch_bits(ep, code, n_cycles)
-    pos = bits == 1
-    if not pos.any() or pos.all():
-        raise DegenerateHypothesis("hypothesis yields an empty flash or non-flash set")
-    return ep.epochs[pos].mean(axis=0) - ep.epochs[~pos].mean(axis=0)
+    return UmmDecoder([code], n_cycles)._deltas(ep, None)[0]
 
 
 # -- covariance --------------------------------------------------------------
@@ -148,7 +149,6 @@ class CovModel:
 
     blocks: NDArray[np.floating]      # (epoch_len, C, C)
     shrinkage_gamma: float
-    taper: NDArray[np.floating]       # (epoch_len,)
 
     @property
     def n_features(self) -> int:
@@ -195,35 +195,41 @@ def _lw_gamma(sq_norms4: float, cov: NDArray, n: int) -> float:
     return float(np.clip(beta2 / delta2, 0.0, 1.0))
 
 
-def _regularize(blocks: NDArray, gamma: float, epoch_len: int) -> tuple[NDArray, NDArray]:
-    taper = 1.0 - np.arange(epoch_len) / epoch_len
-    tapered = blocks * taper[:, np.newaxis, np.newaxis]
-    nu = float(np.trace(tapered[0]) / tapered.shape[1])
+def _regularize(blocks: NDArray, gamma: float) -> NDArray:
+    """Taper the lag blocks linearly to zero past the last lag, then
+    shrink toward nu*I (nu = mean diagonal of the tapered lag-0 block)."""
+    n_lags, c, _ = blocks.shape
+    tapered = blocks * (1.0 - np.arange(n_lags) / n_lags)[:, np.newaxis, np.newaxis]
+    nu = float(np.trace(tapered[0]) / c)
     out = (1.0 - gamma) * tapered
-    out[0] += gamma * nu * np.eye(tapered.shape[1])
-    return out, taper
+    out[0] += gamma * nu * np.eye(c)
+    return out
 
 
-def estimate_covariance(
-    ep: EpochSet, gamma: float | None = None, taper_len: int | None = None
+def _cov_model(
+    scatter: NDArray, sq_norms4: float, n: int, gamma: float | None, n_channels: int
 ) -> CovModel:
+    """Regularized block-Toeplitz model of the covariance scatter / n,
+    pooled over n epochs; ``gamma`` None selects the Ledoit-Wolf
+    intensity."""
+    if n < 2:
+        raise InsufficientEpochs(f"need at least 2 epochs, got {n}")
+    cov = scatter / n
+    if gamma is None:
+        gamma = _lw_gamma(sq_norms4, cov, n)
+    blocks = _lag_blocks(cov, cov.shape[0] // n_channels, n_channels)
+    return CovModel(blocks=_regularize(blocks, gamma), shrinkage_gamma=gamma)
+
+
+def estimate_covariance(ep: EpochSet, gamma: float | None = None) -> CovModel:
     """Tapered block-Toeplitz covariance of the epochs with shrinkage
     toward nu*I (nu = mean diagonal). With ``gamma`` unset, an analytic
     Ledoit-Wolf intensity is used; the epoch count in a single trial is
     small against the feature dimension, so automatic regularization is
     the default.
     """
-    if ep.n_epochs < 2:
-        raise InsufficientEpochs(f"need at least 2 epochs, got {ep.n_epochs}")
-    if taper_len is not None and taper_len != ep.epoch_len:
-        raise ShapeError("taper length must match the epoch length")
-    centered = ep.epochs - ep.epochs.mean(axis=0)
-    cov = centered.T @ centered / ep.n_epochs
-    if gamma is None:
-        gamma = _lw_gamma(float(np.sum(np.sum(centered**2, axis=1) ** 2)), cov, ep.n_epochs)
-    blocks = _lag_blocks(cov, ep.epoch_len, ep.n_channels)
-    reg_blocks, taper = _regularize(blocks, gamma, ep.epoch_len)
-    return CovModel(blocks=reg_blocks, shrinkage_gamma=gamma, taper=taper)
+    scatter, sq_norms4 = ep.centered_moments
+    return _cov_model(scatter, sq_norms4, ep.n_epochs, gamma, ep.n_channels)
 
 
 def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
@@ -262,76 +268,76 @@ class UmmState:
         return self.n_trials_seen == 0
 
 
+def _pooled(state: UmmState | None, n_features: int) -> UmmState | None:
+    """The state if it holds cumulative statistics to pool with a trial of
+    n_features features, else None."""
+    if state is None or state.mode != MODE_CUMULATIVE or state.is_empty():
+        return None
+    if state.scatter.shape[0] != n_features:
+        raise ShapeError("accumulated statistics have a different feature count")
+    return state
+
+
 class UmmDecoder:
     """UMM decoding against a fixed code set.
 
-    Epoch labels per hypothesis are looked up from the codes tiled over
-    enough cycles to cover the longest trial.
+    The codes are tiled once over n_cycles into an (N, frames) 0/1 matrix;
+    an epoch's label under each hypothesis is the bit at its onset frame.
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int, gamma: float | None = None):
-        self.codes = codes
-        self.n_cycles = n_cycles
+        self.bits = np.array([np.tile(c.array, n_cycles) for c in codes], dtype=np.float64)
         self.gamma = gamma
 
     @property
     def n_hypotheses(self) -> int:
-        return len(self.codes)
+        return self.bits.shape[0]
 
-    def _deltas(self, ep: EpochSet, state: UmmState | None) -> NDArray:
-        deltas = np.empty((self.n_hypotheses, ep.n_features))
-        cumulative = (
-            state is not None
-            and state.mode == MODE_CUMULATIVE
-            and not state.is_empty()
-        )
-        for i, code in enumerate(self.codes):
-            bits = _epoch_bits(ep, code, self.n_cycles)
-            pos = bits == 1
-            if not pos.any() or pos.all():
-                raise DegenerateHypothesis(
-                    f"hypothesis {i} yields an empty flash or non-flash set"
-                )
-            mu_pos = ep.epochs[pos].mean(axis=0)
-            mu_neg = ep.epochs[~pos].mean(axis=0)
-            if cumulative and state.weight_total > 0:
-                w = state.weight_total
-                mu_pos = (state.flash_sum + mu_pos) / (w + 1.0)
-                mu_neg = (state.nonflash_sum + mu_neg) / (w + 1.0)
-            deltas[i] = mu_pos - mu_neg
+    def _means(self, ep: EpochSet, rows) -> tuple[NDArray, NDArray]:
+        """Flash and non-flash epoch means, each (len(rows), D), under the
+        hypotheses ``rows``: one product of row-normalised weights with
+        the epochs."""
+        if ep.onsets[-1] >= self.bits.shape[1]:
+            raise ShapeError(
+                f"codes tiled to {self.bits.shape[1]} frames, "
+                f"epochs extend to frame {ep.onsets[-1]}"
+            )
+        rows = np.asarray(rows)
+        flash = self.bits[rows][:, ep.onsets]
+        n_flash = flash.sum(axis=1, keepdims=True)
+        degenerate = np.flatnonzero((n_flash[:, 0] == 0) | (n_flash[:, 0] == ep.n_epochs))
+        if degenerate.size:
+            raise DegenerateHypothesis(
+                f"hypothesis {rows[degenerate[0]]} yields an empty flash or non-flash set"
+            )
+        weights = np.vstack([flash / n_flash, (1.0 - flash) / (ep.n_epochs - n_flash)])
+        means = weights @ ep.epochs
+        return means[: len(rows)], means[len(rows) :]
+
+    def _deltas(self, ep: EpochSet, pooled: UmmState | None) -> NDArray:
+        flash, nonflash = self._means(ep, np.arange(self.n_hypotheses))
+        deltas = flash - nonflash
+        if pooled is not None:
+            deltas = (pooled.flash_sum - pooled.nonflash_sum + deltas) / (
+                pooled.weight_total + 1.0
+            )
         return deltas
 
-    def _covariance(self, ep: EpochSet, state: UmmState | None) -> CovModel:
-        centered = ep.epochs - ep.epochs.mean(axis=0)
-        scatter = centered.T @ centered
-        sq4 = float(np.sum(np.sum(centered**2, axis=1) ** 2))
-        n = ep.n_epochs
-        if (
-            state is not None
-            and state.mode == MODE_CUMULATIVE
-            and not state.is_empty()
-        ):
-            if state.scatter.shape[0] != ep.n_features:
-                raise ShapeError("accumulated covariance has a different feature count")
-            scatter = scatter + state.scatter
-            sq4 += state.sq_norms4
-            n += state.n_epochs
-        if n < 2:
-            raise InsufficientEpochs("pooled epoch count below 2")
-        cov = scatter / n
-        gamma = self.gamma if self.gamma is not None else _lw_gamma(sq4, cov, n)
-        blocks = _lag_blocks(cov, ep.epoch_len, ep.n_channels)
-        reg_blocks, taper = _regularize(blocks, gamma, ep.epoch_len)
-        return CovModel(blocks=reg_blocks, shrinkage_gamma=gamma, taper=taper)
-
     def decode(self, trial: Trial, state: UmmState | None = None) -> DecodeOutcome:
-        ep = slice_epochs(trial)
-        return self.decode_epochs(ep, state)
+        return self.decode_epochs(slice_epochs(trial), state)
 
     def decode_epochs(self, ep: EpochSet, state: UmmState | None = None) -> DecodeOutcome:
-        cov = self._covariance(ep, state)
-        deltas = self._deltas(ep, state)
-        return score_hypotheses(deltas, cov)
+        """Score every hypothesis on the epochs, pooling a cumulative
+        state's covariance statistics and ERP sums when it holds any."""
+        pooled = _pooled(state, ep.n_features)
+        scatter, sq_norms4 = ep.centered_moments
+        n = ep.n_epochs
+        if pooled is not None:
+            scatter = scatter + pooled.scatter
+            sq_norms4 += pooled.sq_norms4
+            n += pooled.n_epochs
+        cov = _cov_model(scatter, sq_norms4, n, self.gamma, ep.n_channels)
+        return score_hypotheses(self._deltas(ep, pooled), cov)
 
     def update_cumulative(
         self, state: UmmState, ep: EpochSet, outcome: DecodeOutcome
@@ -341,47 +347,24 @@ class UmmDecoder:
         outcome's confidence as weight."""
         if state.mode != MODE_CUMULATIVE:
             raise ValueError("update_cumulative requires a cumulative-mode state")
-        centered = ep.epochs - ep.epochs.mean(axis=0)
-        scatter = centered.T @ centered
-        sq4 = float(np.sum(np.sum(centered**2, axis=1) ** 2))
-
         d = ep.n_features
-        if state.is_empty():
+        if _pooled(state, d) is None:
             state = UmmState(
                 mode=MODE_CUMULATIVE,
                 scatter=np.zeros((d, d)),
                 flash_sum=np.zeros(d),
                 nonflash_sum=np.zeros(d),
             )
-        elif state.scatter.shape[0] != d:
-            raise ShapeError("epoch dimensions inconsistent with accumulated state")
-
-        bits = _epoch_bits(ep, self.codes[outcome.label], self.n_cycles)
-        pos = bits == 1
-        if not pos.any() or pos.all():
-            raise DegenerateHypothesis("predicted hypothesis has a degenerate epoch split")
+        scatter, sq_norms4 = ep.centered_moments
+        flash, nonflash = self._means(ep, [outcome.label])
         w = float(outcome.confidence)
         return UmmState(
             mode=MODE_CUMULATIVE,
             scatter=state.scatter + scatter,
-            sq_norms4=state.sq_norms4 + sq4,
+            sq_norms4=state.sq_norms4 + sq_norms4,
             n_epochs=state.n_epochs + ep.n_epochs,
-            flash_sum=state.flash_sum + w * ep.epochs[pos].mean(axis=0),
-            nonflash_sum=state.nonflash_sum + w * ep.epochs[~pos].mean(axis=0),
+            flash_sum=state.flash_sum + w * flash[0],
+            nonflash_sum=state.nonflash_sum + w * nonflash[0],
             weight_total=state.weight_total + w,
             n_trials_seen=state.n_trials_seen + 1,
         )
-
-
-def decode(
-    trial: Trial,
-    codes: list[BitSequence],
-    state: UmmState | None = None,
-    n_cycles: int | None = None,
-    gamma: float | None = None,
-) -> DecodeOutcome:
-    if n_cycles is None:
-        frames_per_cycle = len(codes[0])
-        n_frames = trial.n_samples // SAMPLES_PER_FRAME
-        n_cycles = max(1, -(-n_frames // frames_per_cycle))
-    return UmmDecoder(codes, n_cycles, gamma).decode(trial, state)

@@ -80,6 +80,32 @@ class TestArchive:
             read_archive(path)
 
 
+def _edit_header(path, key, value):
+    header, _, payload = path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    doc[key] = value
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+
+
+class TestArchiveHeaderChecks:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("labels", [0, 1]),       # fewer labels than the three trials
+            ("labels", [0, 1, 3]),    # a label past the last of three codes
+            ("labels", [0, -1, 2]),   # a negative label
+            ("codes", []),            # no codes at all
+        ],
+        ids=["labels-short", "label-too-large", "label-negative", "no-codes"],
+    )
+    def test_inconsistent_header(self, tmp_path, key, value):
+        path = tmp_path / "s.cvep"
+        write_archive(_session(), path)
+        _edit_header(path, key, value)
+        with pytest.raises(CorruptArchive):
+            read_archive(path)
+
+
 def _simulate(tmp_path, name="s.cvep", extra=()):
     out = tmp_path / name
     rc = main(
@@ -177,6 +203,12 @@ class TestCli:
         out = _simulate(tmp_path)
         out.write_bytes(out.read_bytes()[:-9])
         assert main(["decode", "--method", "cca_e1", "--in", str(out)]) == 2
+        capsys.readouterr()
+
+    def test_label_out_of_range_exit_2(self, tmp_path, capsys):
+        out = _simulate(tmp_path)
+        _edit_header(out, "labels", [0, 1, 3])
+        assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "2.1"]) == 2
         capsys.readouterr()
 
     def test_unknown_method_exit_2(self, tmp_path, capsys):

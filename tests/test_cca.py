@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvepdecode import cca
-from cvepdecode.cca import CcaState, decode, fit_filters, update_cumulative
+from cvepdecode.cca import CcaDecoder, CcaState, fit_filters
 from cvepdecode.codegen import default_code_set
 from cvepdecode.encoding import structure_for_code
 from cvepdecode.errors import DegenerateCovariance, TrialTooShort
@@ -13,6 +13,7 @@ from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_tri
 
 CODES = default_code_set(20)
 STRUCTS_1C = [structure_for_code(c, 1) for c in CODES]
+DECODER_2S = CcaDecoder(STRUCTS_1C, 378)  # 2.1 s trials
 
 
 def _clean_trial(idx, dur_s=2.1, seed=0):
@@ -64,7 +65,7 @@ def test_temporal_filter_sign_convention():
 
 def test_decode_noiseless():
     for idx in (0, 7, 19):
-        outcome = decode(_clean_trial(idx), STRUCTS_1C)
+        outcome = DECODER_2S.decode(_clean_trial(idx))
         assert outcome.label == idx
         assert outcome.scores.shape == (20,)
         assert np.all(outcome.scores <= 1.0 + 1e-9)
@@ -73,33 +74,33 @@ def test_decode_noiseless():
 def test_decode_tie_breaks_to_lowest_index():
     trial = _clean_trial(3)
     structs = [STRUCTS_1C[3], STRUCTS_1C[3], STRUCTS_1C[0]]
-    outcome = decode(trial, structs)
+    outcome = CcaDecoder(structs, trial.n_samples).decode(trial)
     assert outcome.label == 0
 
 
 def test_decode_too_short():
     trial = Trial(samples=np.zeros((8, 30)))
     with pytest.raises(TrialTooShort):
-        decode(trial, STRUCTS_1C)
+        CcaDecoder(STRUCTS_1C, trial.n_samples).decode(trial)
 
 
 def test_mixing_invariance():
     # rho invariant under invertible channel mixing
     rng = np.random.default_rng(3)
     trial = synthesize_trial(CODES[4], ForwardModel(snr=1.0), 2.1, 11, 4)
-    out_a = decode(trial, STRUCTS_1C)
+    out_a = DECODER_2S.decode(trial)
     b = rng.normal(size=(8, 8)) + 0.5 * np.eye(8)
     mixed = Trial(samples=b @ trial.samples, code_index_true=4)
-    out_b = decode(mixed, STRUCTS_1C)
+    out_b = DECODER_2S.decode(mixed)
     assert np.abs(out_a.scores - out_b.scores).max() < 1e-6
     assert out_a.label == out_b.label
 
 
 def test_scaling_invariance():
     trial = synthesize_trial(CODES[9], ForwardModel(snr=0.5), 2.1, 5, 9)
-    out_a = decode(trial, STRUCTS_1C)
+    out_a = DECODER_2S.decode(trial)
     scaled = Trial(samples=7.5 * trial.samples, code_index_true=9)
-    out_b = decode(scaled, STRUCTS_1C)
+    out_b = DECODER_2S.decode(scaled)
     assert np.abs(out_a.scores - out_b.scores).max() < 1e-9
 
 
@@ -109,7 +110,7 @@ def test_rho_degrades_with_noise():
         rs = []
         for seed in range(5):
             trial = synthesize_trial(CODES[0], ForwardModel(snr=snr), 2.1, seed, 0)
-            rs.append(decode(trial, STRUCTS_1C).scores[0])
+            rs.append(DECODER_2S.decode(trial).scores[0])
         rhos.append(np.mean(rs))
     assert rhos[0] >= 0.999
     assert rhos[0] > rhos[1] > rhos[2]
@@ -118,7 +119,7 @@ def test_rho_degrades_with_noise():
 def test_update_cumulative_single_term():
     trial = _clean_trial(1)
     state = CcaState(mode=cca.MODE_CUMULATIVE)
-    state = update_cumulative(state, trial, STRUCTS_1C, predicted=1)
+    state = DECODER_2S.update_cumulative(state, trial, 1)
     x = trial.samples
     assert np.allclose(state.sxx, x @ x.T)
     assert state.n_trials_seen == 1
@@ -127,17 +128,17 @@ def test_update_cumulative_single_term():
 def test_update_cumulative_order_invariant_sxx():
     t1, t2 = _clean_trial(0), _clean_trial(1, seed=4)
     s_a = CcaState(mode=cca.MODE_CUMULATIVE)
-    s_a = update_cumulative(s_a, t1, STRUCTS_1C, 0)
-    s_a = update_cumulative(s_a, t2, STRUCTS_1C, 1)
+    s_a = DECODER_2S.update_cumulative(s_a, t1, 0)
+    s_a = DECODER_2S.update_cumulative(s_a, t2, 1)
     s_b = CcaState(mode=cca.MODE_CUMULATIVE)
-    s_b = update_cumulative(s_b, t2, STRUCTS_1C, 1)
-    s_b = update_cumulative(s_b, t1, STRUCTS_1C, 0)
+    s_b = DECODER_2S.update_cumulative(s_b, t2, 1)
+    s_b = DECODER_2S.update_cumulative(s_b, t1, 0)
     assert np.allclose(s_a.sxx, s_b.sxx)
 
 
 def test_update_requires_cumulative_mode():
     with pytest.raises(ValueError):
-        update_cumulative(CcaState(), _clean_trial(0), STRUCTS_1C, 0)
+        DECODER_2S.update_cumulative(CcaState(), _clean_trial(0), 0)
 
 
 def test_cumulative_beats_instantaneous_at_moderate_snr():

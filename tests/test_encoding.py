@@ -9,6 +9,7 @@ from cvepdecode.encoding import (
     EventTimeSeries,
     build_structure_matrix,
     extract_events,
+    n_cycles_to_cover,
     structure_for_code,
 )
 from cvepdecode.errors import InvalidLag, UnmodulatedCode
@@ -111,3 +112,10 @@ def test_truncation_is_column_prefix():
     struct = structure_for_code(code, n_cycles=15)
     short = struct.truncated(378)
     assert np.array_equal(short.mat, struct.mat[:, :378])
+
+
+def test_cycle_count_follows_code_length():
+    code = default_code_set(1)[0]  # 126 frames, 378 samples per cycle
+    assert [n_cycles_to_cover(code, n) for n in (54, 378, 379, 756, 5670)] == [1, 1, 2, 2, 15]
+    short = BitSequence(bits=code.bits[:64])  # 192 samples per cycle
+    assert [n_cycles_to_cover(short, n) for n in (192, 193, 756)] == [1, 2, 4]

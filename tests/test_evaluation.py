@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cvepdecode.codegen import default_code_set
-from cvepdecode.errors import ConfigError, DegenerateSample, InvalidCutoff
+from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.errors import ConfigError, DegenerateSample, InvalidCutoff, TruncatedTrial
 from cvepdecode.evaluate import (
     ALPHA,
     CURVE_CSV_HEADER,
@@ -66,6 +66,26 @@ class TestDecodeSession:
             n_correct, acc = accuracy_of(outcomes, session.trials)
             assert acc == 1.0, tag
             assert n_correct == session.n_trials
+
+    def test_codes_shorter_than_a_trial_are_tiled(self):
+        # 64-frame codes cycle every 1.07 s; a 4.2 s trial spans four cycles
+        codes = [BitSequence(bits=c.bits[:64]) for c in CODES[:5]]
+        session = synthesize_session(1, ForwardModel(snr=math.inf), seed=0, codes=codes, dur_s=4.2)
+        assert [t.n_samples for t in session.trials] == [756] * 5
+        bank = DecoderBank(codes, max_dur_s=4.2)
+        for tag in METHOD_TAGS:
+            outcomes = decode_session(session, tag, 4.2, bank)
+            assert accuracy_of(outcomes, session.trials)[1] == 1.0, tag
+
+    def test_full_length_bank_reaches_31_5_s(self):
+        bank = DecoderBank(CODES[:1], max_dur_s=31.5)
+        assert bank.structures[0].mat.shape == (162, 5670)
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_duration_past_trial_end(self, tag):
+        session = _session(dur_s=2.1)
+        with pytest.raises(TruncatedTrial):
+            decode_session(session, tag, 4.2, DecoderBank(session.codes, max_dur_s=4.2))
 
     def test_outcome_count_and_order(self):
         session = _session()

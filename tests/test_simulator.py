@@ -6,8 +6,8 @@ import pytest
 from cvepdecode.codegen import default_code_set
 from cvepdecode.encoding import RESPONSE_LEN, structure_for_code
 from cvepdecode.errors import InvalidSnr
+from cvepdecode.sigproc import TARGET_FS as FS
 from cvepdecode.simulate import (
-    FS,
     FULL_TRIAL_S,
     ForwardModel,
     default_responses,

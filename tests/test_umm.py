@@ -158,7 +158,6 @@ class TestScoring:
         cov = CovModel(
             blocks=np.eye(2)[np.newaxis].repeat(3, axis=0) * np.array([1.0, 0, 0])[:, None, None],
             shrinkage_gamma=0.0,
-            taper=np.ones(3),
         )
         out = score_hypotheses(np.zeros((4, 6)), cov)
         assert out.label == 0
@@ -167,7 +166,7 @@ class TestScoring:
     def test_euclidean_case(self):
         blocks = np.zeros((3, 2, 2))
         blocks[0] = np.eye(2)
-        cov = CovModel(blocks=blocks, shrinkage_gamma=1.0, taper=np.ones(3))
+        cov = CovModel(blocks=blocks, shrinkage_gamma=1.0)
         deltas = np.zeros((3, 6))
         deltas[0, 0] = 1.0
         deltas[1, 1] = 2.0
@@ -197,15 +196,16 @@ class TestDecoding:
         ok = 0
         for i, seed in zip((0, 4, 9, 13, 19), range(5)):
             trial = synthesize_trial(CODES[i], ForwardModel(snr=50.0), 2.1, seed, i)
-            out = umm.decode(trial, CODES)
+            out = UmmDecoder(CODES, 1).decode(trial)
             ok += out.label == i
         assert ok == 5
 
     def test_global_rescaling_keeps_label(self):
         trial = synthesize_trial(CODES[6], ForwardModel(snr=0.5), 2.1, 2, 6)
-        out_a = umm.decode(trial, CODES)
+        dec = UmmDecoder(CODES, 1)
+        out_a = dec.decode(trial)
         scaled = Trial(samples=200.0 * trial.samples, code_index_true=6)
-        out_b = umm.decode(scaled, CODES)
+        out_b = dec.decode(scaled)
         assert out_a.label == out_b.label
         # scores rescale uniformly, so the ranking is scale-free
         ratio = out_b.scores / out_a.scores
