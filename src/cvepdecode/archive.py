@@ -1,5 +1,6 @@
 """Single-file trial archive: one JSON header line followed by raw 32-bit
-little-endian floats, channel-major within each trial.
+little-endian floats, channel-major within each trial. Trials are sampled
+at 180 Hz under 60 Hz stimulus frames; the reader rejects other rates.
 """
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import json
 
 import numpy as np
 
-from .codegen import BitSequence
+from .codegen import PRESENTATION_RATE_HZ, BitSequence
 from .errors import CorruptArchive, UnsupportedVersion
-from .sigproc import Trial
+from .sigproc import TARGET_FS, Trial
 from .simulate import Session
 
 ARCHIVE_VERSION = 1
@@ -28,7 +29,7 @@ def write_archive(session: Session, path) -> None:
         "version": ARCHIVE_VERSION,
         "channels": n_channels,
         "fs_hz": session.fs,
-        "frame_rate_hz": session.trials[0].frame_rate_hz,
+        "frame_rate_hz": PRESENTATION_RATE_HZ,
         "n_trials": len(session.trials),
         "trial_len_samples": trial_len,
         "codes": [c.to_line() for c in session.codes],
@@ -66,6 +67,9 @@ def read_archive(path) -> Session:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArchive(f"incomplete archive header: {exc}") from exc
 
+    if fs != TARGET_FS or frame_rate != PRESENTATION_RATE_HZ:
+        raise CorruptArchive(f"archive at {fs} Hz with {frame_rate} Hz frames; "
+                             f"only {TARGET_FS} Hz and {PRESENTATION_RATE_HZ} Hz are supported")
     if not code_lines:
         raise CorruptArchive("archive holds no codes")
     if len({len(c) for c in code_lines}) > 1:
@@ -87,13 +91,5 @@ def read_archive(path) -> Session:
 
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     data = data.reshape(n_trials, channels, trial_len)
-    trials = [
-        Trial(
-            samples=data[i],
-            fs=fs,
-            frame_rate_hz=frame_rate,
-            code_index_true=labels[i],
-        )
-        for i in range(n_trials)
-    ]
+    trials = [Trial(samples=data[i], code_index_true=labels[i]) for i in range(n_trials)]
     return Session(trials=trials, codes=codes, fs=fs, seed=header.get("seed"))

@@ -5,16 +5,22 @@ the trial and the code's predicted response time-course, obtained from
 sequence-specific spatial (per-channel) and temporal (per-event-lag)
 filters. The cumulative variant accumulates spatial covariance plus the
 cross/temporal terms of previously decoded trials under naive labeling.
+
+The decoder factors each hypothesis' temporal gram once, when it is built,
+and the spatial covariance once per trial; it forms cross-covariances from
+the codes' event onsets, never from a stored design matrix.
+:func:`fit_filters` and the decoder share one whitening and SVD core.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 from scipy import linalg
 
-from .encoding import StructureMatrix
+from .encoding import RESPONSE_LEN, StructureMatrix
 from .errors import (
     DegenerateCovariance,
     NumericalFailure,
@@ -63,6 +69,18 @@ def _ridged_cholesky(cov: NDArray, what: str) -> NDArray:
         raise DegenerateCovariance(f"{what} covariance is not positive definite") from exc
 
 
+def _leading_pair(lx: NDArray, sxm: NDArray, lm: NDArray) -> tuple[NDArray, NDArray, float]:
+    """Leading singular pair (u, v, rho) of the cross-covariance whitened
+    by the lower Cholesky factors lx (spatial) and lm (temporal)."""
+    k = linalg.solve_triangular(lx, sxm, lower=True)
+    k = linalg.solve_triangular(lm, k.T, lower=True).T
+    u, s, vt = linalg.svd(k, full_matrices=False)
+    rho = float(s[0])
+    if not np.isfinite(rho):
+        raise NumericalFailure("canonical correlation came out non-finite")
+    return u[:, 0], vt[0], rho
+
+
 def fit_filters(
     sxx: NDArray, sxm: NDArray, smm: NDArray
 ) -> tuple[NDArray, NDArray, float]:
@@ -80,40 +98,47 @@ def fit_filters(
     """
     lx = _ridged_cholesky(np.asarray(sxx, dtype=float), "spatial")
     lm = _ridged_cholesky(np.asarray(smm, dtype=float), "temporal")
-    k = linalg.solve_triangular(lx, np.asarray(sxm, dtype=float), lower=True)
-    k = linalg.solve_triangular(lm, k.T, lower=True).T
-    u, s, vt = linalg.svd(k, full_matrices=False)
-    w = linalg.solve_triangular(lx.T, u[:, 0], lower=False)
-    r = linalg.solve_triangular(lm.T, vt[0], lower=False)
+    u, v, rho = _leading_pair(lx, np.asarray(sxm, dtype=float), lm)
+    w = linalg.solve_triangular(lx.T, u, lower=False)
+    r = linalg.solve_triangular(lm.T, v, lower=False)
     if r[np.argmax(np.abs(r))] < 0:
         w, r = -w, -r
-    rho = float(s[0])
-    if not np.isfinite(rho):
-        raise NumericalFailure("canonical correlation came out non-finite")
     return w, r, rho
 
 
-class CcaDecoder:
-    """Precomputes per-hypothesis structure grams for one trial length.
+def _cross(x: NDArray, onsets: list[list[NDArray]]) -> list[NDArray]:
+    """x M^T for each hypothesis given as per-event onsets: the lagged
+    windows x[:, o : o + RESPONSE_LEN] summed over each event's onsets o.
+    Zero padding cuts the responses that run past the trial end."""
+    padded = np.pad(x, ((0, 0), (0, RESPONSE_LEN - 1)))
+    lagged = sliding_window_view(padded, RESPONSE_LEN, axis=1)
+    return [np.concatenate([lagged[:, o, :].sum(axis=1) for o in per_event], axis=1)
+            for per_event in onsets]
 
-    Useful when many trials are decoded at the same duration: the temporal
-    gram M_i M_i^T (the expensive term) depends only on the code and the
-    length, not on the data.
+
+class CcaDecoder:
+    """Scores every code hypothesis on trials of one length.
+
+    Per hypothesis it keeps the event onsets below that length, the temporal
+    gram M_i M_i^T and the gram's ridged Cholesky factor, none of which
+    depends on the data; the dense design M_i is built once, for the gram.
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
-        if n_samples < structures[0].response_len:
+        if n_samples < RESPONSE_LEN:
             raise TrialTooShort(
                 f"trial of {n_samples} samples is shorter than one response "
-                f"({structures[0].response_len} samples)"
+                f"({RESPONSE_LEN} samples)"
             )
         self.n_samples = n_samples
-        self.mats = [s.truncated(n_samples).mat for s in structures]
-        self.grams = [m @ m.T for m in self.mats]
+        prefixes = [s.truncated(n_samples) for s in structures]
+        self.onsets = [p.onsets for p in prefixes]
+        self.grams = [m @ m.T for m in (p.mat for p in prefixes)]
+        self.gram_factors = [_ridged_cholesky(g, "temporal") for g in self.grams]
 
     @property
     def n_hypotheses(self) -> int:
-        return len(self.mats)
+        return len(self.onsets)
 
     def decode(self, trial: Trial, state: CcaState | None = None) -> DecodeOutcome:
         x = trial.samples[:, : self.n_samples]
@@ -122,19 +147,19 @@ class CcaDecoder:
                 f"trial holds {x.shape[1]} samples, decoder expects {self.n_samples}"
             )
         sxx = x @ x.T
-        cumulative = state is not None and state.mode == MODE_CUMULATIVE
-        if cumulative and not state.is_empty():
+        cumulative = state is not None and state.mode == MODE_CUMULATIVE and not state.is_empty()
+        if cumulative:
             if state.sxx.shape != sxx.shape:
                 raise ShapeError("accumulated spatial covariance has a different channel count")
             sxx = sxx + state.sxx
+        lx = _ridged_cholesky(sxx, "spatial")
         rhos = np.empty(self.n_hypotheses)
-        for i, (mat, gram) in enumerate(zip(self.mats, self.grams)):
-            sxm = x @ mat.T
-            smm = gram
-            if cumulative and not state.is_empty():
+        for i, sxm in enumerate(_cross(x, self.onsets)):
+            lm = self.gram_factors[i]
+            if cumulative:
                 sxm = sxm + state.sxm
-                smm = smm + state.smm
-            _, _, rhos[i] = fit_filters(sxx, sxm, smm)
+                lm = _ridged_cholesky(self.grams[i] + state.smm, "temporal")
+            rhos[i] = _leading_pair(lx, sxm, lm)[2]
         if not np.all(np.isfinite(rhos)):
             raise NumericalFailure("non-finite hypothesis scores")
         label = int(np.argmax(rhos))
@@ -144,20 +169,16 @@ class CcaDecoder:
         self, state: CcaState, trial: Trial, predicted: int
     ) -> CcaState:
         """Fold the finished trial into the accumulators, pairing its data
-        with the structure matrix of its own predicted label (naive
-        labeling)."""
+        with the design of its own predicted label (naive labeling)."""
         if state.mode != MODE_CUMULATIVE:
             raise ValueError("update_cumulative requires a cumulative-mode state")
         x = trial.samples[:, : self.n_samples]
-        mat = self.mats[predicted]
         sxx = x @ x.T
-        sxm = x @ mat.T
+        (sxm,) = _cross(x, [self.onsets[predicted]])
         smm = self.grams[predicted]
         if state.is_empty():
-            return CcaState(
-                mode=MODE_CUMULATIVE, sxx=sxx, sxm=sxm, smm=smm.copy(), n_trials_seen=1
-            )
-        if state.sxx.shape != sxx.shape or state.sxm.shape != sxm.shape:
+            state = CcaState(mode=MODE_CUMULATIVE, sxx=0.0, sxm=0.0, smm=0.0)
+        elif state.sxx.shape != sxx.shape or state.sxm.shape != sxm.shape:
             raise ShapeError("trial dimensions inconsistent with accumulated state")
         return CcaState(
             mode=MODE_CUMULATIVE,
@@ -166,4 +187,3 @@ class CcaDecoder:
             smm=state.smm + smm,
             n_trials_seen=state.n_trials_seen + 1,
         )
-

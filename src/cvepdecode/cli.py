@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .archive import read_archive, write_archive
@@ -129,6 +132,19 @@ def _emit(text: str, out_path, args) -> None:
         sys.stdout.write(text)
 
 
+def _environment() -> dict:
+    """Library versions, the BLAS each library links, the BLAS thread
+    setting and the CPU count the results were computed under."""
+    blas = {lib: lib.show_config(mode="dicts")["Build Dependencies"]["blas"] for lib in (np, scipy)}
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {lib.__name__: f"{b['name']} {b['version']}" for lib, b in blas.items()},
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_meta(out_path, args) -> None:
     config = {k: v for k, v in vars(args).items() if k not in ("command",)}
     stanza = {
@@ -136,6 +152,7 @@ def _write_meta(out_path, args) -> None:
         "version": __version__,
         "command": args.command,
         "config": {k: (None if v is None else v if not isinstance(v, float) or math.isfinite(v) else str(v)) for k, v in config.items()},
+        "environment": _environment(),
     }
     with open(str(out_path) + ".meta.json", "w") as fh:
         json.dump(stanza, fh, sort_keys=True, indent=2)

@@ -1,19 +1,22 @@
-"""Event extraction and Toeplitz structure matrices for reconvolution CCA.
+"""Event trains for reconvolution CCA.
 
-A modulated code is turned into an event time-series with three rows
-(short-flash onsets, long-flash onsets, trial onset) on the 180 Hz sample
-grid, and then into a banded design matrix mapping per-event response
-templates to a predicted trial time-course.
+A modulated code tiled over whole cycles becomes an event train with three
+rows (short-flash onsets, long-flash onsets, trial onset) on the 180 Hz
+sample grid. The reconvolution model predicts a trial as each event row
+convolved with its own RESPONSE_LEN-sample response; the dense lagged
+design that expresses this as one matrix product is derived from the
+event train on demand and never stored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .codegen import BitSequence
-from .errors import InvalidLag, UnmodulatedCode
+from .errors import UnmodulatedCode
 from .sigproc import TARGET_FS
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
@@ -25,48 +28,59 @@ RESPONSE_LEN = 54     # 300 ms at 180 Hz
 
 
 @dataclass(frozen=True)
-class EventTimeSeries:
-    """events: (n_events, n_samples) binary matrix at 180 Hz."""
+class StructureMatrix:
+    """A code's event train: events (n_events, n_samples), 0/1 int8 at 180 Hz.
+
+    ``onsets`` lists the sample index of every event per row. ``mat`` is the
+    reconvolution design those events stand for, built on each access:
+    callers that need the dense matrix (grams, the simulator, oracles)
+    build it, use it and let it go.
+    """
 
     events: NDArray[np.int8]
 
     @property
-    def n_samples(self) -> int:
-        return self.events.shape[1]
-
-
-@dataclass(frozen=True)
-class StructureMatrix:
-    """mat: (n_events * response_len, n_samples) banded Toeplitz design."""
-
-    mat: NDArray[np.floating]
-    response_len: int = RESPONSE_LEN
+    def onsets(self) -> list[NDArray[np.intp]]:
+        """Per event row, the sample indices at which that event fires."""
+        return [np.flatnonzero(row) for row in self.events]
 
     @property
-    def n_samples(self) -> int:
-        return self.mat.shape[1]
+    def mat(self) -> NDArray[np.float64]:
+        """(n_events * RESPONSE_LEN, n_samples) banded Toeplitz design.
+
+        Row (e * RESPONSE_LEN + lag) at column t equals events[e, t - lag];
+        responses spilling past the trial end are cut, nothing wraps to the
+        start.
+        """
+        n_events, n_samples = self.events.shape
+        padded = np.zeros((n_events, RESPONSE_LEN - 1 + n_samples))
+        padded[:, RESPONSE_LEN - 1 :] = self.events
+        # window j holds the events delayed by RESPONSE_LEN - 1 - j samples
+        lagged = sliding_window_view(padded, n_samples, axis=1)[:, ::-1]
+        return lagged.reshape(n_events * RESPONSE_LEN, n_samples)
 
     def truncated(self, n_samples: int) -> "StructureMatrix":
-        """Keep only the first n_samples columns (a prefix of the trial).
+        """Keep only the first n_samples samples (a prefix of the trial).
 
-        Valid because every row depends on past events only; no wraparound.
+        Valid because every design column depends on past events only.
         """
-        return StructureMatrix(mat=self.mat[:, :n_samples], response_len=self.response_len)
+        return StructureMatrix(events=self.events[:, :n_samples])
 
 
-def _flash_runs(bits: NDArray) -> list[tuple[int, int]]:
-    """(start_frame, length) for each maximal run of ones."""
-    runs = []
-    start = None
-    for i, b in enumerate(bits):
-        if b and start is None:
-            start = i
-        elif not b and start is not None:
-            runs.append((start, i - start))
-            start = None
-    if start is not None:
-        runs.append((start, len(bits) - start))
-    return runs
+def _flash_runs(bits: NDArray) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """(start frames, lengths) of the maximal runs of ones; a run longer
+    than two frames raises UnmodulatedCode."""
+    edges = np.diff(np.concatenate([[0], bits, [0]]))
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    too_long = np.flatnonzero(lengths > 2)
+    if too_long.size:
+        i = too_long[0]
+        raise UnmodulatedCode(
+            f"run of {lengths[i]} consecutive ones at frame {starts[i]}; "
+            "modulated codes allow at most 2"
+        )
+    return starts, lengths
 
 
 def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
@@ -76,9 +90,7 @@ def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
     return max(1, -(-n_frames // len(code)))
 
 
-def extract_events(
-    code: BitSequence, n_cycles: int, fs: float = TARGET_FS
-) -> EventTimeSeries:
+def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
     """Tile a modulated code over n_cycles and mark flash onsets at 180 Hz.
 
     A run of a single 1 produces a short-flash event at the run's first
@@ -88,42 +100,9 @@ def extract_events(
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     tiled = np.tile(code.array, n_cycles)
-    upsample = int(round(fs / code.rate_hz))
-    n_samples = len(tiled) * upsample
-    events = np.zeros((N_EVENTS, n_samples), dtype=np.int8)
-    for start, length in _flash_runs(tiled):
-        if length > 2:
-            raise UnmodulatedCode(
-                f"run of {length} consecutive ones at frame {start}; "
-                "modulated codes allow at most 2"
-            )
-        row = EVENT_SHORT if length == 1 else EVENT_LONG
-        events[row, start * upsample] = 1
+    upsample = int(round(TARGET_FS / code.rate_hz))
+    starts, lengths = _flash_runs(tiled)
+    events = np.zeros((N_EVENTS, len(tiled) * upsample), dtype=np.int8)
+    events[np.where(lengths == 1, EVENT_SHORT, EVENT_LONG), starts * upsample] = 1
     events[EVENT_ONSET, 0] = 1
-    return EventTimeSeries(events=events)
-
-
-def build_structure_matrix(
-    ev: EventTimeSeries, response_len: int = RESPONSE_LEN
-) -> StructureMatrix:
-    """Stack lagged copies of each event row into the reconvolution design.
-
-    Row (e * L + lag) at column t equals ev[e, t - lag]; responses spilling
-    past the trial end are truncated, nothing wraps to the start.
-    """
-    if response_len <= 0:
-        raise InvalidLag(f"response length must be positive, got {response_len}")
-    n_events, n_samples = ev.events.shape
-    mat = np.zeros((n_events * response_len, n_samples))
-    for e in range(n_events):
-        row = ev.events[e]
-        for lag in range(response_len):
-            if lag < n_samples:
-                mat[e * response_len + lag, lag:] = row[: n_samples - lag]
-    return StructureMatrix(mat=mat, response_len=response_len)
-
-
-def structure_for_code(
-    code: BitSequence, n_cycles: int, response_len: int = RESPONSE_LEN, fs: float = TARGET_FS
-) -> StructureMatrix:
-    return build_structure_matrix(extract_events(code, n_cycles, fs), response_len)
+    return StructureMatrix(events=events)

@@ -60,10 +60,6 @@ class TrialTooShort(DataError):
 
 # -- encoding / decoding -----------------------------------------------------
 
-class InvalidLag(DataError):
-    """Non-positive response length for the structure matrix."""
-
-
 class DegenerateCovariance(NumericalError):
     """Covariance matrix is identically zero or otherwise unusable."""
 

@@ -4,7 +4,7 @@ paired Wilcoxon signed-rank test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -17,7 +17,7 @@ from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
 from .encoding import n_cycles_to_cover, structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCutoff
-from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, Trial, apply_zero_phase
+from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
 from .simulate import Session
 from .umm import UmmDecoder, UmmState
 
@@ -231,14 +231,7 @@ def filtered_session(session: Session, highpass_hz: float, lowpass_hz: float) ->
     for trial in session.trials:
         rec = ContinuousRecording(samples=trial.samples, fs=session.fs)
         filtered = apply_zero_phase(spec, rec)
-        trials.append(
-            Trial(
-                samples=filtered.samples,
-                fs=trial.fs,
-                frame_rate_hz=trial.frame_rate_hz,
-                code_index_true=trial.code_index_true,
-            )
-        )
+        trials.append(replace(trial, samples=filtered.samples))
     return Session(trials=trials, codes=session.codes, fs=session.fs, seed=session.seed)
 
 
@@ -253,7 +246,8 @@ def bandpass_sweep(
 
     The highpass axis keeps the lowpass fixed at 40 Hz; the lowpass axis
     keeps the highpass fixed at 6 Hz. ``session_source(highpass, lowpass)``
-    must return the re-preprocessed session for those cutoffs.
+    must return the re-preprocessed session for those cutoffs, over one
+    code set: a single DecoderBank, built for the first cutoff, serves all.
     """
     if axis not in ("highpass", "lowpass"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -263,13 +257,15 @@ def bandpass_sweep(
     tags = [canonical_tag(t) for t in method_tags]
     grid = SweepGrid(axis=axis, cutoffs_hz=cutoffs, n_trials=0)
     grid.n_correct = {t: [] for t in tags}
+    bank = None
     for cutoff in cutoffs:
         if axis == "highpass":
             session = session_source(cutoff, SWEEP_FIXED_LOWPASS)
         else:
             session = session_source(SWEEP_FIXED_HIGHPASS, cutoff)
         grid.n_trials = session.n_trials
-        bank = DecoderBank(session.codes, max_dur_s=duration_s)
+        if bank is None:
+            bank = DecoderBank(session.codes, max_dur_s=duration_s)
         for tag in tags:
             outcomes = decode_session(session, tag, duration_s, bank)
             n_correct, _ = accuracy_of(outcomes, session.trials)

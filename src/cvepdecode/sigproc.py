@@ -11,7 +11,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import signal
 
-from .codegen import PRESENTATION_RATE_HZ
 from .errors import InvalidCutoff, TruncatedTrial
 
 TARGET_FS = 180.0
@@ -86,7 +85,6 @@ class Trial:
 
     samples: NDArray[np.floating]
     fs: float = TARGET_FS
-    frame_rate_hz: float = PRESENTATION_RATE_HZ
     code_index_true: int | None = None
 
     def __post_init__(self):
@@ -107,12 +105,7 @@ class Trial:
             raise TruncatedTrial(
                 f"requested {duration_s} s but trial holds {self.n_samples / self.fs} s"
             )
-        return Trial(
-            samples=self.samples[:, :t],
-            fs=self.fs,
-            frame_rate_hz=self.frame_rate_hz,
-            code_index_true=self.code_index_true,
-        )
+        return replace(self, samples=self.samples[:, :t])
 
 
 def apply_zero_phase(filt: FilterSpec, rec: ContinuousRecording) -> ContinuousRecording:

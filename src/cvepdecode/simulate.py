@@ -90,8 +90,9 @@ def synthesize_trial(
 ) -> Trial:
     """Clean reconvolution signal plus scaled noise for one trial.
 
-    The clean part is built through the same structure matrix the decoder
-    uses, so at snr=inf the model identity is exact. Noise power is scaled
+    The clean part is the code's reconvolution design (the event train
+    the decoder scores) applied to the responses, so at snr=inf the model
+    identity is exact. Noise power is scaled
     against the clean signal's power measured over the whole (C, T) array.
     """
     if dur_s > FULL_TRIAL_S:

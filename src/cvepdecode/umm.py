@@ -54,7 +54,6 @@ class EpochSet:
     epochs: NDArray[np.floating]
     onsets: NDArray[np.int_]
     n_channels: int
-    epoch_len: int = RESPONSE_LEN
 
     @property
     def n_epochs(self) -> int:
@@ -73,24 +72,24 @@ class EpochSet:
         return centered.T @ centered, float(np.sum(np.sum(centered**2, axis=1) ** 2))
 
 
-def slice_epochs(trial: Trial, epoch_len: int = RESPONSE_LEN) -> EpochSet:
-    """One epoch per 60 Hz frame whose full window fits inside the trial."""
+def slice_epochs(trial: Trial) -> EpochSet:
+    """One RESPONSE_LEN-sample epoch per 60 Hz frame whose full window fits
+    inside the trial."""
     x = trial.samples
     n_channels, n_samples = x.shape
-    if n_samples < epoch_len:
+    if n_samples < RESPONSE_LEN:
         raise TrialTooShort(
-            f"trial of {n_samples} samples cannot hold a {epoch_len}-sample epoch"
+            f"trial of {n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
         )
-    k = (n_samples - epoch_len) // SAMPLES_PER_FRAME + 1
+    k = (n_samples - RESPONSE_LEN) // SAMPLES_PER_FRAME + 1
     idx = np.arange(k) * SAMPLES_PER_FRAME
-    # (K, epoch_len, C) -> (K, epoch_len * C), time-major
-    windows = np.lib.stride_tricks.sliding_window_view(x, epoch_len, axis=1)
-    epochs = windows[:, idx, :].transpose(1, 2, 0).reshape(k, epoch_len * n_channels)
+    # (K, RESPONSE_LEN, C) -> (K, RESPONSE_LEN * C), time-major
+    windows = np.lib.stride_tricks.sliding_window_view(x, RESPONSE_LEN, axis=1)
+    epochs = windows[:, idx, :].transpose(1, 2, 0).reshape(k, RESPONSE_LEN * n_channels)
     return EpochSet(
         epochs=np.ascontiguousarray(epochs, dtype=np.float64),
         onsets=idx // SAMPLES_PER_FRAME,
         n_channels=n_channels,
-        epoch_len=epoch_len,
     )
 
 
@@ -147,7 +146,7 @@ class CovModel:
     under the time-major feature layout of :class:`EpochSet`.
     """
 
-    blocks: NDArray[np.floating]      # (epoch_len, C, C)
+    blocks: NDArray[np.floating]      # (RESPONSE_LEN, C, C)
     shrinkage_gamma: float
 
     @property

@@ -21,7 +21,7 @@ from cvepdecode.codegen import (
     modulate,
     periodic_cross_correlation,
 )
-from cvepdecode.encoding import extract_events, structure_for_code
+from cvepdecode.encoding import structure_for_code
 from cvepdecode.evaluate import (
     DecoderBank,
     accuracy_of,
@@ -171,7 +171,7 @@ def test_criterion_6_structured_solver_oracle():
 def test_criterion_7_reconvolution_identity():
     rng = np.random.default_rng(7)
     struct = structure_for_code(CODES[0], 1)
-    events = extract_events(CODES[0], 1).events
+    events = struct.events
     worst = 0.0
     rho_min = 1.0
     for i in range(50):

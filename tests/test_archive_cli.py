@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy
 
 from cvepdecode.archive import read_archive, write_archive
 from cvepdecode.cli import main
@@ -95,8 +97,11 @@ class TestArchiveHeaderChecks:
             ("labels", [0, 1, 3]),    # a label past the last of three codes
             ("labels", [0, -1, 2]),   # a negative label
             ("codes", []),            # no codes at all
+            ("fs_hz", 250.0),         # samples not at 180 Hz
+            ("frame_rate_hz", 50.0),  # frames not at 60 Hz
         ],
-        ids=["labels-short", "label-too-large", "label-negative", "no-codes"],
+        ids=["labels-short", "label-too-large", "label-negative", "no-codes",
+             "sample-rate", "frame-rate"],
     )
     def test_inconsistent_header(self, tmp_path, key, value):
         path = tmp_path / "s.cvep"
@@ -138,6 +143,12 @@ class TestCli:
         assert meta["tool"] == "cvepdecode"
         assert meta["command"] == "simulate"
         assert meta["config"]["seed"] == 0
+        env = meta["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"numpy", "scipy"} and all(env["blas"].values())
+        assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_decode_round_trip(self, tmp_path, capsys):
         out = _simulate(tmp_path)
@@ -209,6 +220,13 @@ class TestCli:
         out = _simulate(tmp_path)
         _edit_header(out, "labels", [0, 1, 3])
         assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "2.1"]) == 2
+        capsys.readouterr()
+
+    def test_unsupported_sample_rate_exit_2(self, tmp_path, capsys):
+        out = _simulate(tmp_path)
+        _edit_header(out, "fs_hz", 250.0)
+        # 1.05 s at 250 Hz fits in the stored samples, so only the rate check stops it
+        assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "1.05"]) == 2
         capsys.readouterr()
 
     def test_unknown_method_exit_2(self, tmp_path, capsys):

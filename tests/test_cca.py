@@ -157,3 +157,47 @@ def test_cumulative_beats_instantaneous_at_moderate_snr():
             correct[tag] += accuracy_of(outcomes, session.trials)[0]
     assert correct["cca_ec"] >= correct["cca_e1"]
     assert correct["cca_e1"] > 0.2 * total  # well above chance
+
+
+def _dense_rhos(x, mats, state=None):
+    """Per-hypothesis rho from the dense designs, optionally with a
+    cumulative state given as dense (sxx, sxm, smm) sums."""
+    sxx0, sxm0, smm0 = state if state is not None else (0.0, 0.0, 0.0)
+    return np.array(
+        [fit_filters(x @ x.T + sxx0, x @ m.T + sxm0, m @ m.T + smm0)[2] for m in mats]
+    )
+
+
+@pytest.mark.parametrize("dur_s", [1.05, 31.5])
+def test_onset_gather_matches_dense_design(dur_s):
+    n_samples = int(round(dur_s * 180))
+    structs = [structure_for_code(c, 15) for c in CODES]
+    decoder = CcaDecoder(structs, n_samples)
+    mats = [s.truncated(n_samples).mat for s in structs]
+    session = synthesize_session(1, ForwardModel(snr=0.05), seed=2, codes=CODES[:2], dur_s=dur_s)
+    past, trial = session.trials
+
+    got = decoder.decode(trial).scores
+    assert np.abs(got - _dense_rhos(trial.samples, mats)).max() < 1e-10
+
+    # cca_ec with one past trial, folded in under its predicted label
+    label = decoder.decode(past).label
+    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, label)
+    x0, m0 = past.samples, mats[label]
+    dense_state = (x0 @ x0.T, x0 @ m0.T, m0 @ m0.T)
+    got = decoder.decode(trial, state).scores
+    assert np.abs(got - _dense_rhos(trial.samples, mats, dense_state)).max() < 1e-10
+
+
+def test_bank_stores_no_dense_design():
+    from cvepdecode.evaluate import DecoderBank
+
+    bank = DecoderBank(CODES, max_dur_s=31.5)
+    held = [s.events for s in bank.structures] + [o for s in bank.structures for o in s.onsets]
+    assert sum(a.nbytes for a in held) < 2**20
+    # a decoder keeps onsets, and grams and their factors, whose size does
+    # not grow with the trial
+    decoder = bank.cca(5670)
+    assert set(vars(decoder)) == {"n_samples", "onsets", "grams", "gram_factors"}
+    assert sum(o.nbytes for on in decoder.onsets for o in on) < 2**20
+    assert all(g.shape == (162, 162) for g in decoder.grams + decoder.gram_factors)

@@ -6,13 +6,12 @@ from cvepdecode.encoding import (
     EVENT_LONG,
     EVENT_ONSET,
     EVENT_SHORT,
-    EventTimeSeries,
-    build_structure_matrix,
-    extract_events,
+    RESPONSE_LEN,
+    StructureMatrix,
     n_cycles_to_cover,
     structure_for_code,
 )
-from cvepdecode.errors import InvalidLag, UnmodulatedCode
+from cvepdecode.errors import UnmodulatedCode
 
 
 def _code(bits):
@@ -20,7 +19,7 @@ def _code(bits):
 
 
 def test_short_flash_events():
-    ev = extract_events(_code([1, 0, 1, 0]), n_cycles=1)
+    ev = structure_for_code(_code([1, 0, 1, 0]), n_cycles=1)
     assert ev.events[EVENT_SHORT].sum() == 2
     assert ev.events[EVENT_LONG].sum() == 0
     # events on the 180 Hz grid, at frames 0 and 2
@@ -29,38 +28,36 @@ def test_short_flash_events():
 
 
 def test_long_flash_event_at_run_start():
-    ev = extract_events(_code([0, 1, 1, 0]), n_cycles=1)
+    ev = structure_for_code(_code([0, 1, 1, 0]), n_cycles=1)
     assert ev.events[EVENT_LONG].sum() == 1
     assert ev.events[EVENT_LONG, 3] == 1
     assert ev.events[EVENT_SHORT].sum() == 0
 
 
 def test_onset_event_only_at_zero():
-    ev = extract_events(_code([1, 0, 1, 0]), n_cycles=3)
+    ev = structure_for_code(_code([1, 0, 1, 0]), n_cycles=3)
     onset = ev.events[EVENT_ONSET]
     assert onset[0] == 1 and onset.sum() == 1
 
 
 def test_run_longer_than_two_rejected():
     with pytest.raises(UnmodulatedCode):
-        extract_events(_code([1, 1, 1, 0]), n_cycles=1)
+        structure_for_code(_code([1, 1, 1, 0]), n_cycles=1)
 
 
 def test_flash_budget_full_code():
     for code in default_code_set(5):
-        ev = extract_events(code, n_cycles=1)
+        ev = structure_for_code(code, n_cycles=1)
         n_short = int(ev.events[EVENT_SHORT].sum())
         n_long = int(ev.events[EVENT_LONG].sum())
         assert n_short + 2 * n_long == 63
 
 
 def test_structure_matrix_shifted_identity():
-    ev = EventTimeSeries(events=np.array([[1, 0, 0, 0, 0]], dtype=np.int8))
-    mat = build_structure_matrix(ev, response_len=3).mat
-    expected = np.array(
-        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=float
-    )
-    assert np.array_equal(mat, expected)
+    events = np.zeros((1, RESPONSE_LEN + 6), dtype=np.int8)
+    events[0, 0] = 1
+    mat = StructureMatrix(events=events).mat
+    assert np.array_equal(mat, np.eye(RESPONSE_LEN, RESPONSE_LEN + 6))
 
 
 def test_structure_matrix_full_trial_shape():
@@ -73,32 +70,26 @@ def test_structure_matrix_matches_convolution():
     # oracle: direct convolution of each event train with its response
     rng = np.random.default_rng(0)
     code = default_code_set(3)[2]
-    ev = extract_events(code, n_cycles=2)
-    struct = build_structure_matrix(ev)
-    n_events, n_samples = ev.events.shape
-    length = struct.response_len
+    struct = structure_for_code(code, n_cycles=2)
+    n_events, n_samples = struct.events.shape
+    length = RESPONSE_LEN
     for _ in range(5):
         r = rng.normal(size=n_events * length)
         via_matrix = r @ struct.mat
         direct = np.zeros(n_samples)
         for e in range(n_events):
-            full = np.convolve(ev.events[e], r[e * length : (e + 1) * length])
+            full = np.convolve(struct.events[e], r[e * length : (e + 1) * length])
             direct += full[:n_samples]
         assert np.abs(via_matrix - direct).max() < 1e-10
 
 
 def test_no_wraparound():
     # an event near the trial end must not leak to the start
-    ev = EventTimeSeries(events=np.array([[0, 0, 0, 1]], dtype=np.int8))
-    mat = build_structure_matrix(ev, response_len=3).mat
+    events = np.zeros((1, RESPONSE_LEN + 6), dtype=np.int8)
+    events[0, -1] = 1
+    mat = StructureMatrix(events=events).mat
     assert mat[:, 0].sum() == 0
-    assert mat[0, 3] == 1 and mat.sum() == 1
-
-
-def test_invalid_lag():
-    ev = extract_events(_code([1, 0]), n_cycles=1)
-    with pytest.raises(InvalidLag):
-        build_structure_matrix(ev, response_len=0)
+    assert mat[0, -1] == 1 and mat.sum() == 1
 
 
 def test_structures_distinct_across_codes():
@@ -112,6 +103,7 @@ def test_truncation_is_column_prefix():
     struct = structure_for_code(code, n_cycles=15)
     short = struct.truncated(378)
     assert np.array_equal(short.mat, struct.mat[:, :378])
+    assert all(np.array_equal(s, o[o < 378]) for s, o in zip(short.onsets, struct.onsets))
 
 
 def test_cycle_count_follows_code_length():

@@ -189,6 +189,23 @@ class TestSweep:
         assert [lp for _, lp in calls] == list(DEFAULT_LOWPASS_GRID)
         assert len(grid.n_correct["cca_e1"]) == 9
 
+    def test_sweep_builds_one_bank(self, monkeypatch):
+        # the bank depends on the codes and the duration, not on the filter
+        session = _session(dur_s=2.1, n_codes=3)
+        builds = []
+        original = DecoderBank.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecoderBank, "__init__", counted)
+        bandpass_sweep(
+            lambda hp, lp: session, ["cca_e1"], "lowpass", cutoffs_hz=(20.0, 40.0, 60.0),
+            duration_s=2.1,
+        )
+        assert len(builds) == 1
+
     def test_highpass_axis_fixes_lowpass(self):
         session = _session(dur_s=2.1, n_codes=3)
         calls = []

@@ -63,7 +63,7 @@ class TestMeanDifference:
         epochs = ep.epochs.copy()
         bits = np.tile(code.array, 2)[: ep.n_epochs]
         epochs[bits == 1] = v
-        ep = EpochSet(epochs=epochs, onsets=ep.onsets, n_channels=1, epoch_len=54)
+        ep = EpochSet(epochs=epochs, onsets=ep.onsets, n_channels=1)
         delta = mean_difference(ep, code, 2)
         assert np.allclose(delta, v)
 
