@@ -28,7 +28,7 @@ def write_archive(session: Session, path) -> None:
     header = {
         "version": ARCHIVE_VERSION,
         "channels": n_channels,
-        "fs_hz": session.fs,
+        "fs_hz": TARGET_FS,
         "frame_rate_hz": PRESENTATION_RATE_HZ,
         "n_trials": len(session.trials),
         "trial_len_samples": trial_len,
@@ -92,4 +92,4 @@ def read_archive(path) -> Session:
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     data = data.reshape(n_trials, channels, trial_len)
     trials = [Trial(samples=data[i], code_index_true=labels[i]) for i in range(n_trials)]
-    return Session(trials=trials, codes=codes, fs=fs, seed=header.get("seed"))
+    return Session(trials=trials, codes=codes, seed=header.get("seed"))

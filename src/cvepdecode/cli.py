@@ -35,6 +35,7 @@ from .evaluate import (
     sweep_csv_rows,
     wilcoxon_one_sided,
 )
+from .sigproc import TARGET_FS
 from .simulate import ForwardModel, synthesize_session
 
 EXIT_OK = 0
@@ -48,6 +49,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    #: subcommand name -> its parser, set on the top-level parser
+    commands: dict[str, "_Parser"]
+
     def error(self, message):
         raise UsageError(message)
 
@@ -93,34 +97,46 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, help="curve CSV, tested as the larger side")
     p.add_argument("--b", required=True)
     p.add_argument("--out", help="JSON report (default: stdout)")
+    parser.commands = sub.choices
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    probe = _Parser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse the command line. With --config, each value of the JSON object
+    whose key names an option of the subcommand becomes that option's flag,
+    placed before the flags given: the subcommand's parser converts and
+    checks it like a flag, and a flag on the command line wins. Other keys
+    and null values are ignored; a value the parser rejects is a data
+    error."""
     args = parser.parse_args(argv)
-    if known.config:
-        try:
-            with open(known.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"unreadable config file: {exc}") from exc
-        explicit = _explicit_dests(argv)
-        for key, value in defaults.items():
-            dest = key.replace("-", "_")
-            if hasattr(args, dest) and dest not in explicit:
-                setattr(args, dest, value)
-    return args
-
-
-def _explicit_dests(argv: list[str]) -> set[str]:
-    dests = set()
-    for token in argv:
-        if token.startswith("--"):
-            dests.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"unreadable config file: {exc}") from exc
+    if not isinstance(config, dict):
+        raise DataError("config file must hold a JSON object")
+    split = _Parser(add_help=False)
+    split.add_argument("--config")
+    split.add_argument("command")
+    split.add_argument("flags", nargs=argparse.REMAINDER)
+    flags = split.parse_args(argv).flags
+    options = {
+        action.dest: action.option_strings[-1]
+        for action in parser.commands[args.command]._actions
+        if action.option_strings and action.nargs is None
+    }
+    from_config = [
+        f"{options[dest]}={value}"
+        for key, value in config.items()
+        if (dest := key.replace("-", "_")) in options and value is not None
+    ]
+    try:
+        return parser.parse_args(argv[: len(argv) - len(flags)] + from_config + flags)
+    except UsageError as exc:
+        raise DataError(f"config value rejected: {exc}") from exc
 
 
 def _emit(text: str, out_path, args) -> None:
@@ -201,7 +217,7 @@ def _cmd_decode(args) -> int:
 def _cmd_curve(args) -> int:
     session = read_archive(args.infile)
     tag = canonical_tag(args.method)
-    max_dur = session.trials[0].n_samples / session.fs
+    max_dur = session.trials[0].n_samples / TARGET_FS
     durations = None
     if max_dur < 31.5:
         from .evaluate import DEFAULT_DURATIONS_S
@@ -216,7 +232,7 @@ def _cmd_curve(args) -> int:
 def _cmd_sweep(args) -> int:
     session = read_archive(args.infile)
     tags = [canonical_tag(t) for t in args.methods.split(",") if t.strip()]
-    duration = session.trials[0].n_samples / session.fs
+    duration = session.trials[0].n_samples / TARGET_FS
     grid = bandpass_sweep(
         lambda hp, lp: filtered_session(session, hp, lp),
         tags,
@@ -277,7 +293,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = _apply_config(parser, argv)
+        args = _parse_args(parser, argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,12 +3,13 @@ modulation, and greedy subset selection.
 
 All sequences are degree-6 (period 63) as used by the 60 Hz speller grid;
 modulated codes are 126 bits long with flashes of one or two frames only.
+A code holds one bit per stimulus frame; every code is presented at the
+one frame rate PRESENTATION_RATE_HZ and carries no rate of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,10 +35,9 @@ DEFAULT_TAPS_B = (6, 5, 2, 1)
 
 @dataclass(frozen=True)
 class BitSequence:
-    """A binary stimulus sequence presented at a fixed frame rate."""
+    """A binary stimulus sequence, one bit per PRESENTATION_RATE_HZ frame."""
 
     bits: tuple[int, ...]
-    rate_hz: float = PRESENTATION_RATE_HZ
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
@@ -54,11 +54,11 @@ class BitSequence:
         return "".join(str(b) for b in self.bits)
 
     @classmethod
-    def from_line(cls, line: str, rate_hz: float = PRESENTATION_RATE_HZ) -> "BitSequence":
+    def from_line(cls, line: str) -> "BitSequence":
         stripped = line.strip()
         if stripped and set(stripped) - {"0", "1"}:
             raise ValueError(f"invalid code line: {line!r}")
-        return cls(bits=tuple(int(c) for c in stripped), rate_hz=rate_hz)
+        return cls(bits=tuple(int(c) for c in stripped))
 
 
 def generate_m_sequence(taps=DEFAULT_TAPS_A, init=None) -> BitSequence:
@@ -129,58 +129,56 @@ def modulate(code: BitSequence) -> BitSequence:
     out = []
     for b in code.bits:
         out.extend((b, 1 - b))
-    return BitSequence(bits=tuple(out), rate_hz=code.rate_hz)
+    return BitSequence(bits=tuple(out))
 
 
 def demodulate(code: BitSequence) -> BitSequence:
     """Invert :func:`modulate` by keeping the even-indexed bits."""
     if len(code) != MODULATED_LENGTH:
         raise LengthMismatch(f"expected {MODULATED_LENGTH} bits, got {len(code)}")
-    return BitSequence(bits=code.bits[0::2], rate_hz=code.rate_hz)
+    return BitSequence(bits=code.bits[0::2])
+
+
+def _circular_xcorr(px: NDArray, py: NDArray) -> NDArray[np.int_]:
+    """Circular cross-correlation of +/-1 sequences along the last axis,
+    broadcast over the leading axes, by FFT; the values are exact integers."""
+    n = px.shape[-1]
+    corr = np.fft.irfft(np.fft.rfft(px) * np.conj(np.fft.rfft(py)), n=n)
+    return np.round(corr).astype(int)
 
 
 def periodic_cross_correlation(x: BitSequence, y: BitSequence) -> NDArray[np.int_]:
     """Periodic cross-correlation in the +/-1 alphabet, one value per shift."""
     if len(x) != len(y):
         raise LengthMismatch("sequences differ in length")
-    px = 1 - 2 * x.array.astype(float)
-    py = 1 - 2 * y.array.astype(float)
-    n = len(px)
-    # circular correlation via FFT; values are exact integers
-    corr = np.fft.irfft(np.fft.rfft(px) * np.conj(np.fft.rfft(py)), n=n)
-    return np.round(corr).astype(int)
-
-
-def _max_abs_xcorr(codes: list[BitSequence]) -> int:
-    worst = 0
-    for x, y in combinations(codes, 2):
-        worst = max(worst, int(np.max(np.abs(periodic_cross_correlation(x, y)))))
-    return worst
+    return _circular_xcorr(1 - 2 * x.array.astype(float), 1 - 2 * y.array.astype(float))
 
 
 def select_subset(codes: list[BitSequence], n: int = 20) -> list[BitSequence]:
     """Pick ``n`` codes greedily minimizing the maximum pairwise periodic
     cross-correlation magnitude. Ties break to the lowest index.
+
+    The peak |cross-correlation| of every pair of the pool is computed once,
+    as one batched FFT; each greedy step then adds the candidate whose worst
+    peak against the codes chosen so far is smallest.
     """
     if n > len(codes):
         raise InsufficientCodes(f"asked for {n} codes from a pool of {len(codes)}")
     if n == len(codes):
         return list(codes)
+    if len({len(c) for c in codes}) > 1:
+        raise LengthMismatch("sequences differ in length")
+    pm = 1 - 2 * np.array([c.bits for c in codes], dtype=float)
+    # peak[i, j] = max over shifts of |xcorr(codes[i], codes[j])|
+    peak = np.abs(_circular_xcorr(pm[:, np.newaxis], pm[np.newaxis])).max(axis=-1)
     selected = [0]
-    remaining = list(range(1, len(codes)))
+    cost = peak[:, 0].astype(float)
+    cost[0] = np.inf
     while len(selected) < n:
-        best_idx = None
-        best_cost = None
-        for idx in remaining:
-            cost = max(
-                int(np.max(np.abs(periodic_cross_correlation(codes[idx], codes[j]))))
-                for j in selected
-            )
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_idx = idx
-        selected.append(best_idx)
-        remaining.remove(best_idx)
+        best = int(np.argmin(cost))   # first minimum: the lowest index
+        selected.append(best)
+        cost = np.maximum(cost, peak[:, best])
+        cost[best] = np.inf
     return [codes[i] for i in sorted(selected)]
 
 
@@ -205,6 +203,6 @@ def save_codes(codes: list[BitSequence], path) -> None:
             fh.write(code.to_line() + "\n")
 
 
-def load_codes(path, rate_hz: float = PRESENTATION_RATE_HZ) -> list[BitSequence]:
+def load_codes(path) -> list[BitSequence]:
     with open(path) as fh:
-        return [BitSequence.from_line(line, rate_hz) for line in fh if line.strip()]
+        return [BitSequence.from_line(line) for line in fh if line.strip()]

@@ -2,10 +2,11 @@
 
 A modulated code tiled over whole cycles becomes an event train with three
 rows (short-flash onsets, long-flash onsets, trial onset) on the 180 Hz
-sample grid. The reconvolution model predicts a trial as each event row
-convolved with its own RESPONSE_LEN-sample response; the dense lagged
-design that expresses this as one matrix product is derived from the
-event train on demand and never stored.
+sample grid, SAMPLES_PER_FRAME samples per 60 Hz stimulus frame. The
+reconvolution model predicts a trial as each event row convolved with its
+own RESPONSE_LEN-sample response; the dense lagged design that expresses
+this as one matrix product is derived from the event train on demand and
+never stored.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .codegen import BitSequence
+from .codegen import PRESENTATION_RATE_HZ, BitSequence
 from .errors import UnmodulatedCode
 from .sigproc import TARGET_FS
 
@@ -25,6 +26,7 @@ EVENT_LONG = 1
 EVENT_ONSET = 2
 
 RESPONSE_LEN = 54     # 300 ms at 180 Hz
+SAMPLES_PER_FRAME = round(TARGET_FS / PRESENTATION_RATE_HZ)   # 3
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,8 @@ def _flash_runs(bits: NDArray) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
 
 def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
     """Code cycles needed to cover n_samples samples at 180 Hz, counted in
-    whole frames of the code's own length and rate."""
-    n_frames = -(-n_samples // int(round(TARGET_FS / code.rate_hz)))
+    whole frames of the code's own length."""
+    n_frames = -(-n_samples // SAMPLES_PER_FRAME)
     return max(1, -(-n_frames // len(code)))
 
 
@@ -100,9 +102,8 @@ def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     tiled = np.tile(code.array, n_cycles)
-    upsample = int(round(TARGET_FS / code.rate_hz))
     starts, lengths = _flash_runs(tiled)
-    events = np.zeros((N_EVENTS, len(tiled) * upsample), dtype=np.int8)
-    events[np.where(lengths == 1, EVENT_SHORT, EVENT_LONG), starts * upsample] = 1
+    events = np.zeros((N_EVENTS, len(tiled) * SAMPLES_PER_FRAME), dtype=np.int8)
+    events[np.where(lengths == 1, EVENT_SHORT, EVENT_LONG), starts * SAMPLES_PER_FRAME] = 1
     events[EVENT_ONSET, 0] = 1
     return StructureMatrix(events=events)

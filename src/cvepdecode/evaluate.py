@@ -44,21 +44,21 @@ def canonical_tag(tag: str) -> str:
 
 
 class DecoderBank:
-    """Caches per-duration CCA decoders (the structure grams are the
-    expensive part) and the UMM decoder for one code set."""
+    """The event trains and the UMM decoder for one code set, and the CCA
+    decoder for the trial length asked for last (its structure grams are
+    the expensive part; a new length replaces it)."""
 
-    def __init__(self, codes: list[BitSequence], max_dur_s: float = 31.5, gamma=None):
+    def __init__(self, codes: list[BitSequence], max_dur_s: float = 31.5):
         self.codes = codes
         n_cycles = n_cycles_to_cover(codes[0], int(round(max_dur_s * TARGET_FS)))
         self.structures = [structure_for_code(c, n_cycles) for c in codes]
-        self.gamma = gamma
-        self._cca_cache: dict[int, CcaDecoder] = {}
-        self._umm = UmmDecoder(codes, n_cycles, gamma=gamma)
+        self._cca: CcaDecoder | None = None
+        self._umm = UmmDecoder(codes, n_cycles)
 
     def cca(self, n_samples: int) -> CcaDecoder:
-        if n_samples not in self._cca_cache:
-            self._cca_cache[n_samples] = CcaDecoder(self.structures, n_samples)
-        return self._cca_cache[n_samples]
+        if self._cca is None or self._cca.n_samples != n_samples:
+            self._cca = CcaDecoder(self.structures, n_samples)
+        return self._cca
 
     def umm(self) -> UmmDecoder:
         return self._umm
@@ -81,7 +81,7 @@ def decode_session(
     trials = [trial.prefix(duration_s) for trial in session.trials]
     outcomes = []
     if tag.startswith("cca"):
-        decoder = bank.cca(int(round(duration_s * session.fs)))
+        decoder = bank.cca(int(round(duration_s * TARGET_FS)))
         state = CcaState(mode=cca_mod.MODE_CUMULATIVE) if tag == "cca_ec" else None
         for trial in trials:
             outcome = decoder.decode(trial, state)
@@ -212,15 +212,15 @@ class SweepGrid:
 
 def filtered_session(session: Session, highpass_hz: float, lowpass_hz: float) -> Session:
     """Re-filter every trial of an archived session with a zero-phase
-    bandpass at its native rate.
+    bandpass at TARGET_FS (180 Hz).
 
     A lowpass at the Nyquist frequency is a pass-through (the archived data
     carry no content there); cutoffs beyond Nyquist are rejected.
     """
-    nyq = session.fs / 2.0
+    nyq = TARGET_FS / 2.0
     if highpass_hz >= nyq or lowpass_hz > nyq:
         raise InvalidCutoff(
-            f"cutoffs ({highpass_hz}, {lowpass_hz}) Hz invalid at fs={session.fs} Hz"
+            f"cutoffs ({highpass_hz}, {lowpass_hz}) Hz invalid at fs={TARGET_FS} Hz"
         )
     if lowpass_hz == nyq:
         # nothing above Nyquist to remove; keep the highpass edge only
@@ -229,10 +229,10 @@ def filtered_session(session: Session, highpass_hz: float, lowpass_hz: float) ->
         spec = FilterSpec(kind="bandpass", highpass_hz=highpass_hz, lowpass_hz=lowpass_hz)
     trials = []
     for trial in session.trials:
-        rec = ContinuousRecording(samples=trial.samples, fs=session.fs)
+        rec = ContinuousRecording(samples=trial.samples, fs=TARGET_FS)
         filtered = apply_zero_phase(spec, rec)
         trials.append(replace(trial, samples=filtered.samples))
-    return Session(trials=trials, codes=session.codes, fs=session.fs, seed=session.seed)
+    return Session(trials=trials, codes=session.codes, seed=session.seed)
 
 
 def bandpass_sweep(

@@ -1,6 +1,10 @@
 """Continuous EEG preprocessing: zero-phase notch/bandpass filtering,
 polyphase resampling to 180 Hz, and trial segmentation with initial-segment
 cropping.
+
+A raw recording carries its own sampling rate; everything downstream of
+segmentation is on the one TARGET_FS (180 Hz) grid. Trials store no rate,
+and segment_trials refuses a recording that is not at TARGET_FS.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import signal
 
-from .errors import InvalidCutoff, TruncatedTrial
+from .errors import DataError, InvalidCutoff, TruncatedTrial
 
 TARGET_FS = 180.0
 
@@ -81,10 +85,9 @@ class FilterSpec:
 
 @dataclass
 class Trial:
-    """One segmented trial at 180 Hz. samples: (n_channels, n_samples)."""
+    """One segmented trial at TARGET_FS (180 Hz). samples: (n_channels, n_samples)."""
 
     samples: NDArray[np.floating]
-    fs: float = TARGET_FS
     code_index_true: int | None = None
 
     def __post_init__(self):
@@ -100,10 +103,10 @@ class Trial:
 
     def prefix(self, duration_s: float) -> "Trial":
         """The first duration_s seconds of the trial."""
-        t = int(round(duration_s * self.fs))
+        t = int(round(duration_s * TARGET_FS))
         if t > self.n_samples:
             raise TruncatedTrial(
-                f"requested {duration_s} s but trial holds {self.n_samples / self.fs} s"
+                f"requested {duration_s} s but trial holds {self.n_samples / TARGET_FS} s"
             )
         return replace(self, samples=self.samples[:, :t])
 
@@ -120,29 +123,26 @@ def apply_zero_phase(filt: FilterSpec, rec: ContinuousRecording) -> ContinuousRe
     return ContinuousRecording(samples=out, fs=rec.fs, markers=list(rec.markers))
 
 
-def _resample_filter(up: int, down: int, fs: float, target_fs: float) -> NDArray:
-    # Kaiser-windowed lowpass at the interpolated rate; ~64 taps per phase
-    half = 32 * max(up, down)
-    cutoff_hz = min(target_fs, fs) / 2.0
-    return signal.firwin(2 * half + 1, cutoff_hz / (fs * up / 2.0), window=("kaiser", 8.6))
+def resample(rec: ContinuousRecording) -> ContinuousRecording:
+    """Polyphase rational resampling to TARGET_FS; 512 -> 180 Hz uses the
+    exact ratio 45/128.
 
-
-def resample(rec: ContinuousRecording, target_fs: float = TARGET_FS) -> ContinuousRecording:
-    """Polyphase rational resampling; 512 -> 180 Hz uses the exact ratio 45/128.
-
-    Marker indices are rescaled by the same ratio. Arbitrary rate pairs are
-    approximated by a rational within 1e-9 relative error.
+    Marker indices are rescaled by the same ratio. Arbitrary source rates
+    are approximated by a rational within 1e-9 relative error.
     """
-    if target_fs >= rec.fs:
-        raise InvalidCutoff(f"target rate {target_fs} must be below {rec.fs}")
-    ratio = Fraction(target_fs / rec.fs).limit_denominator(10**6)
-    if abs(float(ratio) * rec.fs - target_fs) > 1e-9 * target_fs:
+    if TARGET_FS >= rec.fs:
+        raise InvalidCutoff(f"target rate {TARGET_FS} must be below {rec.fs}")
+    ratio = Fraction(TARGET_FS / rec.fs).limit_denominator(10**6)
+    if abs(float(ratio) * rec.fs - TARGET_FS) > 1e-9 * TARGET_FS:
         raise InvalidCutoff("resampling ratio cannot be approximated rationally")
     up, down = ratio.numerator, ratio.denominator
-    h = _resample_filter(up, down, rec.fs, target_fs)
+    # Kaiser-windowed lowpass at the new Nyquist frequency, designed at the
+    # interpolated rate; ~64 taps per phase
+    half = 32 * max(up, down)
+    h = signal.firwin(2 * half + 1, TARGET_FS / (rec.fs * up), window=("kaiser", 8.6))
     out = signal.resample_poly(rec.samples, up, down, axis=1, window=h)
     markers = [int(round(m * up / down)) for m in rec.markers]
-    return ContinuousRecording(samples=out, fs=target_fs, markers=markers)
+    return ContinuousRecording(samples=out, fs=TARGET_FS, markers=markers)
 
 
 def segment_trials(
@@ -152,8 +152,11 @@ def segment_trials(
     drop the pre-onset segment so exactly dur_s of post-onset data remain.
 
     The pre-onset padding exists only to absorb slicing/filtering artefacts;
-    it never reaches the decoders.
+    it never reaches the decoders. The recording must already be at
+    TARGET_FS: trials carry no rate of their own.
     """
+    if rec.fs != TARGET_FS:
+        raise DataError(f"recording at {rec.fs} Hz; trials are cut at {TARGET_FS} Hz only")
     n_pre = int(round(pre_s * rec.fs))
     n_dur = int(round(dur_s * rec.fs))
     n_total = rec.samples.shape[1]
@@ -164,7 +167,7 @@ def segment_trials(
                 f"trial at sample {onset} does not fit in the recording "
                 f"(need [{onset - n_pre}, {onset + n_dur}) of {n_total})"
             )
-        trials.append(Trial(samples=rec.samples[:, onset : onset + n_dur].copy(), fs=rec.fs))
+        trials.append(Trial(samples=rec.samples[:, onset : onset + n_dur].copy()))
     return trials
 
 
@@ -184,5 +187,5 @@ def preprocess(
         FilterSpec(kind="bandpass", highpass_hz=highpass_hz, lowpass_hz=lowpass_hz), rec
     )
     if rec.fs != TARGET_FS:
-        rec = resample(rec, TARGET_FS)
+        rec = resample(rec)
     return segment_trials(rec, pre_s=pre_s, dur_s=dur_s)

@@ -3,7 +3,8 @@
 A trial is a rank-1 spatial pattern times the superposition of per-event
 response templates placed at the code's flash onsets (exactly the
 reconvolution model the CCA decoder assumes), plus white or pink noise
-scaled to a requested signal-to-noise power ratio.
+scaled to a requested signal-to-noise power ratio. Trials are synthesized
+on the one TARGET_FS (180 Hz) grid, and a session has no rate of its own.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def synthesize_trial(
         x = clean + noise * math.sqrt(p_signal / (model.snr * p_noise))
     if model.drift_slope:
         x = x + model.drift_slope * (np.arange(n_samples) / TARGET_FS)
-    return Trial(samples=x, fs=TARGET_FS, code_index_true=code_index_true)
+    return Trial(samples=x, code_index_true=code_index_true)
 
 
 @dataclass
@@ -124,8 +125,12 @@ class Session:
 
     trials: list[Trial]
     codes: list[BitSequence]
-    fs: float = TARGET_FS
     seed: int | None = None
+
+    @property
+    def fs(self) -> float:
+        """Sampling rate of every trial: always TARGET_FS."""
+        return TARGET_FS
 
     @property
     def n_trials(self) -> int:
@@ -164,4 +169,4 @@ def synthesize_session(
                     codes[idx], model, dur_s, trial_rng, code_index_true=int(idx)
                 )
             )
-    return Session(trials=trials, codes=codes, fs=TARGET_FS, seed=seed)
+    return Session(trials=trials, codes=codes, seed=seed)

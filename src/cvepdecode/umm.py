@@ -23,8 +23,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import linalg
 
-from .codegen import PRESENTATION_RATE_HZ, BitSequence
-from .encoding import RESPONSE_LEN
+from .codegen import BitSequence
+from .encoding import RESPONSE_LEN, SAMPLES_PER_FRAME
 from .errors import (
     DegenerateHypothesis,
     InsufficientEpochs,
@@ -33,9 +33,7 @@ from .errors import (
     TrialTooShort,
 )
 from .outcome import DecodeOutcome, top2_confidence
-from .sigproc import TARGET_FS, Trial
-
-SAMPLES_PER_FRAME = round(TARGET_FS / PRESENTATION_RATE_HZ)
+from .sigproc import Trial
 
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
@@ -284,9 +282,8 @@ class UmmDecoder:
     an epoch's label under each hypothesis is the bit at its onset frame.
     """
 
-    def __init__(self, codes: list[BitSequence], n_cycles: int, gamma: float | None = None):
+    def __init__(self, codes: list[BitSequence], n_cycles: int):
         self.bits = np.array([np.tile(c.array, n_cycles) for c in codes], dtype=np.float64)
-        self.gamma = gamma
 
     @property
     def n_hypotheses(self) -> int:
@@ -335,7 +332,7 @@ class UmmDecoder:
             scatter = scatter + pooled.scatter
             sq_norms4 += pooled.sq_norms4
             n += pooled.n_epochs
-        cov = _cov_model(scatter, sq_norms4, n, self.gamma, ep.n_channels)
+        cov = _cov_model(scatter, sq_norms4, n, None, ep.n_channels)
         return score_hypotheses(self._deltas(ep, pooled), cov)
 
     def update_cumulative(

@@ -236,13 +236,28 @@ class TestCli:
 
     def test_config_file_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7, "runs": 1, "n-codes": 3, "duration": 2.1, "snr": 0}))
+        cfg.write_text(json.dumps(
+            {"seed": 7, "runs": 1, "n-codes": 3, "duration": 2.1, "snr": 0, "noise": None}))
         out = tmp_path / "s.cvep"
         rc = main(["--config", str(cfg), "simulate", "--seed", "9", "--out", str(out)])
         assert rc == 0
         meta = json.loads((tmp_path / "s.cvep.meta.json").read_text())
         assert meta["config"]["seed"] == 9     # explicit flag wins
         assert meta["config"]["runs"] == 1     # config default applied
+        assert meta["config"]["noise"] == "white"   # null leaves the default
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"runs": "abc"}, {"noise": "purple"}, [1, 2]],
+        ids=["runs-not-an-int", "noise-not-a-choice", "not-an-object"],
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "s.cvep"
+        assert main(["--config", str(cfg), "simulate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
 
     def test_simulate_deterministic_archives(self, tmp_path):
         a = _simulate(tmp_path, "a.cvep")

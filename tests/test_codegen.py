@@ -159,6 +159,36 @@ def test_select_subset_improves_worst_pair():
     assert worst(subset) <= worst(codes)
 
 
+def test_default_code_set_is_the_first_gold_codes():
+    # code 0 peaks at 34 against every other code of the family, so every
+    # greedy step ties and takes the lowest remaining index
+    family = [modulate(c) for c in gold_set(
+        generate_m_sequence(DEFAULT_TAPS_A), generate_m_sequence(DEFAULT_TAPS_B))]
+    peaks = [int(np.max(np.abs(periodic_cross_correlation(family[0], c)))) for c in family[1:]]
+    assert peaks == [34] * 64
+    assert default_code_set(20) == family[:20]
+
+
+def _greedy_by_pairs(codes, n):
+    """select_subset's rule, one pair at a time."""
+    selected = [0]
+    while len(selected) < n:
+        cost = {
+            i: max(int(np.max(np.abs(periodic_cross_correlation(codes[i], codes[j]))))
+                   for j in selected)
+            for i in range(len(codes)) if i not in selected
+        }
+        selected.append(min(cost, key=cost.get))   # first minimum: lowest index
+    return [codes[i] for i in sorted(selected)]
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 14])
+def test_select_subset_matches_pairwise_greedy(n):
+    rng = np.random.default_rng(n)
+    pool = [BitSequence(bits=tuple(int(b) for b in rng.integers(0, 2, 31))) for _ in range(15)]
+    assert select_subset(pool, n) == _greedy_by_pairs(pool, n)
+
+
 def test_select_subset_insufficient():
     with pytest.raises(InsufficientCodes):
         select_subset([modulate(generate_m_sequence(DEFAULT_TAPS_A))], 2)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cvepdecode.evaluate import (
     sweep_csv_rows,
     wilcoxon_one_sided,
 )
+from cvepdecode.sigproc import TARGET_FS
 from cvepdecode.simulate import ForwardModel, synthesize_session
 
 CODES = default_code_set(20)
@@ -76,6 +79,16 @@ class TestDecodeSession:
         for tag in METHOD_TAGS:
             outcomes = decode_session(session, tag, 4.2, bank)
             assert accuracy_of(outcomes, session.trials)[1] == 1.0, tag
+
+    def test_bank_keeps_one_cca_decoder(self):
+        bank = DecoderBank(CODES[:2], max_dur_s=31.5)
+        built = []
+        for dur in DEFAULT_DURATIONS_S:
+            n_samples = int(round(dur * TARGET_FS))
+            built.append(weakref.ref(bank.cca(n_samples)))
+            assert bank.cca(n_samples) is built[-1]()
+        gc.collect()
+        assert [ref() is not None for ref in built] == [False] * (len(built) - 1) + [True]
 
     def test_full_length_bank_reaches_31_5_s(self):
         bank = DecoderBank(CODES[:1], max_dur_s=31.5)

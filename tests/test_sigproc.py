@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from cvepdecode.errors import InvalidCutoff, TruncatedTrial
+from cvepdecode.errors import DataError, InvalidCutoff, TruncatedTrial
 from cvepdecode.sigproc import (
     ContinuousRecording,
     FilterSpec,
@@ -87,7 +87,7 @@ def test_filtering_is_linear():
 
 def test_resample_length_and_markers():
     rec = _rec(np.zeros((1, 512)), markers=[256])
-    out = resample(rec, 180.0)
+    out = resample(rec)
     assert out.samples.shape == (1, 180)
     assert out.fs == 180.0
     assert out.markers == [90]
@@ -95,7 +95,7 @@ def test_resample_length_and_markers():
 
 def test_resample_preserves_inband_amplitude():
     rec = _rec(_sine(10.0))
-    out = resample(rec, 180.0)
+    out = resample(rec)
     # oracle: analytically sampled 10 Hz sine at 180 Hz
     ref = np.sin(2 * np.pi * 10.0 * np.arange(out.samples.shape[1]) / 180.0)
     got = _steady(out.samples[0])
@@ -106,7 +106,7 @@ def test_resample_preserves_inband_amplitude():
 
 def test_resample_suppresses_aliases():
     rec = _rec(_sine(100.0))  # above the new Nyquist of 90 Hz
-    out = resample(rec, 180.0)
+    out = resample(rec)
     residual = np.sqrt(2 * np.mean(_steady(out.samples) ** 2))
     assert residual < 0.05
 
@@ -115,8 +115,8 @@ def test_resample_linearity():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 2048))
     y = rng.normal(size=(1, 2048))
-    fa = resample(_rec(2.0 * x - 0.5 * y), 180.0).samples
-    fb = 2.0 * resample(_rec(x), 180.0).samples - 0.5 * resample(_rec(y), 180.0).samples
+    fa = resample(_rec(2.0 * x - 0.5 * y)).samples
+    fb = 2.0 * resample(_rec(x)).samples - 0.5 * resample(_rec(y)).samples
     assert np.abs(fa - fb).max() <= 1e-9 * np.abs(fb).max()
 
 
@@ -139,6 +139,14 @@ def test_segment_truncated_trial():
         segment_trials(rec, pre_s=0.5, dur_s=31.5)
 
 
+def test_segment_rejects_recording_off_the_180_hz_grid():
+    # trials carry no rate, so a 250 Hz recording must be resampled first
+    rec = ContinuousRecording(samples=np.zeros((1, 250 * 40)), fs=250.0, markers=[500])
+    with pytest.raises(DataError):
+        segment_trials(rec, pre_s=0.5, dur_s=2.1)
+    assert preprocess(rec, dur_s=2.1)[0].n_samples == 378
+
+
 def test_pipeline_order_matters():
     # permuting resampling and filtering changes the result; the pipeline
     # fixes notch -> bandpass -> resample -> segment
@@ -148,7 +156,7 @@ def test_pipeline_order_matters():
     trials = preprocess(rec, dur_s=31.5)
     assert len(trials) == 1 and trials[0].n_samples == 5670
 
-    swapped = resample(ContinuousRecording(samples=x, fs=FS, markers=[int(FS * 2)]), 180.0)
+    swapped = resample(ContinuousRecording(samples=x, fs=FS, markers=[int(FS * 2)]))
     swapped = apply_zero_phase(
         FilterSpec(kind="notch", center_hz=50.0, q=30.0), swapped
     )

@@ -61,7 +61,6 @@ class TestSynthesizeTrial:
     def test_shapes_and_metadata(self):
         trial = synthesize_trial(CODES[0], ForwardModel(), 2.1, 0, 0)
         assert trial.samples.shape == (8, 378)
-        assert trial.fs == FS
         assert trial.code_index_true == 0
 
     def test_full_trial_length(self):
