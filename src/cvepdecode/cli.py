@@ -101,42 +101,58 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The value-taking options of a parser, keyed by flag name without its
+    dashes and with '-' read as '_' (--n-codes is n_codes)."""
+    return {
+        flag.lstrip("-").replace("-", "_"): action
+        for action in parser._actions
+        if action.nargs is None
+        for flag in action.option_strings
+    }
+
+
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse the command line. With --config, each value of the JSON object
-    whose key names an option of the subcommand becomes that option's flag,
-    placed before the flags given: the subcommand's parser converts and
-    checks it like a flag, and a flag on the command line wins. Other keys
-    and null values are ignored; a value the parser rejects is a data
-    error."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
+    whose key names a flag of the subcommand ('-' or '_' alike) becomes
+    that flag, placed before the flags given, so a flag on the command line
+    wins. Keys naming a flag of another subcommand and null values are
+    ignored; a key naming no flag, or a value the flag's type or choices
+    reject, is a data error."""
+    split = _Parser(add_help=False)
+    split.add_argument("--config")
+    split.add_argument("command", nargs="?")
+    split.add_argument("flags", nargs=argparse.REMAINDER)
+    head, _ = split.parse_known_args(argv)
+    if not head.config or head.command not in parser.commands:
+        return parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(head.config) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"unreadable config file: {exc}") from exc
     if not isinstance(config, dict):
         raise DataError("config file must hold a JSON object")
-    split = _Parser(add_help=False)
-    split.add_argument("--config")
-    split.add_argument("command")
-    split.add_argument("flags", nargs=argparse.REMAINDER)
-    flags = split.parse_args(argv).flags
-    options = {
-        action.dest: action.option_strings[-1]
-        for action in parser.commands[args.command]._actions
-        if action.option_strings and action.nargs is None
-    }
+    known = set().union(*(_flags(p) for p in parser.commands.values()))
+    unknown = sorted(k for k in config if k.replace("-", "_") not in known)
+    if unknown:
+        raise DataError(f"config keys name no option: {', '.join(unknown)}")
+    options = _flags(parser.commands[head.command])
     from_config = [
-        f"{options[dest]}={value}"
+        f"{options[name].option_strings[-1]}={value}"
         for key, value in config.items()
-        if (dest := key.replace("-", "_")) in options and value is not None
+        if (name := key.replace("-", "_")) in options and value is not None
     ]
+    # each value is checked on its own, so that a missing required flag
+    # stays a usage error and only a rejected value is a data error
+    check = _Parser(add_help=False)
+    for action in set(options.values()):
+        check.add_argument(*action.option_strings, type=action.type, choices=action.choices)
     try:
-        return parser.parse_args(argv[: len(argv) - len(flags)] + from_config + flags)
+        check.parse_args(from_config)
     except UsageError as exc:
         raise DataError(f"config value rejected: {exc}") from exc
+    return parser.parse_args(argv[: len(argv) - len(head.flags)] + from_config + head.flags)
 
 
 def _emit(text: str, out_path, args) -> None:
@@ -217,12 +233,7 @@ def _cmd_decode(args) -> int:
 def _cmd_curve(args) -> int:
     session = read_archive(args.infile)
     tag = canonical_tag(args.method)
-    max_dur = session.trials[0].n_samples / TARGET_FS
-    durations = None
-    if max_dur < 31.5:
-        from .evaluate import DEFAULT_DURATIONS_S
-        durations = tuple(d for d in DEFAULT_DURATIONS_S if d <= max_dur + 1e-9)
-    curve = decoding_curve(session, tag, durations_s=durations)
+    curve = decoding_curve(session, tag)
     seed = session.seed if session.seed is not None else ""
     text = CURVE_CSV_HEADER + "\n" + "\n".join(curve_csv_rows(curve, seed)) + "\n"
     _emit(text, args.out, args)

@@ -16,7 +16,7 @@ from . import umm as umm_mod
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
 from .encoding import n_cycles_to_cover, structure_for_code
-from .errors import ConfigError, DegenerateSample, InvalidCutoff
+from .errors import ConfigError, DegenerateSample, InvalidCutoff, TruncatedTrial
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
 from .simulate import Session
 from .umm import UmmDecoder, UmmState
@@ -128,9 +128,21 @@ def decoding_curve(
     bank: DecoderBank | None = None,
 ) -> DecodingCurve:
     """Per-duration accuracy; cumulative state is reset between durations so
-    every point is an independent operating condition."""
+    every point is an independent operating condition. Without
+    ``durations_s``, the DEFAULT_DURATIONS_S that fit the shortest trial."""
     tag = canonical_tag(method_tag)
-    durations = tuple(durations_s) if durations_s is not None else DEFAULT_DURATIONS_S
+    if durations_s is None:
+        n_samples = min(t.n_samples for t in session.trials)
+        durations = tuple(
+            d for d in DEFAULT_DURATIONS_S if int(round(d * TARGET_FS)) <= n_samples
+        )
+        if not durations:
+            raise TruncatedTrial(
+                f"trials of {n_samples / TARGET_FS} s are shorter than "
+                f"{DEFAULT_DURATIONS_S[0]} s, the shortest curve duration"
+            )
+    else:
+        durations = tuple(durations_s)
     if bank is None:
         bank = DecoderBank(session.codes, max_dur_s=max(durations))
     curve = DecodingCurve(method_tag=tag, durations_s=durations, n_trials=session.n_trials)

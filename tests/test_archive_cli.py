@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 import scipy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cvepdecode.archive import read_archive, write_archive
 from cvepdecode.cli import main
-from cvepdecode.codegen import default_code_set
-from cvepdecode.errors import CorruptArchive, UnsupportedVersion
+from cvepdecode.codegen import default_code_set, load_codes, save_codes
+from cvepdecode.errors import CorruptArchive, DataError, UnsupportedVersion
 from cvepdecode.simulate import ForwardModel, Session, synthesize_session
 
 CODES = default_code_set(3)
@@ -99,9 +101,11 @@ class TestArchiveHeaderChecks:
             ("codes", []),            # no codes at all
             ("fs_hz", 250.0),         # samples not at 180 Hz
             ("frame_rate_hz", 50.0),  # frames not at 60 Hz
+            ("n_trials", math.inf),   # written as Infinity, read back as a float
+            ("seed", [1, 2]),         # would be written into curve CSV rows
         ],
         ids=["labels-short", "label-too-large", "label-negative", "no-codes",
-             "sample-rate", "frame-rate"],
+             "sample-rate", "frame-rate", "count-infinite", "seed-not-an-int"],
     )
     def test_inconsistent_header(self, tmp_path, key, value):
         path = tmp_path / "s.cvep"
@@ -109,6 +113,48 @@ class TestArchiveHeaderChecks:
         _edit_header(path, key, value)
         with pytest.raises(CorruptArchive):
             read_archive(path)
+
+    def test_trial_count_checked_against_payload_first(self, tmp_path):
+        # without labels, a trusted count would size a list of 10**12 entries
+        path = tmp_path / "s.cvep"
+        write_archive(_session(), path)
+        _edit_header(path, "labels", None)
+        _edit_header(path, "n_trials", 10**12)
+        with pytest.raises(CorruptArchive):
+            read_archive(path)
+
+
+#: any JSON value, NaN and infinities included (Python's json reads them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "s.cvep"
+    write_archive(_session(snr=0.5), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    return path, json.loads(header), payload
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), drop=st.integers(0, 64), extra=st.binary(max_size=64))
+def test_fuzzed_archive_loads_or_raises_data_error(valid_archive, data, drop, extra):
+    """Header fields replaced by random JSON values (or the whole header
+    replaced), payload truncated by `drop` bytes and extended by `extra`:
+    read_archive returns a Session or raises a DataError, nothing else."""
+    path, header, payload = valid_archive
+    edits = st.dictionaries(st.sampled_from(sorted(header)), JSON_VALUES, max_size=3)
+    doc = data.draw(edits.map(lambda e: {**header, **e}) | JSON_VALUES)
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload[: len(payload) - drop] + extra)
+    try:
+        session = read_archive(path)
+    except DataError:
+        return
+    assert isinstance(session, Session)
 
 
 def _simulate(tmp_path, name="s.cvep", extra=()):
@@ -167,6 +213,11 @@ class TestCli:
         assert lines[0] == "method,duration_s,seed,n_trials,n_correct,accuracy"
         durs = [float(l.split(",")[1]) for l in lines[1:]]
         assert durs == [1.05, 2.1]
+
+    def test_curve_on_trials_shorter_than_any_duration_exit_2(self, tmp_path, capsys):
+        out = _simulate(tmp_path, extra=("--duration", "0.9"))
+        assert main(["curve", "--method", "umm_t11", "--in", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
     def test_sweep_runs_single_method(self, tmp_path, capsys):
         out = _simulate(tmp_path)
@@ -229,6 +280,34 @@ class TestCli:
         assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "1.05"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("method", ["umm_t11", "cca_e1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys, method, value):
+        out = _simulate(tmp_path)
+        header, _, payload = out.read_bytes().partition(b"\n")
+        samples = np.frombuffer(payload, dtype="<f4").copy()
+        samples[100] = value
+        out.write_bytes(header + b"\n" + samples.tobytes())
+        assert main(["decode", "--method", method, "--in", str(out), "--duration", "2.1"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "codes", [5, [1, 2], ["", " ", ""]], ids=["not-a-list", "not-strings", "empty-strings"])
+    def test_codes_of_wrong_type_exit_2(self, tmp_path, capsys, codes):
+        out = _simulate(tmp_path)
+        _edit_header(out, "codes", codes)
+        assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "2.1"]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("method", ["umm_t11", "umm_tcw", "cca_e1"])
+    def test_flat_trial_exit_3(self, tmp_path, capsys, method):
+        session = _session()
+        session.trials[0].samples[:] = 0.0
+        path = tmp_path / "flat.cvep"
+        write_archive(session, path)
+        assert main(["decode", "--method", method, "--in", str(path), "--duration", "2.1"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
     def test_unknown_method_exit_2(self, tmp_path, capsys):
         out = _simulate(tmp_path)
         assert main(["decode", "--method", "lda", "--in", str(out)]) == 2
@@ -248,8 +327,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "config",
-        [{"runs": "abc"}, {"noise": "purple"}, [1, 2]],
-        ids=["runs-not-an-int", "noise-not-a-choice", "not-an-object"],
+        [{"runs": "abc"}, {"noise": "purple"}, [1, 2], {"bogus": 1}, {"codes_file": "c.txt"}],
+        ids=["runs-not-an-int", "noise-not-a-choice", "not-an-object", "unknown-key",
+             "destination-not-a-flag"],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -258,6 +338,27 @@ class TestCli:
         assert main(["--config", str(cfg), "simulate", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
+
+    def test_config_keys_are_flag_names(self, tmp_path, capsys):
+        codes = tmp_path / "c.txt"
+        save_codes(default_code_set(4)[1:], codes)
+        arc = tmp_path / "s.cvep"
+        cfg = tmp_path / "cfg.json"
+        # one file for both subcommands: simulate ignores "in", decode ignores "codes"
+        cfg.write_text(json.dumps(
+            {"codes": str(codes), "in": str(arc), "runs": 1, "duration": 2.1, "n_codes": 3}))
+        assert main(["--config", str(cfg), "simulate", "--out", str(arc)]) == 0
+        meta = json.loads((tmp_path / "s.cvep.meta.json").read_text())
+        assert meta["config"]["codes_file"] == str(codes)
+        assert [c.bits for c in read_archive(arc).codes] == [c.bits for c in load_codes(codes)]
+        assert main(["--config", str(cfg), "decode", "--method", "cca_e1"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4  # header + 3 trials
+
+    def test_config_missing_required_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": 1}))
+        assert main(["--config", str(cfg), "simulate"]) == 1  # no --out
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_simulate_deterministic_archives(self, tmp_path):
         a = _simulate(tmp_path, "a.cvep")

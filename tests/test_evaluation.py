@@ -7,7 +7,13 @@ import pytest
 from scipy import stats
 
 from cvepdecode.codegen import BitSequence, default_code_set
-from cvepdecode.errors import ConfigError, DegenerateSample, InvalidCutoff, TruncatedTrial
+from cvepdecode.errors import (
+    ConfigError,
+    DegenerateCovariance,
+    DegenerateSample,
+    InvalidCutoff,
+    TruncatedTrial,
+)
 from cvepdecode.evaluate import (
     ALPHA,
     CURVE_CSV_HEADER,
@@ -100,6 +106,13 @@ class TestDecodeSession:
         with pytest.raises(TruncatedTrial):
             decode_session(session, tag, 4.2, DecoderBank(session.codes, max_dur_s=4.2))
 
+    @pytest.mark.parametrize("tag", ["umm_t11", "umm_tcw"])
+    def test_flat_trial_is_degenerate_covariance(self, tag):
+        session = _session()
+        session.trials[0].samples[:] = 0.0
+        with pytest.raises(DegenerateCovariance):
+            decode_session(session, tag, 4.2)
+
     def test_outcome_count_and_order(self):
         session = _session()
         outcomes = decode_session(session, "cca_e1", 2.1)
@@ -116,6 +129,11 @@ class TestDecodingCurve:
         assert curve.durations_s == (1.05, 2.1, 4.2)
         assert len(curve.n_correct) == 3
         assert curve.accuracy[-1] == 1.0
+
+    def test_default_durations_fit_the_trials(self):
+        curve = decoding_curve(_session(n_codes=2), "umm_t11")
+        assert curve.durations_s == (1.05, 2.1, 3.15, 4.2)
+        assert len(curve.n_correct) == 4
 
     def test_no_state_leak_between_durations(self):
         # the cumulative method decoded at one duration must match a fresh

@@ -5,6 +5,7 @@ from scipy import linalg
 from cvepdecode import umm
 from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.errors import (
+    DegenerateCovariance,
     DegenerateHypothesis,
     InsufficientEpochs,
     ShapeError,
@@ -30,6 +31,19 @@ CODES = default_code_set(20)
 
 def _trial_from_array(x):
     return Trial(samples=np.asarray(x, dtype=float))
+
+
+def _dense_from_blocks(blocks):
+    """Reference block-Toeplitz matrix, T[i, j] = blocks[i - j] with
+    B(-l) = B(l)^T, filled block by block."""
+    n, c, _ = blocks.shape
+    dense = np.zeros((n * c, n * c))
+    for i in range(n):
+        for j in range(n):
+            lag = i - j
+            block = blocks[lag] if lag >= 0 else blocks[-lag].T
+            dense[i * c : (i + 1) * c, j * c : (j + 1) * c] = block
+    return dense
 
 
 class TestSliceEpochs:
@@ -97,8 +111,9 @@ class TestCovariance:
         trial = synthesize_trial(CODES[0], ForwardModel(snr=1.0), 4.2, 7, 0)
         cov = estimate_covariance(slice_epochs(trial))
         v = rng.normal(size=cov.n_features)
-        dense = cov.dense()
-        expect = linalg.cho_solve(linalg.cho_factor(dense), v)
+        dense = _dense_from_blocks(cov.blocks)
+        assert np.array_equal(cov.dense(), dense)
+        expect = np.linalg.solve(dense, v)
         got = cov.solve(v)
         assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
 
@@ -151,6 +166,13 @@ class TestBlockLevinson:
         y = np.array([1.0, 2.0, 3.0, 4.0])
         got = block_levinson_solve(lags, y)
         assert np.allclose(got, np.linalg.solve(dense, y))
+
+    @pytest.mark.parametrize("lag0", [0.0, -1.0], ids=["zero", "negative"])
+    def test_not_positive_definite(self, lag0):
+        lags = np.zeros((3, 2, 2))
+        lags[0] = lag0 * np.eye(2)
+        with pytest.raises(DegenerateCovariance):
+            block_levinson_solve(lags, np.ones(6))
 
 
 class TestScoring:
