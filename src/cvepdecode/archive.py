@@ -9,8 +9,8 @@ import json
 
 import numpy as np
 
-from .codegen import PRESENTATION_RATE_HZ, BitSequence
-from .errors import CorruptArchive, UnsupportedVersion
+from .codegen import PRESENTATION_RATE_HZ, parse_code_set
+from .errors import CorruptArchive, InvalidCodeSet, UnsupportedVersion
 from .sigproc import TARGET_FS, Trial
 from .simulate import Session
 
@@ -81,26 +81,18 @@ def read_archive(path) -> Session:
         raise CorruptArchive(
             f"payload holds {len(payload)} bytes, header implies {expected}"
         )
-    if not isinstance(code_lines, list) or not all(
-        isinstance(c, str) and c.strip() for c in code_lines
-    ):
-        raise CorruptArchive("header codes are not a list of non-empty strings")
-    if not code_lines:
-        raise CorruptArchive("archive holds no codes")
-    if len({len(c) for c in code_lines}) > 1:
-        raise CorruptArchive("header codes have unequal lengths")
+    try:
+        codes = parse_code_set(code_lines)
+    except InvalidCodeSet as exc:
+        raise CorruptArchive(f"header codes: {exc}") from exc
     labels = header.get("labels") or [None] * n_trials
     if not isinstance(labels, list) or len(labels) != n_trials:
         raise CorruptArchive(f"header labels do not give one label per trial ({n_trials})")
-    if any(l is not None and not (type(l) is int and 0 <= l < len(code_lines)) for l in labels):
-        raise CorruptArchive(f"header labels outside [0, {len(code_lines)})")
+    if any(l is not None and not (type(l) is int and 0 <= l < len(codes)) for l in labels):
+        raise CorruptArchive(f"header labels outside [0, {len(codes)})")
     seed = header.get("seed")
     if seed is not None and type(seed) is not int:
         raise CorruptArchive(f"header seed {seed!r} is not an integer")
-    try:
-        codes = [BitSequence.from_line(line) for line in code_lines]
-    except ValueError as exc:
-        raise CorruptArchive(str(exc)) from exc
 
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if not np.isfinite(data).all():

@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__
 from .archive import read_archive, write_archive
-from .codegen import default_code_set, load_codes, save_codes
+from .codegen import default_code_set, load_codes
 from .errors import DataError, DegenerateSample, NumericalError
 from .evaluate import (
     ALPHA,

@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 from .errors import (
     DegeneratePair,
     InsufficientCodes,
+    InvalidCodeSet,
     InvalidSeed,
     LengthMismatch,
     NotPrimitive,
@@ -203,6 +204,33 @@ def save_codes(codes: list[BitSequence], path) -> None:
             fh.write(code.to_line() + "\n")
 
 
+def parse_code_set(lines) -> list[BitSequence]:
+    """The code set given one code per line: a non-empty list of strings of
+    '0'/'1' characters (surrounding whitespace ignored), all of one length,
+    none repeated. Raises InvalidCodeSet otherwise; the archive reader and
+    load_codes both check their codes here."""
+    if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+        raise InvalidCodeSet("codes are not a list of strings")
+    if not lines:
+        raise InvalidCodeSet("no codes")
+    first_seen: dict[str, int] = {}
+    for i, line in enumerate(lines):
+        stripped = line.strip()
+        if not stripped or set(stripped) - {"0", "1"}:
+            raise InvalidCodeSet(f"code {i} is not a line of 0/1 characters: {line!r}")
+        if stripped in first_seen:
+            raise InvalidCodeSet(f"code {i} repeats code {first_seen[stripped]}")
+        first_seen[stripped] = i
+    if len({len(code) for code in first_seen}) > 1:
+        raise InvalidCodeSet("codes have unequal lengths")
+    return [BitSequence.from_line(code) for code in first_seen]
+
+
 def load_codes(path) -> list[BitSequence]:
-    with open(path) as fh:
-        return [BitSequence.from_line(line) for line in fh if line.strip()]
+    """Codes saved by save_codes; blank lines are skipped."""
+    try:
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidCodeSet(f"cannot read codes from {path}: {exc}") from exc
+    return parse_code_set(lines)

@@ -44,6 +44,11 @@ class UnmodulatedCode(DataError):
     """Code violates the run-length-limited modulation invariants."""
 
 
+class InvalidCodeSet(DataError):
+    """A code set read from outside is empty, holds a malformed line, a
+    repeated code, or codes of unequal lengths."""
+
+
 # -- signal processing -------------------------------------------------------
 
 class InvalidCutoff(DataError):

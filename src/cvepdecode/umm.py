@@ -1,6 +1,6 @@
 """Unsupervised mean-difference maximization (UMM) decoding.
 
-Trials are sliced into overlapping 300 ms epochs, one per 60 Hz stimulus
+Trials are cut into overlapping 300 ms epochs, one per 60 Hz stimulus
 frame. Each candidate code splits the epochs into flash and non-flash
 sets; the hypothesis whose flash-minus-non-flash mean difference has the
 largest Mahalanobis energy wins. The covariance is the block-Toeplitz
@@ -9,10 +9,16 @@ lags and shrunk toward a scaled identity with a Ledoit-Wolf intensity;
 its inverse is applied by one Cholesky factorisation of the dense
 block-Toeplitz matrix, built from the lag blocks with one gather.
 
-Each statistic is computed in one place: an :class:`EpochSet` forms its
-centered scatter once, :func:`_cov_model` turns pooled scatter into the
-covariance model, and every flash and non-flash mean comes from one
-weight product over the code bits that :class:`UmmDecoder` tiles once.
+An epoch is 18 consecutive frames of the trial, so an :class:`EpochSet`
+holds the trial's frames, not a copied epoch matrix, and computes every
+epoch statistic from them, about the frames' column mean: the scatter from
+18 lagged frame grams and a rank-4 step per frame offset, the fourth
+moment from each frame's deviation from its offset's window mean, and
+flash sums from one product of the code bits with the frames per offset
+(non-flash sums are the epoch total less the flash sums). Each statistic
+is computed in one place: an EpochSet forms its scatter once,
+:func:`_cov_model` turns pooled scatter into the covariance model, and
+:class:`UmmDecoder` tiles the code bits once.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 from scipy import linalg
 
@@ -38,42 +45,136 @@ from .sigproc import Trial
 
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
+FRAMES_PER_EPOCH = RESPONSE_LEN // SAMPLES_PER_FRAME   # 18 frames per 300 ms epoch
 
 
 @dataclass(frozen=True)
 class EpochSet:
-    """Overlapping frame-locked epochs of one trial.
+    """Overlapping frame-locked epochs of one trial, held as the trial's
+    60 Hz frames.
 
-    epochs: (n_epochs, n_features) with time-major feature layout, i.e.
-    feature (t * C + c) is channel c at epoch sample t. Only 300 ms
-    windows fully contained in the trial are kept.
-    onsets: 60 Hz frame index of each epoch.
+    frames: (n_epochs + FRAMES_PER_EPOCH - 1, SAMPLES_PER_FRAME * C), the
+    samples in time-major frames: frames[f, s * C + c] is channel c at
+    sample SAMPLES_PER_FRAME * f + s. Epoch k is frames[k : k + 18]
+    flattened, so its feature (t * C + c) is channel c at epoch sample t;
+    it starts at frame k. Only 300 ms windows fully contained in the trial
+    exist, and samples past the last of them are dropped.
+
+    No (n_epochs, n_features) epoch matrix is formed: the scatter, the
+    fourth moment and the weighted epoch sums are computed from the
+    frames, about their column mean.
     """
 
-    epochs: NDArray[np.floating]
-    onsets: NDArray[np.int_]
+    frames: NDArray[np.floating]
     n_channels: int
 
     @property
     def n_epochs(self) -> int:
-        return self.epochs.shape[0]
+        return self.frames.shape[0] - FRAMES_PER_EPOCH + 1
 
     @property
     def n_features(self) -> int:
-        return self.epochs.shape[1]
+        return FRAMES_PER_EPOCH * self.frames.shape[1]
+
+    @cached_property
+    def _centred(self) -> tuple[NDArray, NDArray]:
+        """(frames less their column mean, that mean tiled to one epoch).
+        No centred statistic sees the shift, and centring keeps a large
+        constant offset from cancelling in the products below."""
+        frame_mean = self.frames.mean(axis=0)
+        return self.frames - frame_mean, np.tile(frame_mean, FRAMES_PER_EPOCH)
+
+    def _windows(self) -> NDArray:
+        """(FRAMES_PER_EPOCH, K, width) view: [a] is the centred frames
+        a .. a + K - 1, offset a of every epoch."""
+        y = self._centred[0]
+        return sliding_window_view(y, self.n_epochs, axis=0).transpose(0, 2, 1)
+
+    @cached_property
+    def epoch_sum(self) -> NDArray:
+        """Sum of the centred epochs, (D,): a first window sum, then one
+        frame in and one out per offset."""
+        y, k = self._centred[0], self.n_epochs
+        sums = np.empty((FRAMES_PER_EPOCH, y.shape[1]))
+        sums[0] = y[:k].sum(axis=0)
+        np.cumsum(y[k:] - y[: FRAMES_PER_EPOCH - 1], axis=0, out=sums[1:])
+        sums[1:] += sums[0]
+        return sums.ravel()
+
+    @property
+    def offset(self) -> NDArray:
+        """The epoch-feature shift removed by centring, (D,)."""
+        return self._centred[1]
+
+    def weighted_sums(self, weights: NDArray) -> NDArray:
+        """weights @ (centred epochs), (R, D), for weights (R, K): one
+        product per frame offset."""
+        sums = np.matmul(weights, self._windows())       # (FRAMES_PER_EPOCH, R, width)
+        return sums.transpose(1, 0, 2).reshape(len(weights), self.n_features)
 
     @cached_property
     def centered_moments(self) -> tuple[NDArray, float]:
         """(scatter, sq_norms4) about the epoch mean m: the (D, D) scatter
         sum_k (x_k - m)(x_k - m)^T and sum_k ||x_k - m||^4, the fourth
-        moment the Ledoit-Wolf intensity needs. Computed on first use."""
-        centered = self.epochs - self.epochs.mean(axis=0)
-        return centered.T @ centered, float(np.sum(np.sum(centered**2, axis=1) ** 2))
+        moment the Ledoit-Wolf intensity needs. Computed on first use.
+
+        With y the centred frames and s_a = sum_k y[k + a] the window sum
+        of offset a, block (a, a + l) of the scatter is
+        sum_k y[k + a] y[k + a + l]^T - s_a s_(a + l)^T / K. For a = 0 that
+        is the lag-l frame gram less a small outer product; each later
+        offset drops frame a - 1, adds frame K + a - 1 and moves its window
+        sums with them, a rank-4 step."""
+        y, k = self._centred[0], self.n_epochs
+        n, width = FRAMES_PER_EPOCH, y.shape[1]
+        pad = np.zeros((n - 1, width))
+        # s_a / sqrt(K), zero past the last offset
+        sums = np.concatenate([self.epoch_sum.reshape(n, width) / np.sqrt(k), pad])
+
+        def lagged(rows):
+            """[f, l, q] = rows[f + l, q]"""
+            return sliding_window_view(rows, n, axis=0).transpose(0, 2, 1)
+
+        y_lag, sums_lag = lagged(np.concatenate([y, pad])), lagged(sums)
+        # grams[a, p, l, q] is entry (p, q) of block (a, a + l); entries
+        # with a + l >= n are never read
+        grams = np.empty((n, width, n, width))
+        grams[0] = np.matmul(y[:k].T, self._windows()).transpose(1, 0, 2)
+        grams[0] -= sums[0][:, np.newaxis, np.newaxis] * sums[:n]
+        # step a (row a - 1): - y[a-1] y[a-1+l]^T + y[K+a-1] y[K+a-1+l]^T
+        #                     - s_a s_(a+l)^T / K + s_(a-1) s_(a-1+l)^T / K
+        left = np.stack([-y[: n - 1], y[k:], -sums[1:n], sums[: n - 1]], axis=2)
+        right = np.stack([y_lag[: n - 1], y_lag[k:], sums_lag[1:n], sums_lag[: n - 1]], axis=1)
+        np.matmul(
+            left,
+            right.reshape(n - 1, 4, n * width),
+            out=grams[1:].reshape(n - 1, width, n * width),
+        )
+        for a in range(1, n):
+            grams[a] += grams[a - 1]
+        # the lag-0 blocks equal their transposes up to rounding; make them
+        # exactly so, then copy the block rows above the diagonal and
+        # mirror them below
+        diagonal = grams[:, :, 0, :]
+        diagonal += diagonal.transpose(0, 2, 1)
+        diagonal *= 0.5
+        scatter = np.empty((n * width, n * width))
+        for a in range(n):
+            rows = slice(a * width, (a + 1) * width)
+            scatter[rows, a * width :] = grams[a, :, : n - a].reshape(width, (n - a) * width)
+            scatter[(a + 1) * width :, rows] = scatter[rows, (a + 1) * width :].T
+
+        means = self.epoch_sum.reshape(n, width) / k
+        dev = np.empty((k, width))
+        sq_norms = np.zeros(k)
+        for a in range(n):
+            np.subtract(y[a : a + k], means[a], out=dev)
+            sq_norms += np.einsum("ij,ij->i", dev, dev)
+        return scatter, float(sq_norms @ sq_norms)
 
 
 def slice_epochs(trial: Trial) -> EpochSet:
     """One RESPONSE_LEN-sample epoch per 60 Hz frame whose full window fits
-    inside the trial."""
+    inside the trial, held as the trial's frames."""
     x = trial.samples
     n_channels, n_samples = x.shape
     if n_samples < RESPONSE_LEN:
@@ -81,13 +182,10 @@ def slice_epochs(trial: Trial) -> EpochSet:
             f"trial of {n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
         )
     k = (n_samples - RESPONSE_LEN) // SAMPLES_PER_FRAME + 1
-    idx = np.arange(k) * SAMPLES_PER_FRAME
-    # (K, RESPONSE_LEN, C) -> (K, RESPONSE_LEN * C), time-major
-    windows = np.lib.stride_tricks.sliding_window_view(x, RESPONSE_LEN, axis=1)
-    epochs = windows[:, idx, :].transpose(1, 2, 0).reshape(k, RESPONSE_LEN * n_channels)
+    n_frames = k + FRAMES_PER_EPOCH - 1
+    frames = np.ascontiguousarray(x[:, : n_frames * SAMPLES_PER_FRAME].T, dtype=np.float64)
     return EpochSet(
-        epochs=np.ascontiguousarray(epochs, dtype=np.float64),
-        onsets=idx // SAMPLES_PER_FRAME,
+        frames=frames.reshape(n_frames, SAMPLES_PER_FRAME * n_channels),
         n_channels=n_channels,
     )
 
@@ -155,12 +253,13 @@ class CovModel:
 
 def _lag_blocks(cov: NDArray, n_lags: int, c: int) -> NDArray:
     """Average the C x C block diagonals of a dense covariance (block
-    Toeplitz projection)."""
-    blocks = np.empty((n_lags, c, c))
+    Toeplitz projection): one gather of every block (i + lag, i), ordered
+    by lag, and one segmented sum."""
+    lag, col = np.nonzero(np.tri(n_lags, dtype=bool)[::-1])   # col < n_lags - lag
     view = cov.reshape(n_lags, c, n_lags, c)
-    for lag in range(n_lags):
-        idx = np.arange(n_lags - lag)
-        blocks[lag] = view[idx + lag, :, idx, :].mean(axis=0)
+    starts = np.searchsorted(lag, np.arange(n_lags))
+    blocks = np.add.reduceat(view[col + lag, :, col, :], starts, axis=0)
+    blocks /= (n_lags - np.arange(n_lags))[:, np.newaxis, np.newaxis]
     blocks[0] = (blocks[0] + blocks[0].T) / 2.0
     return blocks
 
@@ -169,11 +268,15 @@ def _lw_gamma(sq_norms4: float, cov: NDArray, n: int) -> float:
     """Ledoit-Wolf shrinkage intensity toward mu*I from accumulated
     fourth moments; sq_norms4 = sum over epochs of ||x_k - mean||^4."""
     d = cov.shape[0]
-    mu = np.trace(cov) / d
-    delta2 = float(np.sum((cov - mu * np.eye(d)) ** 2)) / d
+    diag = np.diagonal(cov)
+    mu = diag.mean()
+    sum_sq = float(np.vdot(cov, cov))
+    # ||cov - mu I||^2: the off-diagonal squares plus the diagonal's
+    # squared deviations from mu, with no (D, D) temporary
+    delta2 = (sum_sq - diag @ diag + float(np.sum((diag - mu) ** 2))) / d
     if delta2 <= 0:
         return 0.0
-    beta2 = (sq_norms4 / n**2 - float(np.sum(cov**2)) / n) / d
+    beta2 = (sq_norms4 / n**2 - sum_sq / n) / d
     return float(np.clip(beta2 / delta2, 0.0, 1.0))
 
 
@@ -275,25 +378,26 @@ class UmmDecoder:
         return self.bits.shape[0]
 
     def _means(self, ep: EpochSet, rows) -> tuple[NDArray, NDArray]:
-        """Flash and non-flash epoch means, each (len(rows), D), under the
-        hypotheses ``rows``: one product of row-normalised weights with
-        the epochs."""
-        if ep.onsets[-1] >= self.bits.shape[1]:
+        """Flash and non-flash means of the centred epochs (add
+        ``ep.offset`` for the epoch means), each (len(rows), D), under the
+        hypotheses ``rows``: flash sums weight the epochs by the code bits,
+        non-flash sums are the epoch total less them."""
+        k = ep.n_epochs
+        if k > self.bits.shape[1]:
             raise ShapeError(
                 f"codes tiled to {self.bits.shape[1]} frames, "
-                f"epochs extend to frame {ep.onsets[-1]}"
+                f"epochs extend to frame {k - 1}"
             )
         rows = np.asarray(rows)
-        flash = self.bits[rows][:, ep.onsets]
+        flash = self.bits[rows, :k]
         n_flash = flash.sum(axis=1, keepdims=True)
-        degenerate = np.flatnonzero((n_flash[:, 0] == 0) | (n_flash[:, 0] == ep.n_epochs))
+        degenerate = np.flatnonzero((n_flash[:, 0] == 0) | (n_flash[:, 0] == k))
         if degenerate.size:
             raise DegenerateHypothesis(
                 f"hypothesis {rows[degenerate[0]]} yields an empty flash or non-flash set"
             )
-        weights = np.vstack([flash / n_flash, (1.0 - flash) / (ep.n_epochs - n_flash)])
-        means = weights @ ep.epochs
-        return means[: len(rows)], means[len(rows) :]
+        flash_sums = ep.weighted_sums(flash)
+        return flash_sums / n_flash, (ep.epoch_sum - flash_sums) / (k - n_flash)
 
     def _deltas(self, ep: EpochSet, pooled: UmmState | None) -> NDArray:
         flash, nonflash = self._means(ep, np.arange(self.n_hypotheses))
@@ -344,8 +448,8 @@ class UmmDecoder:
             scatter=state.scatter + scatter,
             sq_norms4=state.sq_norms4 + sq_norms4,
             n_epochs=state.n_epochs + ep.n_epochs,
-            flash_sum=state.flash_sum + w * flash[0],
-            nonflash_sum=state.nonflash_sum + w * nonflash[0],
+            flash_sum=state.flash_sum + w * (flash[0] + ep.offset),
+            nonflash_sum=state.nonflash_sum + w * (nonflash[0] + ep.offset),
             weight_total=state.weight_total + w,
             n_trials_seen=state.n_trials_seen + 1,
         )

@@ -30,8 +30,9 @@ from cvepdecode.evaluate import (
     wilcoxon_one_sided,
 )
 from cvepdecode.evaluate import _exact_tail_p, _normal_tail_p, _signed_ranks
+from cvepdecode.sigproc import Trial
 from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
-from cvepdecode.umm import EpochSet, estimate_covariance
+from cvepdecode.umm import estimate_covariance, slice_epochs
 
 CODES = default_code_set(20)
 METHODS = ("cca_e1", "cca_ec", "umm_t11", "umm_tcw")
@@ -154,10 +155,11 @@ def test_criterion_6_structured_solver_oracle():
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
-        epochs = rng.standard_normal((80, 8 * 54))
+        x = rng.standard_normal((8, 3 * 80 + 51))  # 80 epochs
         # correlate channels and lags a little so the blocks are non-trivial
-        epochs += 0.3 * np.roll(epochs, 1, axis=1)
-        ep = EpochSet(epochs=epochs, onsets=np.arange(80), n_channels=8)
+        x += 0.3 * np.roll(x, 1, axis=0) + 0.3 * np.roll(x, 1, axis=1)
+        ep = slice_epochs(Trial(samples=x))
+        assert ep.n_epochs == 80
         cov = estimate_covariance(ep)
         # reference built here from the lag blocks, independent of CovModel
         n, c, _ = cov.blocks.shape

@@ -99,12 +99,13 @@ class TestArchiveHeaderChecks:
             ("labels", [0, 1, 3]),    # a label past the last of three codes
             ("labels", [0, -1, 2]),   # a negative label
             ("codes", []),            # no codes at all
+            ("codes", [CODES[0].to_line()] * 3),   # one code three times
             ("fs_hz", 250.0),         # samples not at 180 Hz
             ("frame_rate_hz", 50.0),  # frames not at 60 Hz
             ("n_trials", math.inf),   # written as Infinity, read back as a float
             ("seed", [1, 2]),         # would be written into curve CSV rows
         ],
-        ids=["labels-short", "label-too-large", "label-negative", "no-codes",
+        ids=["labels-short", "label-too-large", "label-negative", "no-codes", "repeated-codes",
              "sample-rate", "frame-rate", "count-infinite", "seed-not-an-int"],
     )
     def test_inconsistent_header(self, tmp_path, key, value):
@@ -292,12 +293,31 @@ class TestCli:
         assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "codes", [5, [1, 2], ["", " ", ""]], ids=["not-a-list", "not-strings", "empty-strings"])
+        "codes",
+        [5, [1, 2], ["", " ", ""], ["010101"] * 3],
+        ids=["not-a-list", "not-strings", "empty-strings", "repeated"],
+    )
     def test_codes_of_wrong_type_exit_2(self, tmp_path, capsys, codes):
         out = _simulate(tmp_path)
         _edit_header(out, "codes", codes)
         assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "2.1"]) == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["0101", "01x1"], ["0101", "0110", "0101"], ["0101", "011"], [], None],
+        ids=["malformed", "repeated", "unequal-lengths", "empty", "missing"],
+    )
+    def test_bad_code_file_exit_2(self, tmp_path, capsys, lines):
+        codes = tmp_path / "c.txt"
+        if lines is not None:
+            codes.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "s.cvep"
+        rc = main(["simulate", "--codes", str(codes), "--runs", "1", "--duration", "2.1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["umm_t11", "umm_tcw", "cca_e1"])
     def test_flat_trial_exit_3(self, tmp_path, capsys, method):

@@ -15,8 +15,8 @@ from cvepdecode.outcome import DecodeOutcome
 from cvepdecode.sigproc import Trial
 from cvepdecode.simulate import ForwardModel, synthesize_trial
 from cvepdecode.umm import (
+    FRAMES_PER_EPOCH,
     CovModel,
-    EpochSet,
     UmmDecoder,
     UmmState,
     block_levinson_solve,
@@ -31,6 +31,13 @@ CODES = default_code_set(20)
 
 def _trial_from_array(x):
     return Trial(samples=np.asarray(x, dtype=float))
+
+
+def _dense_epochs(x):
+    """Reference (K, 54 * C) epoch matrix of a (C, T) trial, sliced window
+    by window: epoch k is samples 3k .. 3k + 53, time-major features."""
+    n_epochs = (x.shape[1] - 54) // 3 + 1
+    return np.stack([x[:, 3 * k : 3 * k + 54].T.reshape(-1) for k in range(n_epochs)])
 
 
 def _dense_from_blocks(blocks):
@@ -60,24 +67,104 @@ class TestSliceEpochs:
         x = np.arange(300, dtype=float)[np.newaxis, :]
         ep = slice_epochs(_trial_from_array(x))
         for k in range(ep.n_epochs):
-            assert ep.epochs[k, 0] == 3 * k
+            epoch = ep.frames[k : k + FRAMES_PER_EPOCH].ravel()
+            assert epoch[0] == 3 * k
 
     def test_too_short(self):
         with pytest.raises(TrialTooShort):
             slice_epochs(_trial_from_array(np.zeros((2, 40))))
 
 
+def _within(got, want, floor, rel=1e-12):
+    """max |got - want| within rel of the reference's magnitude; ``floor``,
+    the statistic's scale on the data, stands in where the reference is 0
+    (a single epoch has no scatter)."""
+    return np.abs(got - want).max() <= rel * (np.abs(want).max() + floor)
+
+
+def _random_codes(rng, n_epochs, n_codes=4):
+    """Codes one bit per epoch with at least one flash and one non-flash."""
+    bits = rng.integers(0, 2, size=(n_codes, n_epochs))
+    bits[:, 0], bits[:, -1] = 1, 0
+    return [BitSequence(bits=tuple(int(b) for b in row)) for row in bits]
+
+
+class TestTrialStatistics:
+    """The statistics an EpochSet computes from the trial's frames against
+    the same statistics of a dense epoch matrix sliced here."""
+
+    @pytest.mark.parametrize("extra", [51, 52, 53])
+    @pytest.mark.parametrize("n_epochs", [1, 2, 17, 18, 19, 235, 1873])
+    @pytest.mark.parametrize("n_channels", [1, 2, 8])
+    def test_matches_dense_epochs(self, n_channels, n_epochs, extra):
+        rng = np.random.default_rng(1000 * n_channels + n_epochs + extra)
+        x = rng.standard_normal((n_channels, 3 * n_epochs + extra))
+        self._check(x, n_epochs, rng)
+
+    def test_dc_offset(self):
+        rng = np.random.default_rng(11)
+        x = 1e4 + rng.standard_normal((8, 3 * 235 + 52))
+        self._check(x, 235, rng)
+
+    def _check(self, x, n_epochs, rng):
+        ep = slice_epochs(_trial_from_array(x))
+        epochs = _dense_epochs(x)
+        assert ep.n_epochs == epochs.shape[0] == n_epochs
+        assert ep.n_features == epochs.shape[1]
+        amplitude = np.abs(x - x.mean(axis=1, keepdims=True)).max()
+        centred = epochs - epochs.mean(axis=0)
+        scatter, sq_norms4 = ep.centered_moments
+        assert _within(scatter, centred.T @ centred, amplitude**2)
+        assert np.array_equal(scatter, scatter.T)
+        want4 = np.sum(np.sum(centred**2, axis=1) ** 2)
+        assert _within(sq_norms4, want4, (ep.n_features * amplitude**2) ** 2)
+
+        if n_epochs == 1:
+            with pytest.raises(DegenerateHypothesis):
+                UmmDecoder(CODES[:1], 1)._means(ep, [0])
+            return
+        codes = _random_codes(rng, n_epochs)
+        flash, nonflash = UmmDecoder(codes, 1)._means(ep, np.arange(len(codes)))
+        for i, code in enumerate(codes):
+            bits = code.array == 1
+            assert _within(flash[i] + ep.offset, epochs[bits].mean(axis=0), amplitude)
+            assert _within(nonflash[i] + ep.offset, epochs[~bits].mean(axis=0), amplitude)
+
+    def test_cumulative_state_sums_dense_quantities(self):
+        rng = np.random.default_rng(12)
+        codes = _random_codes(rng, 235)
+        dec = UmmDecoder(codes, 1)
+        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        scatter, sq_norms4, flash_sum, nonflash_sum = 0.0, 0.0, 0.0, 0.0
+        updates = [(0, 0.5, 0.0), (2, 1.0, 50.0), (1, 0.0, -3.0), (2, 0.25, 1e4)]
+        for label, weight, offset in updates:
+            x = offset + rng.standard_normal((8, 3 * 235 + 51))
+            epochs = _dense_epochs(x)
+            centred = epochs - epochs.mean(axis=0)
+            scatter = scatter + centred.T @ centred
+            sq_norms4 += np.sum(np.sum(centred**2, axis=1) ** 2)
+            bits = codes[label].array == 1
+            flash_sum = flash_sum + weight * epochs[bits].mean(axis=0)
+            nonflash_sum = nonflash_sum + weight * epochs[~bits].mean(axis=0)
+            outcome = DecodeOutcome(label=label, scores=np.zeros(len(codes)), confidence=weight)
+            state = dec.update_cumulative(state, slice_epochs(_trial_from_array(x)), outcome)
+        assert state.n_trials_seen == len(updates)
+        assert state.n_epochs == 235 * len(updates)
+        assert state.weight_total == sum(w for _, w, _ in updates)
+        assert _within(state.scatter, scatter, 0.0)
+        assert _within(state.sq_norms4, sq_norms4, 0.0)
+        assert _within(state.flash_sum, flash_sum, 0.0)
+        assert _within(state.nonflash_sum, nonflash_sum, 0.0)
+
+
 class TestMeanDifference:
     def test_definition(self):
-        # flash epochs equal v, non-flash zero
+        # a trial of period two frames: every flash epoch (even onset) is
+        # x[0:54], every non-flash epoch x[3:57], so delta is their difference
         code = BitSequence(bits=(1, 0) * 9)  # 18 frames -> covers K epochs
-        x = np.zeros((1, 108))
+        x = np.tile([2.5, 2.5, 2.5, 0.0, 0.0, 0.0], 18)[np.newaxis, :]
         ep = slice_epochs(_trial_from_array(x))
-        v = np.full(ep.n_features, 2.5)
-        epochs = ep.epochs.copy()
-        bits = np.tile(code.array, 2)[: ep.n_epochs]
-        epochs[bits == 1] = v
-        ep = EpochSet(epochs=epochs, onsets=ep.onsets, n_channels=1)
+        v = x[0, 0:54] - x[0, 3:57]
         delta = mean_difference(ep, code, 2)
         assert np.allclose(delta, v)
 
@@ -99,8 +186,10 @@ class TestCovariance:
     def test_white_epochs_give_scaled_identity(self):
         rng = np.random.default_rng(0)
         sigma = 1.7
-        epochs = rng.normal(scale=sigma, size=(10_000, 2 * 54))
-        ep = EpochSet(epochs=epochs, onsets=np.arange(10_000), n_channels=2)
+        # 10 000 overlapping epochs of a white two-channel trial
+        x = rng.normal(scale=sigma, size=(2, 3 * 10_000 + 51))
+        ep = slice_epochs(_trial_from_array(x))
+        assert ep.n_epochs == 10_000
         cov = estimate_covariance(ep, gamma=0.0)
         assert np.trace(cov.blocks[0]) / 2 == pytest.approx(sigma**2, rel=0.05)
         off = np.concatenate([cov.blocks[lag].ravel() for lag in range(1, 54)])
@@ -125,7 +214,8 @@ class TestCovariance:
         assert np.allclose(dense, nu * np.eye(dense.shape[0]))
 
     def test_insufficient_epochs(self):
-        ep = EpochSet(epochs=np.zeros((1, 54)), onsets=np.array([0]), n_channels=1)
+        ep = slice_epochs(_trial_from_array(np.zeros((1, 54))))
+        assert ep.n_epochs == 1
         with pytest.raises(InsufficientEpochs):
             estimate_covariance(ep)
 
