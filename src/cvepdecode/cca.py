@@ -6,21 +6,22 @@ sequence-specific spatial (per-channel) and temporal (per-event-lag)
 filters. The cumulative variant accumulates spatial covariance plus the
 cross/temporal terms of previously decoded trials under naive labeling.
 
-The decoder factors each hypothesis' temporal gram once, when it is built,
-and the spatial covariance once per trial; it forms cross-covariances from
-the codes' event onsets, never from a stored design matrix.
-:func:`fit_filters` and the decoder share one whitening and SVD core.
+The decoder stores no design matrix: the cross-covariances of a trial with
+every hypothesis' design are one call of the frame window-sum kernel of
+:mod:`.encoding`, weighted by the hypotheses' per-frame events. It factors
+the temporal grams once, when built; every hypothesis is whitened as in
+:func:`fit_filters`, by stacked triangular solves, and scored by one SVD.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 from scipy import linalg
 
-from .encoding import RESPONSE_LEN, StructureMatrix
+from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
+from .encoding import StructureMatrix, trial_frames, window_sums
 from .errors import (
     DegenerateCovariance,
     NumericalFailure,
@@ -59,26 +60,25 @@ class CcaState:
 
 
 def _ridged_cholesky(cov: NDArray, what: str) -> NDArray:
-    tr = float(np.trace(cov))
-    if not np.isfinite(tr) or tr <= 0:
-        raise DegenerateCovariance(f"{what} covariance has non-positive trace")
-    ridged = cov + (RIDGE_REL * tr / cov.shape[0]) * np.eye(cov.shape[0])
-    try:
-        return linalg.cholesky(ridged, lower=True)
+    """Lower Cholesky factors of the float stack cov (..., n, n), each ridged
+    by RIDGE_REL times its mean diagonal, in place: callers pass scratch."""
+    tr = np.trace(cov, axis1=-2, axis2=-1)
+    if not np.all(np.isfinite(tr) & (tr > 0)):
+        bad = "non-positive" if np.all(np.isfinite(tr)) else "non-finite"
+        raise DegenerateCovariance(f"{what} covariance has a {bad} trace")
+    np.einsum("...ii->...i", cov)[...] += (RIDGE_REL * tr / cov.shape[-1])[..., np.newaxis]
+    try:  # SciPy's potrf per matrix beat np.linalg.cholesky on the whole stack
+        for i in np.ndindex(cov.shape[:-2]):
+            cov[i] = linalg.cholesky(cov[i], lower=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise DegenerateCovariance(f"{what} covariance is not positive definite") from exc
+    return cov
 
 
-def _leading_pair(lx: NDArray, sxm: NDArray, lm: NDArray) -> tuple[NDArray, NDArray, float]:
-    """Leading singular pair (u, v, rho) of the cross-covariance whitened
-    by the lower Cholesky factors lx (spatial) and lm (temporal)."""
+def _whiten(lx: NDArray, sxm: NDArray, lm: NDArray) -> NDArray:
+    """lx^-1 sxm lm^-T for lower Cholesky factors; sxm and lm may be stacks."""
     k = linalg.solve_triangular(lx, sxm, lower=True)
-    k = linalg.solve_triangular(lm, k.T, lower=True).T
-    u, s, vt = linalg.svd(k, full_matrices=False)
-    rho = float(s[0])
-    if not np.isfinite(rho):
-        raise NumericalFailure("canonical correlation came out non-finite")
-    return u[:, 0], vt[0], rho
+    return linalg.solve_triangular(lm, k.swapaxes(-1, -2), lower=True).swapaxes(-1, -2)
 
 
 def fit_filters(
@@ -96,32 +96,25 @@ def fit_filters(
     -------
     (w, r, rho): spatial filter (C,), temporal filter (M,), correlation.
     """
-    lx = _ridged_cholesky(np.asarray(sxx, dtype=float), "spatial")
-    lm = _ridged_cholesky(np.asarray(smm, dtype=float), "temporal")
-    u, v, rho = _leading_pair(lx, np.asarray(sxm, dtype=float), lm)
-    w = linalg.solve_triangular(lx.T, u, lower=False)
-    r = linalg.solve_triangular(lm.T, v, lower=False)
+    lx = _ridged_cholesky(np.array(sxx, dtype=float), "spatial")
+    lm = _ridged_cholesky(np.array(smm, dtype=float), "temporal")
+    u, s, vt = linalg.svd(_whiten(lx, np.asarray(sxm, dtype=float), lm), full_matrices=False)
+    rho = float(s[0])
+    if not np.isfinite(rho):
+        raise NumericalFailure("canonical correlation came out non-finite")
+    w = linalg.solve_triangular(lx.T, u[:, 0], lower=False)
+    r = linalg.solve_triangular(lm.T, vt[0], lower=False)
     if r[np.argmax(np.abs(r))] < 0:
         w, r = -w, -r
     return w, r, rho
 
 
-def _cross(x: NDArray, onsets: list[list[NDArray]]) -> list[NDArray]:
-    """x M^T for each hypothesis given as per-event onsets: the lagged
-    windows x[:, o : o + RESPONSE_LEN] summed over each event's onsets o.
-    Zero padding cuts the responses that run past the trial end."""
-    padded = np.pad(x, ((0, 0), (0, RESPONSE_LEN - 1)))
-    lagged = sliding_window_view(padded, RESPONSE_LEN, axis=1)
-    return [np.concatenate([lagged[:, o, :].sum(axis=1) for o in per_event], axis=1)
-            for per_event in onsets]
-
-
 class CcaDecoder:
     """Scores every code hypothesis on trials of one length.
 
-    Per hypothesis it keeps the event onsets below that length, the temporal
-    gram M_i M_i^T and the gram's ridged Cholesky factor, none of which
-    depends on the data; the dense design M_i is built once, for the gram.
+    It keeps ``weights`` (N * N_EVENTS, ceil(n_samples / 3)), event e of
+    hypothesis i at each frame start in row i * N_EVENTS + e, and the grams
+    M_i M_i^T and their ridged Cholesky factors as (N, 162, 162) stacks.
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
@@ -132,13 +125,20 @@ class CcaDecoder:
             )
         self.n_samples = n_samples
         prefixes = [s.truncated(n_samples) for s in structures]
-        self.onsets = [p.onsets for p in prefixes]
-        self.grams = [m @ m.T for m in (p.mat for p in prefixes)]
-        self.gram_factors = [_ridged_cholesky(g, "temporal") for g in self.grams]
+        events = np.concatenate([p.events for p in prefixes])
+        self.weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
+        if np.count_nonzero(self.weights) != np.count_nonzero(events):
+            raise ValueError("events must fire at frame starts")
+        self.grams = np.stack([m @ m.T for m in (p.mat for p in prefixes)])
+        self.gram_factors = _ridged_cholesky(self.grams.copy(), "temporal")
 
-    @property
-    def n_hypotheses(self) -> int:
-        return len(self.onsets)
+    def _sxm(self, x: NDArray, weights: NDArray) -> NDArray:
+        """x M_i^T, (n, C, N_EVENTS * RESPONSE_LEN), for the hypotheses whose
+        weight rows are given. Zero frames past the trial cut the responses
+        that run past its end."""
+        frames = trial_frames(x, weights.shape[1] + FRAMES_PER_EPOCH - 1)
+        sums = window_sums(frames, weights)     # [i * N_EVENTS + e, lag * C + c]
+        return sums.reshape(-1, N_EVENTS * RESPONSE_LEN, len(x)).swapaxes(1, 2)
 
     def decode(self, trial: Trial, state: CcaState | None = None) -> DecodeOutcome:
         x = trial.samples[:, : self.n_samples]
@@ -147,19 +147,16 @@ class CcaDecoder:
                 f"trial holds {x.shape[1]} samples, decoder expects {self.n_samples}"
             )
         sxx = x @ x.T
-        cumulative = state is not None and state.mode == MODE_CUMULATIVE and not state.is_empty()
-        if cumulative:
+        sxm = self._sxm(x, self.weights)
+        lm = self.gram_factors
+        if state is not None and state.mode == MODE_CUMULATIVE and not state.is_empty():
             if state.sxx.shape != sxx.shape:
                 raise ShapeError("accumulated spatial covariance has a different channel count")
             sxx = sxx + state.sxx
+            sxm = sxm + state.sxm
+            lm = _ridged_cholesky(self.grams + state.smm, "temporal")
         lx = _ridged_cholesky(sxx, "spatial")
-        rhos = np.empty(self.n_hypotheses)
-        for i, sxm in enumerate(_cross(x, self.onsets)):
-            lm = self.gram_factors[i]
-            if cumulative:
-                sxm = sxm + state.sxm
-                lm = _ridged_cholesky(self.grams[i] + state.smm, "temporal")
-            rhos[i] = _leading_pair(lx, sxm, lm)[2]
+        rhos = np.linalg.svd(_whiten(lx, sxm, lm), compute_uv=False)[:, 0]
         if not np.all(np.isfinite(rhos)):
             raise NumericalFailure("non-finite hypothesis scores")
         label = int(np.argmax(rhos))
@@ -174,8 +171,7 @@ class CcaDecoder:
             raise ValueError("update_cumulative requires a cumulative-mode state")
         x = trial.samples[:, : self.n_samples]
         sxx = x @ x.T
-        (sxm,) = _cross(x, [self.onsets[predicted]])
-        smm = self.grams[predicted]
+        (sxm,) = self._sxm(x, self.weights[N_EVENTS * predicted : N_EVENTS * (predicted + 1)])
         if state.is_empty():
             state = CcaState(mode=MODE_CUMULATIVE, sxx=0.0, sxm=0.0, smm=0.0)
         elif state.sxx.shape != sxx.shape or state.sxm.shape != sxm.shape:
@@ -184,6 +180,6 @@ class CcaDecoder:
             mode=MODE_CUMULATIVE,
             sxx=state.sxx + sxx,
             sxm=state.sxm + sxm,
-            smm=state.smm + smm,
+            smm=state.smm + self.grams[predicted],
             n_trials_seen=state.n_trials_seen + 1,
         )

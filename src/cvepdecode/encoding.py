@@ -1,4 +1,4 @@
-"""Event trains for reconvolution CCA.
+"""Event trains and the frame window-sum kernel shared by both decoders.
 
 A modulated code tiled over whole cycles becomes an event train with three
 rows (short-flash onsets, long-flash onsets, trial onset) on the 180 Hz
@@ -6,7 +6,9 @@ sample grid, SAMPLES_PER_FRAME samples per 60 Hz stimulus frame. The
 reconvolution model predicts a trial as each event row convolved with its
 own RESPONSE_LEN-sample response; the dense lagged design that expresses
 this as one matrix product is derived from the event train on demand and
-never stored.
+never stored. Events fire at frame starts, so both decoders sum response
+windows with one kernel, :func:`window_sums` over :func:`trial_frames`:
+CCA weights the windows by each hypothesis' events, UMM by its flash bits.
 """
 from __future__ import annotations
 
@@ -27,24 +29,37 @@ EVENT_ONSET = 2
 
 RESPONSE_LEN = 54     # 300 ms at 180 Hz
 SAMPLES_PER_FRAME = round(TARGET_FS / PRESENTATION_RATE_HZ)   # 3
+FRAMES_PER_EPOCH = RESPONSE_LEN // SAMPLES_PER_FRAME          # 18 frames per 300 ms response
+
+
+def trial_frames(x: NDArray, n_frames: int) -> NDArray[np.float64]:
+    """The (C, T) samples as (n_frames, SAMPLES_PER_FRAME * C) time-major
+    frames: frames[f, s * C + c] is x[c, SAMPLES_PER_FRAME * f + s], zero
+    past T; samples past the last frame are dropped."""
+    frames = np.zeros((n_frames * SAMPLES_PER_FRAME, len(x)))
+    frames[: x.shape[1]] = x[:, : len(frames)].T
+    return frames.reshape(n_frames, SAMPLES_PER_FRAME * len(x))
+
+
+def window_sums(frames: NDArray, weights: NDArray) -> NDArray:
+    """sum_k weights[r, k] frames[k : k + FRAMES_PER_EPOCH].ravel() for each
+    row r: (R, FRAMES_PER_EPOCH * width) for frames (K + FRAMES_PER_EPOCH - 1,
+    width) and weights (R, K): one stacked product over the frame offsets."""
+    windows = sliding_window_view(frames, weights.shape[1], axis=0).transpose(0, 2, 1)
+    sums = np.matmul(weights, windows)                    # (FRAMES_PER_EPOCH, R, width)
+    return sums.transpose(1, 0, 2).reshape(len(weights), FRAMES_PER_EPOCH * frames.shape[1])
 
 
 @dataclass(frozen=True)
 class StructureMatrix:
     """A code's event train: events (n_events, n_samples), 0/1 int8 at 180 Hz.
 
-    ``onsets`` lists the sample index of every event per row. ``mat`` is the
-    reconvolution design those events stand for, built on each access:
-    callers that need the dense matrix (grams, the simulator, oracles)
-    build it, use it and let it go.
+    ``mat`` is the reconvolution design those events stand for, built on
+    each access: callers that need the dense matrix (grams, the simulator,
+    oracles) build it, use it and let it go.
     """
 
     events: NDArray[np.int8]
-
-    @property
-    def onsets(self) -> list[NDArray[np.intp]]:
-        """Per event row, the sample indices at which that event fires."""
-        return [np.flatnonzero(row) for row in self.events]
 
     @property
     def mat(self) -> NDArray[np.float64]:

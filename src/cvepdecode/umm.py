@@ -14,11 +14,12 @@ holds the trial's frames, not a copied epoch matrix, and computes every
 epoch statistic from them, about the frames' column mean: the scatter from
 18 lagged frame grams and a rank-4 step per frame offset, the fourth
 moment from each frame's deviation from its offset's window mean, and
-flash sums from one product of the code bits with the frames per offset
-(non-flash sums are the epoch total less the flash sums). Each statistic
-is computed in one place: an EpochSet forms its scatter once,
-:func:`_cov_model` turns pooled scatter into the covariance model, and
-:class:`UmmDecoder` tiles the code bits once.
+flash sums by weighting each epoch with its code bit (non-flash sums are
+the epoch total less them); offset 0's grams and the flash sums come from
+the window-sum kernel of :mod:`.encoding` that CCA shares. Each statistic is
+computed in one place: an EpochSet forms its scatter once, :func:`_cov_model`
+turns pooled scatter into the covariance model, and :class:`UmmDecoder`
+tiles the code bits once.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ from numpy.typing import NDArray
 from scipy import linalg
 
 from .codegen import BitSequence
-from .encoding import RESPONSE_LEN, SAMPLES_PER_FRAME
+from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
+from .encoding import trial_frames, window_sums
 from .errors import (
     DegenerateCovariance,
     DegenerateHypothesis,
@@ -45,7 +47,6 @@ from .sigproc import Trial
 
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
-FRAMES_PER_EPOCH = RESPONSE_LEN // SAMPLES_PER_FRAME   # 18 frames per 300 ms epoch
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,9 @@ class EpochSet:
     60 Hz frames.
 
     frames: (n_epochs + FRAMES_PER_EPOCH - 1, SAMPLES_PER_FRAME * C), the
-    samples in time-major frames: frames[f, s * C + c] is channel c at
-    sample SAMPLES_PER_FRAME * f + s. Epoch k is frames[k : k + 18]
-    flattened, so its feature (t * C + c) is channel c at epoch sample t;
-    it starts at frame k. Only 300 ms windows fully contained in the trial
-    exist, and samples past the last of them are dropped.
+    trial's whole frames as :func:`.encoding.trial_frames` lays them out.
+    Epoch k is frames[k : k + 18] flattened, so its feature (t * C + c) is
+    channel c at epoch sample t; it starts at frame k.
 
     No (n_epochs, n_features) epoch matrix is formed: the scatter, the
     fourth moment and the weighted epoch sums are computed from the
@@ -84,12 +83,6 @@ class EpochSet:
         frame_mean = self.frames.mean(axis=0)
         return self.frames - frame_mean, np.tile(frame_mean, FRAMES_PER_EPOCH)
 
-    def _windows(self) -> NDArray:
-        """(FRAMES_PER_EPOCH, K, width) view: [a] is the centred frames
-        a .. a + K - 1, offset a of every epoch."""
-        y = self._centred[0]
-        return sliding_window_view(y, self.n_epochs, axis=0).transpose(0, 2, 1)
-
     @cached_property
     def epoch_sum(self) -> NDArray:
         """Sum of the centred epochs, (D,): a first window sum, then one
@@ -107,10 +100,8 @@ class EpochSet:
         return self._centred[1]
 
     def weighted_sums(self, weights: NDArray) -> NDArray:
-        """weights @ (centred epochs), (R, D), for weights (R, K): one
-        product per frame offset."""
-        sums = np.matmul(weights, self._windows())       # (FRAMES_PER_EPOCH, R, width)
-        return sums.transpose(1, 0, 2).reshape(len(weights), self.n_features)
+        """weights @ (centred epochs), (R, D), for weights (R, K)."""
+        return window_sums(self._centred[0], weights)
 
     @cached_property
     def centered_moments(self) -> tuple[NDArray, float]:
@@ -138,7 +129,7 @@ class EpochSet:
         # grams[a, p, l, q] is entry (p, q) of block (a, a + l); entries
         # with a + l >= n are never read
         grams = np.empty((n, width, n, width))
-        grams[0] = np.matmul(y[:k].T, self._windows()).transpose(1, 0, 2)
+        grams[0] = window_sums(y, y[:k].T).reshape(width, n, width)
         grams[0] -= sums[0][:, np.newaxis, np.newaxis] * sums[:n]
         # step a (row a - 1): - y[a-1] y[a-1+l]^T + y[K+a-1] y[K+a-1+l]^T
         #                     - s_a s_(a+l)^T / K + s_(a-1) s_(a-1+l)^T / K
@@ -174,20 +165,14 @@ class EpochSet:
 
 def slice_epochs(trial: Trial) -> EpochSet:
     """One RESPONSE_LEN-sample epoch per 60 Hz frame whose full window fits
-    inside the trial, held as the trial's frames."""
+    inside the trial, held as the trial's whole frames."""
     x = trial.samples
     n_channels, n_samples = x.shape
     if n_samples < RESPONSE_LEN:
         raise TrialTooShort(
             f"trial of {n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
         )
-    k = (n_samples - RESPONSE_LEN) // SAMPLES_PER_FRAME + 1
-    n_frames = k + FRAMES_PER_EPOCH - 1
-    frames = np.ascontiguousarray(x[:, : n_frames * SAMPLES_PER_FRAME].T, dtype=np.float64)
-    return EpochSet(
-        frames=frames.reshape(n_frames, SAMPLES_PER_FRAME * n_channels),
-        n_channels=n_channels,
-    )
+    return EpochSet(frames=trial_frames(x, n_samples // SAMPLES_PER_FRAME), n_channels=n_channels)
 
 
 def mean_difference(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray:
@@ -216,13 +201,14 @@ def block_levinson_solve(blocks: NDArray, y: NDArray) -> NDArray:
     Factors the dense T by Cholesky; at D = 432 this beats a block-Levinson
     recursion, build included. The name is kept because the benchmark's
     trace (benchmarks/tracing.py) wraps this function by name.
-    Raises DegenerateCovariance if T is not positive definite.
+    Raises DegenerateCovariance if T is not positive definite. Nothing is
+    scanned for NaN here: :func:`_cov_model` checks the scatter's trace.
     """
     try:
-        factor = linalg.cho_factor(_dense_toeplitz(blocks))
+        factor = linalg.cho_factor(_dense_toeplitz(blocks), check_finite=False)
     except linalg.LinAlgError as exc:
         raise DegenerateCovariance("covariance is not positive definite") from exc
-    return linalg.cho_solve(factor, y)
+    return linalg.cho_solve(factor, y, check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -299,6 +285,8 @@ def _cov_model(
     intensity."""
     if n < 2:
         raise InsufficientEpochs(f"need at least 2 epochs, got {n}")
+    if not np.isfinite(np.trace(scatter)):
+        raise DegenerateCovariance("epoch covariance has a non-finite trace")
     cov = scatter / n
     if gamma is None:
         gamma = _lw_gamma(sq_norms4, cov, n)

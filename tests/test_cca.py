@@ -6,7 +6,7 @@ import pytest
 from cvepdecode import cca
 from cvepdecode.cca import CcaDecoder, CcaState, fit_filters
 from cvepdecode.codegen import default_code_set
-from cvepdecode.encoding import structure_for_code
+from cvepdecode.encoding import StructureMatrix, structure_for_code
 from cvepdecode.errors import DegenerateCovariance, TrialTooShort
 from cvepdecode.sigproc import Trial
 from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
@@ -82,6 +82,13 @@ def test_decode_too_short():
     trial = Trial(samples=np.zeros((8, 30)))
     with pytest.raises(TrialTooShort):
         CcaDecoder(STRUCTS_1C, trial.n_samples).decode(trial)
+
+
+def test_events_off_the_frame_grid_rejected():
+    events = np.zeros((3, 378), dtype=np.int8)
+    events[0, 4] = 1  # sample 4 is inside frame 1, not at its start
+    with pytest.raises(ValueError, match="frame starts"):
+        CcaDecoder([StructureMatrix(events=events)], 378)
 
 
 def test_mixing_invariance():
@@ -168,14 +175,15 @@ def _dense_rhos(x, mats, state=None):
     )
 
 
-@pytest.mark.parametrize("dur_s", [1.05, 31.5])
-def test_onset_gather_matches_dense_design(dur_s):
-    n_samples = int(round(dur_s * 180))
+@pytest.mark.parametrize("n_samples", [54, 189, 190, 191, 756, 5669, 5670])
+def test_frame_kernel_matches_dense_design(n_samples):
+    # 190 samples end in a frame of one sample, 191 and 5669 in one of two:
+    # the kernel pads the last frame with zeros
     structs = [structure_for_code(c, 15) for c in CODES]
     decoder = CcaDecoder(structs, n_samples)
     mats = [s.truncated(n_samples).mat for s in structs]
-    session = synthesize_session(1, ForwardModel(snr=0.05), seed=2, codes=CODES[:2], dur_s=dur_s)
-    past, trial = session.trials
+    session = synthesize_session(1, ForwardModel(snr=0.05), seed=2, codes=CODES[:2], dur_s=31.5)
+    past, trial = (Trial(samples=t.samples[:, :n_samples]) for t in session.trials)
 
     got = decoder.decode(trial).scores
     assert np.abs(got - _dense_rhos(trial.samples, mats)).max() < 1e-10
@@ -193,11 +201,11 @@ def test_bank_stores_no_dense_design():
     from cvepdecode.evaluate import DecoderBank
 
     bank = DecoderBank(CODES, max_dur_s=31.5)
-    held = [s.events for s in bank.structures] + [o for s in bank.structures for o in s.onsets]
-    assert sum(a.nbytes for a in held) < 2**20
-    # a decoder keeps onsets, and grams and their factors, whose size does
-    # not grow with the trial
+    assert sum(s.events.nbytes for s in bank.structures) < 2**20
+    # a decoder keeps per-frame event weights, and grams and their factors,
+    # whose size does not grow with the trial
     decoder = bank.cca(5670)
-    assert set(vars(decoder)) == {"n_samples", "onsets", "grams", "gram_factors"}
-    assert sum(o.nbytes for on in decoder.onsets for o in on) < 2**20
-    assert all(g.shape == (162, 162) for g in decoder.grams + decoder.gram_factors)
+    assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_factors"}
+    assert decoder.weights.shape == (60, 1890)
+    assert decoder.weights.nbytes < 2**20
+    assert decoder.grams.shape == decoder.gram_factors.shape == (20, 162, 162)

@@ -12,6 +12,7 @@ from cvepdecode.errors import (
     DegenerateCovariance,
     DegenerateSample,
     InvalidCutoff,
+    NumericalError,
     TruncatedTrial,
 )
 from cvepdecode.evaluate import (
@@ -111,6 +112,14 @@ class TestDecodeSession:
         session = _session()
         session.trials[0].samples[:] = 0.0
         with pytest.raises(DegenerateCovariance):
+            decode_session(session, tag, 4.2)
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_is_numerical_error(self, bad, tag):
+        session = _session()
+        session.trials[0].samples[3, 100] = bad
+        with pytest.raises(NumericalError):
             decode_session(session, tag, 4.2)
 
     def test_outcome_count_and_order(self):
