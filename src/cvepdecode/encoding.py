@@ -5,10 +5,11 @@ rows (short-flash onsets, long-flash onsets, trial onset) on the 180 Hz
 sample grid, SAMPLES_PER_FRAME samples per 60 Hz stimulus frame. The
 reconvolution model predicts a trial as each event row convolved with its
 own RESPONSE_LEN-sample response; the dense lagged design that expresses
-this as one matrix product is derived from the event train on demand and
-never stored. Events fire at frame starts, so both decoders sum response
-windows with one kernel, :func:`window_sums` over :func:`trial_frames`:
-CCA weights the windows by each hypothesis' events, UMM by its flash bits.
+this as one matrix product (:func:`lagged` events) is derived from the
+event train on demand and never stored. Events fire at frame starts, so
+both decoders sum response windows with one kernel, :func:`window_sums`
+over :func:`trial_frames`: CCA weights the windows by each hypothesis'
+events, UMM by its flash bits.
 """
 from __future__ import annotations
 
@@ -50,6 +51,17 @@ def window_sums(frames: NDArray, weights: NDArray) -> NDArray:
     return sums.transpose(1, 0, 2).reshape(len(weights), FRAMES_PER_EPOCH * frames.shape[1])
 
 
+def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
+    """(R * n_lags, T) copies of the rows (R, T) delayed by 0..n_lags - 1
+    steps: row r * n_lags + lag at column t is rows[r, t - lag], zero for
+    t < lag; what is delayed past T is cut, nothing wraps to the start."""
+    n_rows, n_steps = rows.shape
+    padded = np.zeros((n_rows, n_lags - 1 + n_steps))
+    padded[:, n_lags - 1 :] = rows
+    # window j holds the rows delayed by n_lags - 1 - j steps
+    return sliding_window_view(padded, n_steps, axis=1)[:, ::-1].reshape(n_rows * n_lags, n_steps)
+
+
 @dataclass(frozen=True)
 class StructureMatrix:
     """A code's event train: events (n_events, n_samples), 0/1 int8 at 180 Hz.
@@ -63,18 +75,9 @@ class StructureMatrix:
 
     @property
     def mat(self) -> NDArray[np.float64]:
-        """(n_events * RESPONSE_LEN, n_samples) banded Toeplitz design.
-
-        Row (e * RESPONSE_LEN + lag) at column t equals events[e, t - lag];
-        responses spilling past the trial end are cut, nothing wraps to the
-        start.
-        """
-        n_events, n_samples = self.events.shape
-        padded = np.zeros((n_events, RESPONSE_LEN - 1 + n_samples))
-        padded[:, RESPONSE_LEN - 1 :] = self.events
-        # window j holds the events delayed by RESPONSE_LEN - 1 - j samples
-        lagged = sliding_window_view(padded, n_samples, axis=1)[:, ::-1]
-        return lagged.reshape(n_events * RESPONSE_LEN, n_samples)
+        """(n_events * RESPONSE_LEN, n_samples) banded Toeplitz design:
+        :func:`lagged` events, responses cut at the trial end."""
+        return lagged(self.events, RESPONSE_LEN)
 
     def truncated(self, n_samples: int) -> "StructureMatrix":
         """Keep only the first n_samples samples (a prefix of the trial).

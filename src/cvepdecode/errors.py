@@ -82,7 +82,7 @@ class DegenerateHypothesis(DataError):
 
 
 class NumericalFailure(NumericalError):
-    """Scores or filters came out non-finite."""
+    """A trial sample, a score or a filter is non-finite."""
 
 
 # -- simulation / evaluation / io -------------------------------------------

@@ -1,5 +1,8 @@
 """Evaluation harness: decoding curves, bandpass sweeps, and the one-sided
 paired Wilcoxon signed-rank test.
+
+scipy.stats is imported inside the Wilcoxon helpers that use it: its
+import takes most of a second, and decoding needs none of it.
 """
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import stats
 
 from . import cca as cca_mod
 from . import umm as umm_mod
@@ -165,6 +167,8 @@ def _signed_ranks(a, b):
     d = d[d != 0.0]
     if len(d) == 0:
         raise DegenerateSample("all paired differences are zero")
+    from scipy import stats
+
     ranks = stats.rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     return d, ranks, w_plus
@@ -191,6 +195,8 @@ def _normal_tail_p(d: NDArray, ranks: NDArray, w_plus: float) -> float:
     _, tie_counts = np.unique(ranks, return_counts=True)
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float(((tie_counts**3 - tie_counts).sum())) / 48.0
     z = (w_plus - mu - 0.5) / math.sqrt(var)
+    from scipy import stats
+
     return float(stats.norm.sf(z))
 
 

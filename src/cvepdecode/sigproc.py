@@ -5,6 +5,9 @@ cropping.
 A raw recording carries its own sampling rate; everything downstream of
 segmentation is on the one TARGET_FS (180 Hz) grid. Trials store no rate,
 and segment_trials refuses a recording that is not at TARGET_FS.
+
+scipy.signal is imported inside the functions that use it: its import
+takes most of a second, and decoding needs none of it.
 """
 from __future__ import annotations
 
@@ -13,9 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import signal
 
-from .errors import DataError, InvalidCutoff, TruncatedTrial
+from .errors import DataError, InvalidCutoff, NumericalFailure, TruncatedTrial
 
 TARGET_FS = 180.0
 
@@ -70,6 +72,8 @@ class FilterSpec:
                 )
 
     def design(self, fs: float):
+        from scipy import signal
+
         nyq = fs / 2.0
         if self.kind == "notch":
             if self.center_hz >= nyq:
@@ -111,12 +115,23 @@ class Trial:
         return replace(self, samples=self.samples[:, :t])
 
 
+def finite_samples(x: NDArray) -> NDArray:
+    """x itself, once every sample is checked to be finite: a decoder calls
+    this before any arithmetic, so a NaN or Inf raises NumericalFailure
+    instead of surfacing as numpy warnings and degenerate statistics."""
+    if not np.isfinite(x).all():
+        raise NumericalFailure("trial holds a non-finite sample")
+    return x
+
+
 def apply_zero_phase(filt: FilterSpec, rec: ContinuousRecording) -> ContinuousRecording:
     """Forward-backward filtering per channel; length preserved, no group delay.
 
     Channels are reflect-padded by one second on both ends before filtering
     to suppress edge transients.
     """
+    from scipy import signal
+
     b, a = filt.design(rec.fs)
     pad = min(int(EDGE_PAD_S * rec.fs), rec.samples.shape[1] - 1)
     out = signal.filtfilt(b, a, rec.samples, axis=1, padtype="even", padlen=pad)
@@ -130,6 +145,8 @@ def resample(rec: ContinuousRecording) -> ContinuousRecording:
     Marker indices are rescaled by the same ratio. Arbitrary source rates
     are approximated by a rational within 1e-9 relative error.
     """
+    from scipy import signal
+
     if TARGET_FS >= rec.fs:
         raise InvalidCutoff(f"target rate {TARGET_FS} must be below {rec.fs}")
     ratio = Fraction(TARGET_FS / rec.fs).limit_denominator(10**6)

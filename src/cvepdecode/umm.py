@@ -43,7 +43,7 @@ from .errors import (
     TrialTooShort,
 )
 from .outcome import DecodeOutcome, top2_confidence
-from .sigproc import Trial
+from .sigproc import Trial, finite_samples
 
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
@@ -172,7 +172,8 @@ def slice_epochs(trial: Trial) -> EpochSet:
         raise TrialTooShort(
             f"trial of {n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
         )
-    return EpochSet(frames=trial_frames(x, n_samples // SAMPLES_PER_FRAME), n_channels=n_channels)
+    frames = trial_frames(finite_samples(x), n_samples // SAMPLES_PER_FRAME)
+    return EpochSet(frames=frames, n_channels=n_channels)
 
 
 def mean_difference(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray:

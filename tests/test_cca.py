@@ -6,7 +6,7 @@ import pytest
 from cvepdecode import cca
 from cvepdecode.cca import CcaDecoder, CcaState, fit_filters
 from cvepdecode.codegen import default_code_set
-from cvepdecode.encoding import StructureMatrix, structure_for_code
+from cvepdecode.encoding import N_EVENTS, RESPONSE_LEN, StructureMatrix, structure_for_code
 from cvepdecode.errors import DegenerateCovariance, TrialTooShort
 from cvepdecode.sigproc import Trial
 from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
@@ -208,4 +208,36 @@ def test_bank_stores_no_dense_design():
     assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_factors"}
     assert decoder.weights.shape == (60, 1890)
     assert decoder.weights.nbytes < 2**20
-    assert decoder.grams.shape == decoder.gram_factors.shape == (20, 162, 162)
+    assert decoder.grams.shape == decoder.gram_factors.shape == (20, 3, 54, 54)
+
+
+@pytest.mark.parametrize("n_samples", [54, 189, 190, 191, 756, 5669, 5670])
+def test_phase_grams_are_the_dense_gram(n_samples):
+    # lag 3a + p of the design is nonzero only at samples of phase p, so the
+    # dense gram is zero between lags of different phases; within a phase
+    # its entries are event counts, which the phase grams hold exactly
+    structs = [structure_for_code(c, 15) for c in CODES]
+    decoder = CcaDecoder(structs, n_samples)
+    lags = np.arange(N_EVENTS * RESPONSE_LEN) % RESPONSE_LEN
+    off_phase = lags[:, np.newaxis] % 3 != lags % 3
+    for struct, grams in zip(structs, decoder.grams):
+        mat = struct.truncated(n_samples).mat
+        dense = mat @ mat.T
+        assert np.all(dense[off_phase] == 0)
+        # dense index e * 54 + 3a + p, phase-gram index e * 18 + a
+        rebuilt = np.zeros((N_EVENTS, 18, 3, N_EVENTS, 18, 3))
+        for p in range(3):
+            rebuilt[:, :, p, :, :, p] = grams[p].reshape(N_EVENTS, 18, N_EVENTS, 18)
+        assert np.array_equal(rebuilt.reshape(dense.shape), dense)
+
+
+def test_decoder_never_builds_the_dense_design(monkeypatch):
+    past, trial = _clean_trial(1), _clean_trial(2)   # the simulator builds it
+
+    def refuse(_self):
+        raise AssertionError("dense design built")
+
+    monkeypatch.setattr(StructureMatrix, "mat", property(refuse))
+    decoder = CcaDecoder(STRUCTS_1C, 378)
+    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
+    assert decoder.decode(trial, state).label == 2

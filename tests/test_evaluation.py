@@ -114,9 +114,11 @@ class TestDecodeSession:
         with pytest.raises(DegenerateCovariance):
             decode_session(session, tag, 4.2)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_is_numerical_error(self, bad, tag):
+        # raised before any arithmetic: numpy warnings would be errors here
         session = _session()
         session.trials[0].samples[3, 100] = bad
         with pytest.raises(NumericalError):
