@@ -1,7 +1,8 @@
 """Single-file trial archive: one JSON header line followed by raw 32-bit
 little-endian floats, channel-major within each trial. Trials are sampled
 at 180 Hz under 60 Hz stimulus frames; the reader rejects other rates,
-non-finite samples and any header it cannot read as such an archive.
+non-finite samples and any header it cannot read as such an archive, and
+the writer refuses any session the reader would reject.
 """
 from __future__ import annotations
 
@@ -18,6 +19,11 @@ ARCHIVE_VERSION = 1
 
 
 def write_archive(session: Session, path) -> None:
+    """Write the session as one archive. The archive is first read back by
+    the reader's own parser, so a session that read_archive would reject
+    (no samples, non-finite samples at float32, labels outside the code
+    set, a malformed code set) raises CorruptArchive and nothing is
+    written."""
     if not session.trials:
         raise CorruptArchive("refusing to write an empty session")
     n_channels = session.trials[0].n_channels
@@ -37,10 +43,18 @@ def write_archive(session: Session, path) -> None:
         "labels": labels if all(l is not None for l in labels) else None,
         "seed": session.seed,
     }
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    with np.errstate(over="ignore"):   # a sample past float32 becomes inf, refused below
+        payload = b"".join(
+            np.ascontiguousarray(t.samples, dtype="<f4").tobytes() for t in session.trials
+        )
+    try:
+        _parse(header_line, payload)
+    except CorruptArchive as exc:
+        raise CorruptArchive(f"refusing to write an unreadable archive: {exc}") from exc
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for t in session.trials:
-            fh.write(np.ascontiguousarray(t.samples, dtype="<f4").tobytes())
+        fh.write(header_line)
+        fh.write(payload)
 
 
 def read_archive(path) -> Session:
@@ -50,6 +64,12 @@ def read_archive(path) -> Session:
             payload = fh.read()
     except OSError as exc:
         raise CorruptArchive(f"cannot read archive {path}: {exc}") from exc
+    return _parse(header_line, payload)
+
+
+def _parse(header_line: bytes, payload: bytes) -> Session:
+    """The session an archive's header line and payload hold; DataError if
+    they are not a valid archive."""
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -152,7 +152,8 @@ class CcaDecoder:
     It keeps ``weights`` (N * N_EVENTS, ceil(n_samples / 3)), event e of
     hypothesis i at each frame start in row i * N_EVENTS + e, and the phase
     grams of every M_i M_i^T and their ridged Cholesky factors as
-    (N, 3, PHASE_DIM, PHASE_DIM) stacks.
+    (N, 3, PHASE_DIM, PHASE_DIM) stacks. Every structure must hold at least
+    n_samples samples: ShapeError otherwise.
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
@@ -160,6 +161,11 @@ class CcaDecoder:
             raise TrialTooShort(
                 f"trial of {n_samples} samples is shorter than one response "
                 f"({RESPONSE_LEN} samples)"
+            )
+        reach = min(s.events.shape[1] for s in structures)
+        if reach < n_samples:
+            raise ShapeError(
+                f"event trains reach {reach} samples, trials of {n_samples} asked for"
             )
         self.n_samples = n_samples
         events = np.concatenate([s.truncated(n_samples).events for s in structures])

@@ -25,7 +25,6 @@ from .evaluate import (
     ALPHA,
     CURVE_CSV_HEADER,
     SWEEP_CSV_HEADER,
-    DecoderBank,
     bandpass_sweep,
     canonical_tag,
     curve_csv_rows,
@@ -217,9 +216,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decode(args) -> int:
     session = read_archive(args.infile)
-    tag = canonical_tag(args.method)
-    bank = DecoderBank(session.codes, max_dur_s=args.duration)
-    outcomes = decode_session(session, tag, args.duration, bank)
+    outcomes = decode_session(session, args.method, args.duration)
     lines = ["trial,true_label,predicted,correct,confidence"]
     for i, (trial, outcome) in enumerate(zip(session.trials, outcomes)):
         true = trial.code_index_true

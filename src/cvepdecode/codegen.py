@@ -15,6 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    ConfigError,
     DegeneratePair,
     InsufficientCodes,
     InvalidCodeSet,
@@ -163,6 +164,8 @@ def select_subset(codes: list[BitSequence], n: int = 20) -> list[BitSequence]:
     as one batched FFT; each greedy step then adds the candidate whose worst
     peak against the codes chosen so far is smallest.
     """
+    if n < 1:
+        raise ConfigError(f"asked for {n} codes; a code set holds at least one")
     if n > len(codes):
         raise InsufficientCodes(f"asked for {n} codes from a pool of {len(codes)}")
     if n == len(codes):

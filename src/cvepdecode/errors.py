@@ -88,11 +88,12 @@ class NumericalFailure(NumericalError):
 # -- simulation / evaluation / io -------------------------------------------
 
 class InvalidSnr(DataError):
-    """Negative signal-to-noise ratio requested."""
+    """Negative or NaN signal-to-noise ratio requested."""
 
 
 class ConfigError(DataError):
-    """Unknown method tag or inconsistent run configuration."""
+    """Unknown method tag, inconsistent run configuration, or a run
+    parameter out of range (a non-finite duration, no runs, no codes)."""
 
 
 class DegenerateSample(DataError):

@@ -20,6 +20,7 @@ from .codegen import BitSequence
 from .encoding import n_cycles_to_cover, structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCutoff, TruncatedTrial
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
+from .sigproc import duration_samples
 from .simulate import Session
 from .umm import UmmDecoder, UmmState
 
@@ -48,11 +49,15 @@ def canonical_tag(tag: str) -> str:
 class DecoderBank:
     """The event trains and the UMM decoder for one code set, and the CCA
     decoder for the trial length asked for last (its structure grams are
-    the expensive part; a new length replaces it)."""
+    the expensive part; a new length replaces it).
 
-    def __init__(self, codes: list[BitSequence], max_dur_s: float = 31.5):
+    The codes are tiled to reach max_dur_s seconds, and the bank serves
+    trials up to that length: both decoders raise ShapeError on a longer
+    one."""
+
+    def __init__(self, codes: list[BitSequence], max_dur_s: float):
         self.codes = codes
-        n_cycles = n_cycles_to_cover(codes[0], int(round(max_dur_s * TARGET_FS)))
+        n_cycles = n_cycles_to_cover(codes[0], duration_samples(max_dur_s))
         self.structures = [structure_for_code(c, n_cycles) for c in codes]
         self._cca: CcaDecoder | None = None
         self._umm = UmmDecoder(codes, n_cycles)
@@ -76,14 +81,16 @@ def decode_session(
     with one cumulative state update per trial. Returns the outcomes.
 
     Every method sees the first duration_s seconds of each trial, cut by
-    Trial.prefix, which raises TruncatedTrial past the trial's end."""
+    Trial.prefix, which raises TruncatedTrial past the trial's end. Without
+    a bank, one reaching duration_s is built; a given bank must reach
+    duration_s, or the decoders raise ShapeError."""
     tag = canonical_tag(method_tag)
-    if bank is None:
-        bank = DecoderBank(session.codes)
     trials = [trial.prefix(duration_s) for trial in session.trials]
+    if bank is None:
+        bank = DecoderBank(session.codes, max_dur_s=duration_s)
     outcomes = []
     if tag.startswith("cca"):
-        decoder = bank.cca(int(round(duration_s * TARGET_FS)))
+        decoder = bank.cca(duration_samples(duration_s))
         state = CcaState(mode=cca_mod.MODE_CUMULATIVE) if tag == "cca_ec" else None
         for trial in trials:
             outcome = decoder.decode(trial, state)
@@ -136,7 +143,7 @@ def decoding_curve(
     if durations_s is None:
         n_samples = min(t.n_samples for t in session.trials)
         durations = tuple(
-            d for d in DEFAULT_DURATIONS_S if int(round(d * TARGET_FS)) <= n_samples
+            d for d in DEFAULT_DURATIONS_S if duration_samples(d) <= n_samples
         )
         if not durations:
             raise TruncatedTrial(
@@ -145,6 +152,8 @@ def decoding_curve(
             )
     else:
         durations = tuple(durations_s)
+        if not durations:
+            raise ConfigError("a decoding curve needs at least one duration")
     if bank is None:
         bank = DecoderBank(session.codes, max_dur_s=max(durations))
     curve = DecodingCurve(method_tag=tag, durations_s=durations, n_trials=session.n_trials)

@@ -11,18 +11,28 @@ takes most of a second, and decoding needs none of it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DataError, InvalidCutoff, NumericalFailure, TruncatedTrial
+from .errors import ConfigError, DataError, InvalidCutoff, NumericalFailure, TruncatedTrial
 
 TARGET_FS = 180.0
 
 # reflect padding applied around each channel before filtfilt, in seconds
 EDGE_PAD_S = 1.0
+
+
+def duration_samples(seconds: float) -> int:
+    """The number of TARGET_FS samples in ``seconds`` of data, rounded to
+    the nearest: the one seconds-to-samples conversion. A non-finite or
+    negative duration raises ConfigError."""
+    if not (seconds >= 0 and math.isfinite(seconds * TARGET_FS)):
+        raise ConfigError(f"a duration must be finite and non-negative, got {seconds} s")
+    return int(round(seconds * TARGET_FS))
 
 
 @dataclass
@@ -106,8 +116,10 @@ class Trial:
         return self.samples.shape[1]
 
     def prefix(self, duration_s: float) -> "Trial":
-        """The first duration_s seconds of the trial."""
-        t = int(round(duration_s * TARGET_FS))
+        """The first duration_s seconds of the trial, counted in samples by
+        duration_samples: a non-finite or negative duration raises
+        ConfigError, one past the trial's end TruncatedTrial."""
+        t = duration_samples(duration_s)
         if t > self.n_samples:
             raise TruncatedTrial(
                 f"requested {duration_s} s but trial holds {self.n_samples / TARGET_FS} s"
@@ -174,8 +186,8 @@ def segment_trials(
     """
     if rec.fs != TARGET_FS:
         raise DataError(f"recording at {rec.fs} Hz; trials are cut at {TARGET_FS} Hz only")
-    n_pre = int(round(pre_s * rec.fs))
-    n_dur = int(round(dur_s * rec.fs))
+    n_pre = duration_samples(pre_s)
+    n_dur = duration_samples(dur_s)
     n_total = rec.samples.shape[1]
     trials = []
     for onset in rec.markers:

@@ -16,8 +16,8 @@ from numpy.typing import NDArray
 
 from .codegen import BitSequence, default_code_set
 from .encoding import N_EVENTS, RESPONSE_LEN, n_cycles_to_cover, structure_for_code
-from .errors import InvalidSnr
-from .sigproc import TARGET_FS, Trial
+from .errors import ConfigError, InvalidSnr
+from .sigproc import TARGET_FS, Trial, duration_samples
 
 FULL_TRIAL_S = 31.5      # 15 cycles of a 126-frame code at 60 Hz
 
@@ -64,7 +64,7 @@ class ForwardModel:
             raise ValueError("mixing pattern must be non-zero")
         if self.noise not in ("white", "pink"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
-        if self.snr < 0:
+        if not self.snr >= 0:
             raise InvalidSnr(f"snr must be >= 0, got {self.snr}")
 
 
@@ -95,11 +95,15 @@ def synthesize_trial(
     the decoder scores) applied to the responses, so at snr=inf the model
     identity is exact. Noise power is scaled
     against the clean signal's power measured over the whole (C, T) array.
+    A duration that holds no sample or exceeds FULL_TRIAL_S raises
+    ConfigError.
     """
-    if dur_s > FULL_TRIAL_S:
-        raise ValueError(f"trial duration capped at {FULL_TRIAL_S} s")
+    n_samples = duration_samples(dur_s)
+    if not (n_samples > 0 and dur_s <= FULL_TRIAL_S):
+        raise ConfigError(
+            f"a trial holds at least one sample and at most {FULL_TRIAL_S} s, got {dur_s} s"
+        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n_samples = int(round(dur_s * TARGET_FS))
     n_cycles = n_cycles_to_cover(code, n_samples)
     struct = structure_for_code(code, n_cycles).truncated(n_samples)
     r = model.responses.reshape(-1)
@@ -150,7 +154,7 @@ def synthesize_session(
     seed, so identical seeds give byte-identical sessions.
     """
     if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+        raise ConfigError(f"a session needs at least one run, got {n_runs}")
     if codes is None:
         codes = default_code_set()
     n_codes = len(codes)

@@ -85,14 +85,9 @@ class EpochSet:
 
     @cached_property
     def epoch_sum(self) -> NDArray:
-        """Sum of the centred epochs, (D,): a first window sum, then one
-        frame in and one out per offset."""
-        y, k = self._centred[0], self.n_epochs
-        sums = np.empty((FRAMES_PER_EPOCH, y.shape[1]))
-        sums[0] = y[:k].sum(axis=0)
-        np.cumsum(y[k:] - y[: FRAMES_PER_EPOCH - 1], axis=0, out=sums[1:])
-        sums[1:] += sums[0]
-        return sums.ravel()
+        """Sum of the centred epochs, (D,): the window sum with all-one
+        weights."""
+        return self.weighted_sums(np.ones((1, self.n_epochs)))[0]
 
     @property
     def offset(self) -> NDArray:

@@ -49,6 +49,24 @@ class TestArchive:
         with pytest.raises(CorruptArchive):
             write_archive(Session(trials=[], codes=CODES), tmp_path / "e.cvep")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: [setattr(t, "samples", t.samples[:, :0]) for t in s.trials],
+            lambda s: s.trials[1].samples.__setitem__((0, 5), np.nan),
+            lambda s: s.trials[1].samples.__setitem__((0, 5), 1e39),
+            lambda s: setattr(s.trials[0], "code_index_true", len(CODES)),
+        ],
+        ids=["no-samples", "nan-sample", "float32-overflow", "label-out-of-range"],
+    )
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, edit):
+        session = _session()
+        edit(session)
+        path = tmp_path / "s.cvep"
+        with pytest.raises(CorruptArchive):
+            write_archive(session, path)
+        assert not path.exists()
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "s.cvep"
         write_archive(_session(), path)
@@ -156,6 +174,23 @@ def test_fuzzed_archive_loads_or_raises_data_error(valid_archive, data, drop, ex
     except DataError:
         return
     assert isinstance(session, Session)
+
+
+SIMULATE = "simulate --n-codes 3 --runs 1 --out {out}"
+
+#: command lines whose one malformed run parameter must be a data error
+MALFORMED_RUN_PARAMETERS = {
+    "decode-duration-nan": "decode --method cca_e1 --in {archive} --duration nan",
+    "decode-duration-inf": "decode --method cca_e1 --in {archive} --duration inf",
+    "decode-duration-negative": "decode --method cca_e1 --in {archive} --duration -1",
+    "config-duration-nan": "--config {config} decode --method cca_e1 --in {archive}",
+    "simulate-duration-0": SIMULATE + " --duration 0",
+    "simulate-duration-nan": SIMULATE + " --duration nan",
+    "simulate-duration-40": SIMULATE + " --duration 40",
+    "simulate-snr-nan": SIMULATE + " --duration 2.1 --snr nan",
+    "simulate-runs-0": SIMULATE + " --duration 2.1 --runs 0",
+    "codes-n-0": "codes --n 0 --out {out}",
+}
 
 
 def _simulate(tmp_path, name="s.cvep", extra=()):
@@ -317,6 +352,22 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        MALFORMED_RUN_PARAMETERS.values(),
+        ids=MALFORMED_RUN_PARAMETERS.keys(),
+    )
+    def test_malformed_run_parameter_exit_2(self, tmp_path, capsys, argv):
+        archive = _simulate(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"duration": "nan"}))
+        out = tmp_path / "out"
+        rc = main(argv.format(archive=archive, config=config, out=out).split())
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["umm_t11", "umm_tcw", "cca_e1"])

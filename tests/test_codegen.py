@@ -18,6 +18,7 @@ from cvepdecode.codegen import (
     select_subset,
 )
 from cvepdecode.errors import (
+    ConfigError,
     DegeneratePair,
     InsufficientCodes,
     InvalidSeed,
@@ -187,6 +188,12 @@ def test_select_subset_matches_pairwise_greedy(n):
     rng = np.random.default_rng(n)
     pool = [BitSequence(bits=tuple(int(b) for b in rng.integers(0, 2, 31))) for _ in range(15)]
     assert select_subset(pool, n) == _greedy_by_pairs(pool, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_select_subset_of_no_codes_is_a_config_error(n):
+    with pytest.raises(ConfigError):
+        select_subset(default_code_set(3), n)
 
 
 def test_select_subset_insufficient():

@@ -13,6 +13,7 @@ from cvepdecode.errors import (
     DegenerateSample,
     InvalidCutoff,
     NumericalError,
+    ShapeError,
     TruncatedTrial,
 )
 from cvepdecode.evaluate import (
@@ -101,6 +102,25 @@ class TestDecodeSession:
         bank = DecoderBank(CODES[:1], max_dur_s=31.5)
         assert bank.structures[0].mat.shape == (162, 5670)
 
+    def test_bank_serves_trials_up_to_its_reach(self):
+        session = _session(dur_s=4.2)
+        bank = DecoderBank(session.codes, max_dur_s=2.1)
+        for tag in METHOD_TAGS:
+            with pytest.raises(ShapeError):
+                decode_session(session, tag, 4.2, bank)
+
+    def test_session_without_bank_builds_one_reaching_the_duration(self, monkeypatch):
+        reaches = []
+        original = DecoderBank.__init__
+
+        def recorded(self, codes, max_dur_s):
+            reaches.append(max_dur_s)
+            original(self, codes, max_dur_s=max_dur_s)
+
+        monkeypatch.setattr(DecoderBank, "__init__", recorded)
+        decode_session(_session(), "cca_e1", 2.1)
+        assert reaches == [2.1]
+
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_duration_past_trial_end(self, tag):
         session = _session(dur_s=2.1)
@@ -145,6 +165,10 @@ class TestDecodingCurve:
         curve = decoding_curve(_session(n_codes=2), "umm_t11")
         assert curve.durations_s == (1.05, 2.1, 3.15, 4.2)
         assert len(curve.n_correct) == 4
+
+    def test_no_durations_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            decoding_curve(_session(n_codes=2), "umm_t11", durations_s=())
 
     def test_no_state_leak_between_durations(self):
         # the cumulative method decoded at one duration must match a fresh

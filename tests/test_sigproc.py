@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import signal
 
-from cvepdecode.errors import DataError, InvalidCutoff, TruncatedTrial
+from cvepdecode.errors import ConfigError, DataError, InvalidCutoff, TruncatedTrial
 from cvepdecode.sigproc import (
     ContinuousRecording,
     FilterSpec,
+    Trial,
     apply_zero_phase,
+    duration_samples,
     preprocess,
     resample,
     segment_trials,
@@ -163,3 +167,20 @@ def test_pipeline_order_matters():
     swapped = apply_zero_phase(BANDPASS, swapped)
     other = segment_trials(swapped, pre_s=0.5, dur_s=31.5)
     assert not np.allclose(trials[0].samples, other[0].samples)
+
+
+def test_duration_samples_rounds_to_the_180_hz_grid():
+    assert [duration_samples(d) for d in (0.0, 1.05, 4.2, 31.5)] == [0, 189, 756, 5670]
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, -1.0, 1e308])
+def test_duration_samples_rejects_durations_off_the_grid(seconds):
+    with pytest.raises(ConfigError):
+        duration_samples(seconds)
+
+
+@pytest.mark.parametrize("seconds", [-1.0, math.nan], ids=["negative", "nan"])
+def test_trial_prefix_rejects_a_malformed_duration(seconds):
+    trial = Trial(samples=np.zeros((2, 756)))
+    with pytest.raises(ConfigError):
+        trial.prefix(seconds)

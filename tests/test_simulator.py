@@ -5,7 +5,7 @@ import pytest
 
 from cvepdecode.codegen import default_code_set
 from cvepdecode.encoding import RESPONSE_LEN, structure_for_code
-from cvepdecode.errors import InvalidSnr
+from cvepdecode.errors import ConfigError, InvalidSnr
 from cvepdecode.sigproc import TARGET_FS as FS
 from cvepdecode.simulate import (
     FULL_TRIAL_S,
@@ -40,6 +40,10 @@ class TestForwardModel:
         with pytest.raises(InvalidSnr):
             ForwardModel(snr=-0.5)
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(InvalidSnr):
+            ForwardModel(snr=math.nan)
+
     def test_zero_mixing_rejected(self):
         with pytest.raises(ValueError):
             ForwardModel(mixing=np.zeros(8))
@@ -68,8 +72,13 @@ class TestSynthesizeTrial:
         assert trial.n_samples == 5670
 
     def test_duration_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             synthesize_trial(CODES[0], ForwardModel(), 40.0, 0, 0)
+
+    @pytest.mark.parametrize("dur_s", [0.0, 0.002, -1.0, math.nan])
+    def test_trial_without_samples_is_a_config_error(self, dur_s):
+        with pytest.raises(ConfigError):
+            synthesize_trial(CODES[0], ForwardModel(), dur_s, 0, 0)
 
     def test_zero_snr_is_pure_noise(self):
         # noise-only trials carry no code information: uncorrelated with clean
@@ -145,5 +154,5 @@ class TestSynthesizeSession:
         assert len(raw) == 3
 
     def test_invalid_run_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             synthesize_session(0, ForwardModel(), seed=0, codes=CODES)
