@@ -41,6 +41,9 @@ class ContinuousRecording:
 
     samples: (n_channels, n_samples) in microvolts.
     markers: sample indices of trial onsets.
+
+    A non-finite or non-positive rate raises ConfigError, a marker outside
+    the recording TruncatedTrial.
     """
 
     samples: NDArray[np.floating]
@@ -49,11 +52,14 @@ class ContinuousRecording:
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        if self.fs <= 0:
-            raise ValueError("sampling rate must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ConfigError(f"a sampling rate must be finite and positive, got {self.fs} Hz")
         n = self.samples.shape[1]
-        if any(not 0 <= m < n for m in self.markers):
-            raise ValueError("marker index outside the recording")
+        outside = [m for m in self.markers if not 0 <= m < n]
+        if outside:
+            raise TruncatedTrial(
+                f"marker {outside[0]} outside a recording of {n} samples"
+            )
 
 
 @dataclass(frozen=True)

@@ -151,10 +151,13 @@ def synthesize_session(
     """n_runs blocks of all codes in random order, one trial each.
 
     Per-trial noise streams are spawned deterministically from the session
-    seed, so identical seeds give byte-identical sessions.
+    seed, so identical seeds give byte-identical sessions. No runs or a
+    negative seed raises ConfigError.
     """
     if n_runs < 1:
         raise ConfigError(f"a session needs at least one run, got {n_runs}")
+    if seed < 0:
+        raise ConfigError(f"a session seed must be non-negative, got {seed}")
     if codes is None:
         codes = default_code_set()
     n_codes = len(codes)

@@ -6,20 +6,22 @@ sets; the hypothesis whose flash-minus-non-flash mean difference has the
 largest Mahalanobis energy wins. The covariance is the block-Toeplitz
 projection of the epochs' sample covariance, tapered linearly over the
 lags and shrunk toward a scaled identity with a Ledoit-Wolf intensity;
-its inverse is applied by one Cholesky factorisation of the dense
-block-Toeplitz matrix, built from the lag blocks with one gather.
+its inverse is applied by one in-place LAPACK Cholesky factorisation of
+the dense block-Toeplitz matrix, built from the lag blocks with one copy.
 
 An epoch is 18 consecutive frames of the trial, so an :class:`EpochSet`
 holds the trial's frames, not a copied epoch matrix, and computes every
-epoch statistic from them, about the frames' column mean: the scatter from
-18 lagged frame grams and a rank-4 step per frame offset, the fourth
-moment from each frame's deviation from its offset's window mean, and
-flash sums by weighting each epoch with its code bit (non-flash sums are
-the epoch total less them); offset 0's grams and the flash sums come from
-the window-sum kernel of :mod:`.encoding` that CCA shares. Each statistic is
-computed in one place: an EpochSet forms its scatter once, :func:`_cov_model`
-turns pooled scatter into the covariance model, and :class:`UmmDecoder`
-tiles the code bits once.
+epoch statistic from them, about the frames' column mean: the scatter as
+frame-block grams (the blocks on and above the diagonal, from 18 lagged
+frame grams and a rank-4 step per frame offset), the fourth moment from
+sliding sums of the frames' norms and of their products with the offset
+means, and flash sums by weighting each epoch with its code bit (non-flash
+sums are the epoch total less them); offset 0's grams and the flash sums
+come from the window-sum kernel of :mod:`.encoding` that CCA shares. No
+(D, D) scatter is formed. Each statistic is computed in one place: an
+EpochSet forms its grams once, :func:`_cov_model` reads the lag blocks,
+the trace and the Ledoit-Wolf intensity from pooled grams, and
+:class:`UmmDecoder` tiles the code bits once.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
@@ -59,8 +61,8 @@ class EpochSet:
     Epoch k is frames[k : k + 18] flattened, so its feature (t * C + c) is
     channel c at epoch sample t; it starts at frame k.
 
-    No (n_epochs, n_features) epoch matrix is formed: the scatter, the
-    fourth moment and the weighted epoch sums are computed from the
+    No (n_epochs, n_features) epoch matrix is formed: the scatter grams,
+    the fourth moment and the weighted epoch sums are computed from the
     frames, about their column mean.
     """
 
@@ -100,12 +102,18 @@ class EpochSet:
 
     @cached_property
     def centered_moments(self) -> tuple[NDArray, float]:
-        """(scatter, sq_norms4) about the epoch mean m: the (D, D) scatter
-        sum_k (x_k - m)(x_k - m)^T and sum_k ||x_k - m||^4, the fourth
-        moment the Ledoit-Wolf intensity needs. Computed on first use.
+        """(grams, sq_norms4) about the epoch mean m, computed on first use.
+
+        grams, (18, 3C, 18, 3C), holds the scatter
+        sum_k (x_k - m)(x_k - m)^T by frame blocks: block (a, a + l), rows
+        of frame offset a and columns of offset a + l, is grams[a, :, l, :],
+        the lag-0 blocks are exactly symmetric and entries with
+        a + l >= 18 are exactly 0; the blocks below the diagonal are the
+        transposes of these. sq_norms4 = sum_k ||x_k - m||^4 is the fourth
+        moment the Ledoit-Wolf intensity needs.
 
         With y the centred frames and s_a = sum_k y[k + a] the window sum
-        of offset a, block (a, a + l) of the scatter is
+        of offset a, block (a, a + l) is
         sum_k y[k + a] y[k + a + l]^T - s_a s_(a + l)^T / K. For a = 0 that
         is the lag-l frame gram less a small outer product; each later
         offset drops frame a - 1, adds frame K + a - 1 and moves its window
@@ -121,8 +129,6 @@ class EpochSet:
             return sliding_window_view(rows, n, axis=0).transpose(0, 2, 1)
 
         y_lag, sums_lag = lagged(np.concatenate([y, pad])), lagged(sums)
-        # grams[a, p, l, q] is entry (p, q) of block (a, a + l); entries
-        # with a + l >= n are never read
         grams = np.empty((n, width, n, width))
         grams[0] = window_sums(y, y[:k].T).reshape(width, n, width)
         grams[0] -= sums[0][:, np.newaxis, np.newaxis] * sums[:n]
@@ -137,25 +143,23 @@ class EpochSet:
         )
         for a in range(1, n):
             grams[a] += grams[a - 1]
+            grams[a, :, n - a :] = 0.0
         # the lag-0 blocks equal their transposes up to rounding; make them
-        # exactly so, then copy the block rows above the diagonal and
-        # mirror them below
+        # exactly so
         diagonal = grams[:, :, 0, :]
         diagonal += diagonal.transpose(0, 2, 1)
         diagonal *= 0.5
-        scatter = np.empty((n * width, n * width))
-        for a in range(n):
-            rows = slice(a * width, (a + 1) * width)
-            scatter[rows, a * width :] = grams[a, :, : n - a].reshape(width, (n - a) * width)
-            scatter[(a + 1) * width :, rows] = scatter[rows, (a + 1) * width :].T
 
+        # ||x_k - m||^2 = sum_a ||y[k+a]||^2 - 2 sum_a y[k+a].m_a + sum_a ||m_a||^2
+        # with m_a = s_a / K: an 18-frame sliding sum and a diagonal one
         means = self.epoch_sum.reshape(n, width) / k
-        dev = np.empty((k, width))
-        sq_norms = np.zeros(k)
-        for a in range(n):
-            np.subtract(y[a : a + k], means[a], out=dev)
-            sq_norms += np.einsum("ij,ij->i", dev, dev)
-        return scatter, float(sq_norms @ sq_norms)
+        cross = y @ means.T                       # [f, a] = y[f] . m_a
+        sq_norms = (
+            sliding_window_view(np.einsum("ij,ij->i", y, y), n).sum(axis=1)
+            - 2.0 * np.einsum("aak->k", sliding_window_view(cross, k, axis=0))
+            + np.vdot(means, means)
+        )
+        return grams, float(sq_norms @ sq_norms)
 
 
 def slice_epochs(trial: Trial) -> EpochSet:
@@ -181,11 +185,15 @@ def mean_difference(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray:
 
 def _dense_toeplitz(blocks: NDArray) -> NDArray:
     """The dense (n * C, n * C) matrix T[i, j] = B(i - j) of the lag blocks
-    B(l) = blocks[l], B(-l) = B(l)^T, gathered in one indexing step."""
+    B(l) = blocks[l], B(-l) = B(l)^T, C-contiguous and exactly symmetric:
+    block row i is a window of the lag-ordered blocks, so one copy of a
+    sliding-window view fills it."""
     n, c, _ = blocks.shape
-    by_lag = np.concatenate([blocks[:0:-1].transpose(0, 2, 1), blocks])  # lags -(n-1)..n-1
-    lag = np.arange(n)[:, np.newaxis] - np.arange(n) + n - 1
-    return by_lag[lag].transpose(0, 2, 1, 3).reshape(n * c, n * c)
+    # by_lag[m] = B(n - 1 - m): lags n-1 .. -(n-1)
+    by_lag = np.concatenate([blocks[::-1], blocks[1:].transpose(0, 2, 1)])
+    # windows[w, :, :, j] = by_lag[w + j]; row i is window n - 1 - i
+    windows = sliding_window_view(by_lag, n, axis=0)[::-1]
+    return windows.transpose(0, 1, 3, 2).reshape(n * c, n * c)
 
 
 def block_levinson_solve(blocks: NDArray, y: NDArray) -> NDArray:
@@ -194,17 +202,19 @@ def block_levinson_solve(blocks: NDArray, y: NDArray) -> NDArray:
     blocks: (n_lags, C, C) with T[i, j] = blocks[i - j] and
     B(-l) = B(l)^T. y: (n_lags * C,) or (n_lags * C, m).
 
-    Factors the dense T by Cholesky; at D = 432 this beats a block-Levinson
-    recursion, build included. The name is kept because the benchmark's
-    trace (benchmarks/tracing.py) wraps this function by name.
+    Gathers the dense T once and factors it in place with LAPACK's potrf:
+    T is C-contiguous and symmetric, so its transpose is the same matrix
+    in Fortran order and needs no copy. At D = 432 this beats a
+    block-Levinson recursion, build included. The name is kept because the
+    benchmark's trace (benchmarks/tracing.py) wraps this function by name.
     Raises DegenerateCovariance if T is not positive definite. Nothing is
     scanned for NaN here: :func:`_cov_model` checks the scatter's trace.
     """
-    try:
-        factor = linalg.cho_factor(_dense_toeplitz(blocks), check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise DegenerateCovariance("covariance is not positive definite") from exc
-    return linalg.cho_solve(factor, y, check_finite=False)
+    factor, info = lapack.dpotrf(_dense_toeplitz(blocks).T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise DegenerateCovariance("covariance is not positive definite")
+    x, info = lapack.dpotrs(factor, y.reshape(len(factor), -1), lower=1)
+    return x.reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -233,28 +243,55 @@ class CovModel:
         return block_levinson_solve(self.blocks, np.asarray(v, dtype=float))
 
 
-def _lag_blocks(cov: NDArray, n_lags: int, c: int) -> NDArray:
-    """Average the C x C block diagonals of a dense covariance (block
-    Toeplitz projection): one gather of every block (i + lag, i), ordered
-    by lag, and one segmented sum."""
-    lag, col = np.nonzero(np.tri(n_lags, dtype=bool)[::-1])   # col < n_lags - lag
-    view = cov.reshape(n_lags, c, n_lags, c)
-    starts = np.searchsorted(lag, np.arange(n_lags))
-    blocks = np.add.reduceat(view[col + lag, :, col, :], starts, axis=0)
-    blocks /= (n_lags - np.arange(n_lags))[:, np.newaxis, np.newaxis]
+def _lag_triples() -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """(s, l, s2, starts): the (frame lag l, phase s, phase s2) triples of
+    an epoch whose sample lag L = 3l + s2 - s is not negative, sorted by
+    L, and where each L's run of triples starts. A scatter entry of frame
+    block (a, a + l) at phases (s, s2) pairs sample 3a + s with sample
+    3a + s + L."""
+    p = SAMPLES_PER_FRAME
+    s, l, s2 = (
+        g.ravel()
+        for g in np.meshgrid(np.arange(p), np.arange(FRAMES_PER_EPOCH), np.arange(p), indexing="ij")
+    )
+    lag = p * l + s2 - s
+    keep = np.flatnonzero(lag >= 0)
+    order = keep[np.argsort(lag[keep], kind="stable")]
+    starts = np.searchsorted(lag[order], np.arange(RESPONSE_LEN))
+    return s[order], l[order], s2[order], starts
+
+
+_LAG_TRIPLES = _lag_triples()
+
+
+def _lag_blocks(grams: NDArray, n: int) -> NDArray:
+    """Average the C x C block diagonals of the covariance grams / n (block
+    Toeplitz projection): the grams summed over frame offsets, one gather
+    of the C x C sub-blocks of every (l, s, s2) triple and one segmented
+    sum into sample lags. The sums are of blocks above the diagonal, the
+    transposes of the lag blocks."""
+    s, l, s2, starts = _LAG_TRIPLES
+    p, c = SAMPLES_PER_FRAME, grams.shape[1] // SAMPLES_PER_FRAME
+    per_lag = grams.sum(axis=0).reshape(p, c, FRAMES_PER_EPOCH, p, c)
+    sums = np.add.reduceat(per_lag[s, :, l, s2, :], starts, axis=0)
+    sums /= (n * (RESPONSE_LEN - np.arange(RESPONSE_LEN)))[:, np.newaxis, np.newaxis]
+    blocks = sums.transpose(0, 2, 1)
     blocks[0] = (blocks[0] + blocks[0].T) / 2.0
     return blocks
 
 
-def _lw_gamma(sq_norms4: float, cov: NDArray, n: int) -> float:
-    """Ledoit-Wolf shrinkage intensity toward mu*I from accumulated
-    fourth moments; sq_norms4 = sum over epochs of ||x_k - mean||^4."""
-    d = cov.shape[0]
-    diag = np.diagonal(cov)
+def _lw_gamma(sq_norms4: float, grams: NDArray, n: int) -> float:
+    """Ledoit-Wolf shrinkage intensity toward mu*I of the covariance
+    grams / n from accumulated fourth moments; sq_norms4 = sum over epochs
+    of ||x_k - mean||^4. The Frobenius norm counts each block above the
+    diagonal twice and each lag-0 block once."""
+    lag0 = grams[:, :, 0, :]
+    diag = np.einsum("aii->ai", lag0).ravel() / n
+    d = diag.size
     mu = diag.mean()
-    sum_sq = float(np.vdot(cov, cov))
+    sum_sq = (2.0 * float(np.vdot(grams, grams)) - float(np.vdot(lag0, lag0))) / n**2
     # ||cov - mu I||^2: the off-diagonal squares plus the diagonal's
-    # squared deviations from mu, with no (D, D) temporary
+    # squared deviations from mu
     delta2 = (sum_sq - diag @ diag + float(np.sum((diag - mu) ** 2))) / d
     if delta2 <= 0:
         return 0.0
@@ -273,20 +310,18 @@ def _regularize(blocks: NDArray, gamma: float) -> NDArray:
     return out
 
 
-def _cov_model(
-    scatter: NDArray, sq_norms4: float, n: int, gamma: float | None, n_channels: int
-) -> CovModel:
-    """Regularized block-Toeplitz model of the covariance scatter / n,
+def _cov_model(grams: NDArray, sq_norms4: float, n: int, gamma: float | None) -> CovModel:
+    """Regularized block-Toeplitz model of the covariance grams / n,
+    the frame-block scatter grams (see :attr:`EpochSet.centered_moments`)
     pooled over n epochs; ``gamma`` None selects the Ledoit-Wolf
     intensity."""
     if n < 2:
         raise InsufficientEpochs(f"need at least 2 epochs, got {n}")
-    if not np.isfinite(np.trace(scatter)):
+    if not np.isfinite(np.einsum("aii->", grams[:, :, 0, :])):
         raise DegenerateCovariance("epoch covariance has a non-finite trace")
-    cov = scatter / n
     if gamma is None:
-        gamma = _lw_gamma(sq_norms4, cov, n)
-    blocks = _lag_blocks(cov, cov.shape[0] // n_channels, n_channels)
+        gamma = _lw_gamma(sq_norms4, grams, n)
+    blocks = _lag_blocks(grams, n)
     return CovModel(blocks=_regularize(blocks, gamma), shrinkage_gamma=gamma)
 
 
@@ -297,8 +332,8 @@ def estimate_covariance(ep: EpochSet, gamma: float | None = None) -> CovModel:
     small against the feature dimension, so automatic regularization is
     the default.
     """
-    scatter, sq_norms4 = ep.centered_moments
-    return _cov_model(scatter, sq_norms4, ep.n_epochs, gamma, ep.n_channels)
+    grams, sq_norms4 = ep.centered_moments
+    return _cov_model(grams, sq_norms4, ep.n_epochs, gamma)
 
 
 def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
@@ -325,7 +360,9 @@ class UmmState:
     """
 
     mode: str = MODE_INSTANTANEOUS
-    scatter: NDArray | None = None          # sum of per-trial centered scatter, (D, D)
+    # sum of the trials' centred scatter grams, (18, 3C, 18, 3C) in the
+    # layout of EpochSet.centered_moments: block (a, a + l) at [a, :, l, :]
+    scatter: NDArray | None = None
     sq_norms4: float = 0.0                  # sum of ||x_k - trial mean||^4
     n_epochs: int = 0
     flash_sum: NDArray | None = None        # (D,), confidence-weighted
@@ -342,7 +379,7 @@ def _pooled(state: UmmState | None, n_features: int) -> UmmState | None:
     n_features features, else None."""
     if state is None or state.mode != MODE_CUMULATIVE or state.is_empty():
         return None
-    if state.scatter.shape[0] != n_features:
+    if FRAMES_PER_EPOCH * state.scatter.shape[1] != n_features:
         raise ShapeError("accumulated statistics have a different feature count")
     return state
 
@@ -399,13 +436,13 @@ class UmmDecoder:
         """Score every hypothesis on the epochs, pooling a cumulative
         state's covariance statistics and ERP sums when it holds any."""
         pooled = _pooled(state, ep.n_features)
-        scatter, sq_norms4 = ep.centered_moments
+        grams, sq_norms4 = ep.centered_moments
         n = ep.n_epochs
         if pooled is not None:
-            scatter = scatter + pooled.scatter
+            grams = grams + pooled.scatter
             sq_norms4 += pooled.sq_norms4
             n += pooled.n_epochs
-        cov = _cov_model(scatter, sq_norms4, n, None, ep.n_channels)
+        cov = _cov_model(grams, sq_norms4, n, None)
         return score_hypotheses(self._deltas(ep, pooled), cov)
 
     def update_cumulative(
@@ -417,19 +454,19 @@ class UmmDecoder:
         if state.mode != MODE_CUMULATIVE:
             raise ValueError("update_cumulative requires a cumulative-mode state")
         d = ep.n_features
+        grams, sq_norms4 = ep.centered_moments
         if _pooled(state, d) is None:
             state = UmmState(
                 mode=MODE_CUMULATIVE,
-                scatter=np.zeros((d, d)),
+                scatter=np.zeros_like(grams),
                 flash_sum=np.zeros(d),
                 nonflash_sum=np.zeros(d),
             )
-        scatter, sq_norms4 = ep.centered_moments
         flash, nonflash = self._means(ep, [outcome.label])
         w = float(outcome.confidence)
         return UmmState(
             mode=MODE_CUMULATIVE,
-            scatter=state.scatter + scatter,
+            scatter=state.scatter + grams,
             sq_norms4=state.sq_norms4 + sq_norms4,
             n_epochs=state.n_epochs + ep.n_epochs,
             flash_sum=state.flash_sum + w * (flash[0] + ep.offset),

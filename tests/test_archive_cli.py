@@ -189,6 +189,7 @@ MALFORMED_RUN_PARAMETERS = {
     "simulate-duration-40": SIMULATE + " --duration 40",
     "simulate-snr-nan": SIMULATE + " --duration 2.1 --snr nan",
     "simulate-runs-0": SIMULATE + " --duration 2.1 --runs 0",
+    "simulate-seed-negative": SIMULATE + " --duration 2.1 --seed -1",
     "codes-n-0": "codes --n 0 --out {out}",
 }
 

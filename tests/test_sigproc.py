@@ -184,3 +184,15 @@ def test_trial_prefix_rejects_a_malformed_duration(seconds):
     trial = Trial(samples=np.zeros((2, 756)))
     with pytest.raises(ConfigError):
         trial.prefix(seconds)
+
+
+@pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -180.0], ids=["nan", "inf", "zero", "negative"])
+def test_recording_rejects_a_malformed_rate(fs):
+    with pytest.raises(ConfigError):
+        ContinuousRecording(samples=np.zeros((2, 1000)), fs=fs, markers=[10])
+
+
+@pytest.mark.parametrize("marker", [-1, 1000], ids=["before", "past"])
+def test_recording_rejects_a_marker_outside_it(marker):
+    with pytest.raises(TruncatedTrial):
+        ContinuousRecording(samples=np.zeros((2, 1000)), fs=FS, markers=[10, marker])

@@ -53,6 +53,51 @@ def _dense_from_blocks(blocks):
     return dense
 
 
+def _scatter_from_grams(grams):
+    """Reference (D, D) scatter of frame-block grams: block (a, a + l) is
+    grams[a, :, l, :], the block below the diagonal its transpose, filled
+    block by block. Asserts that entries with a + l >= 18 are exactly 0."""
+    n, width = grams.shape[:2]
+    dense = np.zeros((n * width, n * width))
+    for a in range(n):
+        assert not grams[a, :, n - a :].any()
+        for lag in range(n - a):
+            block = grams[a, :, lag, :]
+            b = a + lag
+            dense[a * width : (a + 1) * width, b * width : (b + 1) * width] = block
+            dense[b * width : (b + 1) * width, a * width : (a + 1) * width] = block.T
+    return dense
+
+
+def _dense_covariance(epochs, n_channels, gamma=None):
+    """Reference (tapered, shrunk lag blocks (54, C, C), gamma) of a (K, D)
+    epoch matrix, from the dense sample covariance: the averages of its
+    C x C block diagonals, tapered linearly to zero at the last lag and
+    shrunk toward nu*I; ``gamma`` None selects the analytic Ledoit-Wolf
+    intensity toward mu*I."""
+    k, d = epochs.shape
+    n_lags = d // n_channels
+    centred = epochs - epochs.mean(axis=0)
+    cov = centred.T @ centred / k
+    if gamma is None:
+        mu = np.trace(cov) / d
+        delta2 = np.sum((cov - mu * np.eye(d)) ** 2) / d
+        beta2 = (np.sum(np.sum(centred**2, axis=1) ** 2) / k**2 - np.sum(cov**2) / k) / d
+        gamma = float(np.clip(beta2 / delta2, 0.0, 1.0)) if delta2 > 0 else 0.0
+    blocks = np.zeros((n_lags, n_channels, n_channels))
+    for lag in range(n_lags):
+        for i in range(n_lags - lag):
+            r, c = (i + lag) * n_channels, i * n_channels
+            blocks[lag] += cov[r : r + n_channels, c : c + n_channels]
+        blocks[lag] /= n_lags - lag
+    blocks[0] = (blocks[0] + blocks[0].T) / 2.0
+    blocks *= (1.0 - np.arange(n_lags) / n_lags)[:, None, None]
+    nu = np.trace(blocks[0]) / n_channels
+    blocks *= 1.0 - gamma
+    blocks[0] += gamma * nu * np.eye(n_channels)
+    return blocks, gamma
+
+
 class TestSliceEpochs:
     def test_full_trial_epoch_count(self):
         trial = _trial_from_array(np.zeros((8, 5670)))
@@ -113,7 +158,8 @@ class TestTrialStatistics:
         assert ep.n_features == epochs.shape[1]
         amplitude = np.abs(x - x.mean(axis=1, keepdims=True)).max()
         centred = epochs - epochs.mean(axis=0)
-        scatter, sq_norms4 = ep.centered_moments
+        grams, sq_norms4 = ep.centered_moments
+        scatter = _scatter_from_grams(grams)
         assert _within(scatter, centred.T @ centred, amplitude**2)
         assert np.array_equal(scatter, scatter.T)
         want4 = np.sum(np.sum(centred**2, axis=1) ** 2)
@@ -151,7 +197,7 @@ class TestTrialStatistics:
         assert state.n_trials_seen == len(updates)
         assert state.n_epochs == 235 * len(updates)
         assert state.weight_total == sum(w for _, w, _ in updates)
-        assert _within(state.scatter, scatter, 0.0)
+        assert _within(_scatter_from_grams(state.scatter), scatter, 0.0)
         assert _within(state.sq_norms4, sq_norms4, 0.0)
         assert _within(state.flash_sum, flash_sum, 0.0)
         assert _within(state.nonflash_sum, nonflash_sum, 0.0)
@@ -212,6 +258,43 @@ class TestCovariance:
         dense = cov.dense()
         nu = dense[0, 0]
         assert np.allclose(dense, nu * np.eye(dense.shape[0]))
+
+    @pytest.mark.parametrize(
+        "n_channels, n_samples, offset",
+        [(1, 3 * 235 + 51, 0.0), (3, 3 * 235 + 51, 0.0), (8, 3 * 235 + 51, 0.0),
+         (3, 3 * 2 + 51, 0.0), (3, 3 * 235 + 53, 0.0), (8, 3 * 235 + 52, 1e4)],
+        ids=["C1", "C3", "C8", "K2", "partial-frame", "dc-offset"],
+    )
+    def test_matches_dense_covariance(self, n_channels, n_samples, offset):
+        rng = np.random.default_rng(n_channels + n_samples)
+        # an AR(1) drive gives the lag blocks structure beyond white noise
+        x = offset + rng.standard_normal((n_channels, n_samples)).cumsum(axis=1) * 0.1
+        x += rng.standard_normal(x.shape)
+        ep = slice_epochs(_trial_from_array(x))
+        for gamma in (0.0, None):
+            want, want_gamma = _dense_covariance(_dense_epochs(x), n_channels, gamma)
+            cov = estimate_covariance(ep, gamma)
+            assert _within(cov.blocks, want, 0.0)
+            assert _within(cov.shrinkage_gamma, want_gamma, 1.0)
+
+    def test_pooled_matches_dense_covariance(self):
+        # the state's grams from two updates, pooled with a third trial,
+        # against the dense covariance of the three trials' scatter
+        rng = np.random.default_rng(21)
+        dec = UmmDecoder(CODES, 2)
+        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        trials = [rng.standard_normal((3, 3 * 235 + 51)) + off for off in (0.0, 5.0, -2.0)]
+        out = DecodeOutcome(label=0, scores=np.zeros(len(CODES)), confidence=0.5)
+        for x in trials[:2]:
+            state = dec.update_cumulative(state, slice_epochs(_trial_from_array(x)), out)
+        grams, sq_norms4 = slice_epochs(_trial_from_array(trials[2])).centered_moments
+        cov = umm._cov_model(grams + state.scatter, sq_norms4 + state.sq_norms4, 3 * 235, None)
+        # each trial centred on its own mean: the stacked epochs then have
+        # zero mean, and the reference's centring leaves them as they are
+        epochs = [_dense_epochs(x) for x in trials]
+        want, gamma = _dense_covariance(np.concatenate([e - e.mean(axis=0) for e in epochs]), 3)
+        assert _within(cov.blocks, want, 0.0)
+        assert _within(cov.shrinkage_gamma, gamma, 1.0)
 
     def test_insufficient_epochs(self):
         ep = slice_epochs(_trial_from_array(np.zeros((1, 54))))
