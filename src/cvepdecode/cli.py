@@ -253,12 +253,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_curve_csv(path) -> dict:
+    """(duration_s, seed) -> accuracy. DataError for an unreadable file, an
+    accuracy that is not a number in [0, 1], or a repeated point, as when
+    two methods' curves are concatenated."""
     points = {}
     try:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 key = (row["duration_s"], row.get("seed", ""))
-                points[key] = float(row["accuracy"])
+                if key in points:
+                    raise DataError(
+                        f"curve CSV {path} repeats duration_s {key[0]}, seed {key[1]!r}"
+                    )
+                accuracy = float(row["accuracy"])
+                if not 0.0 <= accuracy <= 1.0:      # false for NaN too
+                    raise DataError(
+                        f"curve CSV {path} has accuracy {row['accuracy']} outside [0, 1]"
+                    )
+                points[key] = accuracy
     except (OSError, KeyError, ValueError) as exc:
         raise DataError(f"unreadable curve CSV {path}: {exc}") from exc
     if not points:

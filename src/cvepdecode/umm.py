@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 from scipy.linalg import lapack
 
@@ -185,15 +185,20 @@ def mean_difference(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray:
 
 def _dense_toeplitz(blocks: NDArray) -> NDArray:
     """The dense (n * C, n * C) matrix T[i, j] = B(i - j) of the lag blocks
-    B(l) = blocks[l], B(-l) = B(l)^T, C-contiguous and exactly symmetric:
-    block row i is a window of the lag-ordered blocks, so one copy of a
-    sliding-window view fills it."""
+    B(l) = blocks[l], B(-l) = B(l)^T, C-contiguous and exactly symmetric.
+    The lag-ordered blocks are laid out side by side, row a of every block
+    in row a of a (C, (2n - 1) * C) array, lags n-1 .. -(n-1): then matrix
+    row (i, a) is one contiguous run of n * C entries of row a, at offset
+    (n - 1 - i) * C, and one copy of a strided view fills T."""
     n, c, _ = blocks.shape
-    # by_lag[m] = B(n - 1 - m): lags n-1 .. -(n-1)
-    by_lag = np.concatenate([blocks[::-1], blocks[1:].transpose(0, 2, 1)])
-    # windows[w, :, :, j] = by_lag[w + j]; row i is window n - 1 - i
-    windows = sliding_window_view(by_lag, n, axis=0)[::-1]
-    return windows.transpose(0, 1, 3, 2).reshape(n * c, n * c)
+    wide = np.empty((c, 2 * n - 1, c))
+    wide[:, :n] = blocks[::-1].transpose(1, 0, 2)     # lags n-1 .. 0
+    wide[:, n:] = blocks[1:].transpose(2, 0, 1)       # lags -1 .. -(n-1)
+    step = wide.strides[2]
+    rows = as_strided(
+        wide[:, n - 1 :], shape=(n, c, n * c), strides=(-c * step, wide.strides[0], step)
+    )
+    return rows.reshape(n * c, n * c)
 
 
 def block_levinson_solve(blocks: NDArray, y: NDArray) -> NDArray:

@@ -288,6 +288,26 @@ class TestCli:
         assert main(["stats", "--a", str(a), "--b", str(a)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "a_rows",
+        [
+            ["cca_e1,1.05,0,20,10,nan", "cca_e1,2.1,0,20,12,0.6"],
+            ["cca_e1,1.05,0,20,10,inf", "cca_e1,2.1,0,20,12,0.6"],
+            ["cca_e1,1.05,0,20,10,1.5", "cca_e1,2.1,0,20,12,0.6"],
+            # two methods' curves concatenated: each point twice
+            ["cca_e1,1.05,0,20,10,0.5", "cca_e1,2.1,0,20,12,0.6",
+             "umm_t11,1.05,0,20,19,0.95", "umm_t11,2.1,0,20,20,1.0"],
+        ],
+        ids=["nan", "inf", "above_one", "repeated_point"],
+    )
+    def test_stats_malformed_curve_exit_2(self, tmp_path, capsys, a_rows):
+        header = "method,duration_s,seed,n_trials,n_correct,accuracy"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("\n".join([header, *a_rows]) + "\n")
+        b.write_text(f"{header}\ncca_e1,1.05,0,20,2,0.1\ncca_e1,2.1,0,20,3,0.15\n")
+        assert main(["stats", "--a", str(a), "--b", str(b)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["decode", "--in", "x.cvep"]) == 1  # missing --method
         assert main(["frobnicate"]) == 1

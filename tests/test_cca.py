@@ -202,13 +202,56 @@ def test_bank_stores_no_dense_design():
 
     bank = DecoderBank(CODES, max_dur_s=31.5)
     assert sum(s.events.nbytes for s in bank.structures) < 2**20
-    # a decoder keeps per-frame event weights, and grams and their factors,
-    # whose size does not grow with the trial
+    # a decoder keeps per-frame event weights, and grams and their inverse
+    # factors, whose size does not grow with the trial
     decoder = bank.cca(5670)
-    assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_factors"}
+    assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_inverse_factors"}
     assert decoder.weights.shape == (60, 1890)
     assert decoder.weights.nbytes < 2**20
-    assert decoder.grams.shape == decoder.gram_factors.shape == (20, 3, 54, 54)
+    assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 3, 54, 54)
+
+
+@pytest.mark.parametrize("n_samples", [54, 756, 5670])
+def test_whitening_routes_agree(n_samples):
+    # an empty-sum cumulative state refactors the decoder's own grams and
+    # solves per block; the instantaneous route applies the inverse factors.
+    # Code 0's 54 x 54 phase grams have rank 18 at 54 samples and 51 at
+    # 756 and 5670: the ridge holds them up.
+    structs = [structure_for_code(c, 15) for c in CODES]
+    decoder = CcaDecoder(structs, n_samples)
+    session = synthesize_session(1, ForwardModel(snr=0.05), seed=4, codes=CODES[:1], dur_s=31.5)
+    trial = Trial(samples=session.trials[0].samples[:, :n_samples])
+    c = trial.n_channels
+    state = CcaState(
+        mode=cca.MODE_CUMULATIVE,
+        sxx=np.zeros((c, c)),
+        sxm=np.zeros((3, cca.PHASE_DIM, c)),
+        smm=np.zeros((3, cca.PHASE_DIM, cca.PHASE_DIM)),
+        n_trials_seen=1,
+    )
+    instant = decoder.decode(trial).scores
+    cumulative = decoder.decode(trial, state).scores
+    assert np.all(np.abs(instant - cumulative) <= 1e-12 * np.abs(cumulative))
+
+
+def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
+    decoder = CcaDecoder(STRUCTS_1C, 378)
+    trial = _clean_trial(6)
+    calls = []
+
+    def counted(name):
+        original = getattr(cca.lapack, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(cca.lapack, name, call)
+
+    counted("dtrtrs")
+    counted("dpotrf")
+    assert decoder.decode(trial).label == 6
+    assert sorted(calls) == [("dpotrf", (8, 8)), ("dtrtrs", (8, 8))]
 
 
 @pytest.mark.parametrize("n_samples", [54, 189, 190, 191, 756, 5669, 5670])

@@ -311,6 +311,21 @@ class TestCovariance:
 
 
 class TestBlockLevinson:
+    @pytest.mark.parametrize("n, c", [(1, 1), (2, 3), (54, 8)])
+    def test_dense_toeplitz_is_the_block_fill(self, n, c):
+        rng = np.random.default_rng(n * 10 + c)
+        lags = rng.normal(size=(n, c, c))
+        lags[0] += lags[0].T
+        dense = np.empty((n * c, n * c))
+        for i in range(n):
+            for j in range(n):
+                block = lags[i - j] if i >= j else lags[j - i].T
+                dense[i * c : (i + 1) * c, j * c : (j + 1) * c] = block
+        got = umm._dense_toeplitz(lags)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, dense)
+        assert np.array_equal(got, got.T)
+
     def test_matches_dense_on_random_spd_block_toeplitz(self):
         rng = np.random.default_rng(5)
         n, c = 20, 3
