@@ -10,16 +10,20 @@ The decoder stores no design matrix. Every event fires at a frame start,
 so design row (event e, lag 3a + p) is nonzero only at samples of phase p
 (t % 3 == p): the temporal gram M_i M_i^T is zero between lags of
 different phases, and is three PHASE_DIM x PHASE_DIM phase grams, rows
-ordered (event, frame lag a). They are built from the hypotheses' frame
-weights, one code at a time, factored once, and the factors inverted
-once. The cross-covariances of a trial with every hypothesis' design are
-one call of the frame window-sum kernel of :mod:`.encoding`, split by
-phase. An instantaneous decision whitens them by one batched product with
-the inverse factors and one product with the inverse spatial factor; a
-cumulative one refactors its grams and solves per (hypothesis, phase).
-Each hypothesis scores the square root of the largest eigenvalue of its
-C x C matrix K^T K, K its whitened cross-covariance: all hypotheses in one
-batched symmetric eigenvalue call.
+ordered (event, frame lag a). Every frame holds all three phases but the
+last, which holds the first r = (n_samples - 1) % 3 + 1: phases p < r share
+one gram and phases p >= r another, the first less the last frame's outer
+product. So a code keeps one gram block when r = 3, else two, built from
+its frame weights, factored once, and the factors inverted once. The
+cross-covariances of a trial with every hypothesis' design are one call of
+the frame window-sum kernel of :mod:`.encoding`, laid out (event, frame
+lag) by (phase, channel): the phases that share a block are one run of
+columns. An instantaneous decision whitens them by one batched product
+with the inverse factors per block; a cumulative one refactors its grams
+and solves per (hypothesis, block). Both then apply the inverse spatial
+factor by one product. Each hypothesis scores the square root of the
+largest eigenvalue of its C x C matrix K^T K, K its whitened
+cross-covariance: all hypotheses in one batched symmetric eigenvalue call.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAM
 from .encoding import StructureMatrix, lagged, trial_frames, window_sums
 from .errors import (
     DegenerateCovariance,
+    LabelOutOfRange,
     NumericalFailure,
     ShapeError,
     TrialTooShort,
@@ -60,30 +65,41 @@ class CcaState:
     accumulators are shared across hypotheses: the spatial covariance does
     not depend on the hypothesis, and under naive labeling every
     hypothesis reuses the same predicted structure of past trials. The
-    temporal terms are split by sample phase, like the decoder's grams.
+    terms are laid out like the decoder's: the cross term by (phase,
+    channel) columns, the temporal one as its distinct phase gram blocks.
     """
 
     mode: str = MODE_INSTANTANEOUS
     sxx: NDArray | None = None     # (C, C)
-    sxm: NDArray | None = None     # (3, PHASE_DIM, C): x M^T, transposed, by phase
-    smm: NDArray | None = None     # (3, PHASE_DIM, PHASE_DIM): phase grams
+    sxm: NDArray | None = None     # (PHASE_DIM, 3 * C): x M^T, transposed, phase-major columns
+    smm: NDArray | None = None     # (B, PHASE_DIM, PHASE_DIM): distinct phase grams
     n_trials_seen: int = 0
 
     def is_empty(self) -> bool:
         return self.n_trials_seen == 0
 
 
-def _ridged_cholesky(blocks: NDArray, what: str) -> NDArray:
+def _phase_runs(n_samples: int) -> list[range]:
+    """The runs of sample phases that share a phase gram over n_samples
+    samples: the r = (n_samples - 1) % 3 + 1 phases the last frame holds,
+    then the rest; one run when r = 3."""
+    r = (n_samples - 1) % SAMPLES_PER_FRAME + 1
+    return [range(r)] if r == SAMPLES_PER_FRAME else [range(r), range(r, SAMPLES_PER_FRAME)]
+
+
+def _ridged_cholesky(blocks: NDArray, what: str, counts: list[int] | None = None) -> NDArray:
     """Lower Cholesky factors of the float stack blocks (..., B, n, n), the B
-    diagonal blocks of block-diagonal matrices, in place: callers pass
-    scratch. Each matrix is ridged by RIDGE_REL times its mean diagonal.
-    LAPACK's potrf factors block by block, as in :func:`_whiten`; its
-    clean=1 zeroes the upper triangles."""
-    tr = np.trace(blocks, axis1=-2, axis2=-1).sum(axis=-1)
+    distinct diagonal blocks of block-diagonal matrices, in place: callers
+    pass scratch. Block b stands for counts[b] diagonal blocks (one each
+    by default). Each matrix is ridged by RIDGE_REL times the mean diagonal
+    of its whole block-diagonal matrix. LAPACK's potrf factors block by
+    block; its clean=1 zeroes the upper triangles."""
+    counts = np.ones(blocks.shape[-3]) if counts is None else np.asarray(counts, dtype=float)
+    tr = np.trace(blocks, axis1=-2, axis2=-1) @ counts
     if not np.all(np.isfinite(tr) & (tr > 0)):
         bad = "non-positive" if np.all(np.isfinite(tr)) else "non-finite"
         raise DegenerateCovariance(f"{what} covariance has a {bad} trace")
-    ridge = RIDGE_REL * tr / (blocks.shape[-3] * blocks.shape[-1])
+    ridge = RIDGE_REL * tr / (counts.sum() * blocks.shape[-1])
     np.einsum("...ii->...i", blocks)[...] += ridge[..., np.newaxis, np.newaxis]
     for i in np.ndindex(blocks.shape[:-2]):
         blocks[i], info = lapack.dpotrf(blocks[i], lower=1, clean=1)
@@ -100,18 +116,6 @@ def _inverted(factors: NDArray) -> NDArray:
         if info:
             raise DegenerateCovariance("temporal covariance factor is singular")
     return factors
-
-
-def _whiten(lx: NDArray, smx: NDArray, lm: NDArray) -> NDArray:
-    """lm^-1 smx lx^-T for the lower Cholesky factors lx (C, C) and lm
-    (..., n, n) and the transposed cross-covariances smx (..., n, C): one
-    spatial solve over every column, then one temporal solve per factor.
-    LAPACK is called directly: SciPy's wrappers cost more than a 54 x 54
-    solve, and the inputs were checked to be finite."""
-    k = lapack.dtrtrs(lx, smx.reshape(-1, len(lx)).T, lower=1)[0].T.reshape(smx.shape)
-    for i in np.ndindex(lm.shape[:-2]):
-        k[i] = lapack.dtrtrs(lm[i], k[i], lower=1)[0]
-    return k
 
 
 def fit_filters(
@@ -131,8 +135,11 @@ def fit_filters(
     """
     lx = _ridged_cholesky(np.array(sxx, dtype=float)[np.newaxis], "spatial")[0]
     lm = _ridged_cholesky(np.array(smm, dtype=float)[np.newaxis], "temporal")[0]
-    whitened = _whiten(lx, np.asarray(sxm, dtype=float).T, lm)
-    u, s, vt = linalg.svd(whitened.T, full_matrices=False)
+    # lx^-1 sxm lm^-T by two triangular solves; LAPACK is called directly:
+    # SciPy's wrappers cost more than a small solve
+    k = lapack.dtrtrs(lx, np.asarray(sxm, dtype=float), lower=1)[0]
+    whitened = lapack.dtrtrs(lm, k.T, lower=1)[0].T
+    u, s, vt = linalg.svd(whitened, full_matrices=False)
     rho = float(s[0])
     if not np.isfinite(rho):
         raise NumericalFailure("canonical correlation came out non-finite")
@@ -144,21 +151,24 @@ def fit_filters(
 
 
 def _phase_grams(weights: NDArray, n_samples: int) -> NDArray:
-    """The (3, PHASE_DIM, PHASE_DIM) phase grams of one code's design over
-    n_samples samples, from its frame weights (N_EVENTS, K), K frames.
+    """The (B, PHASE_DIM, PHASE_DIM) distinct phase grams of one code's
+    design over n_samples samples, one per run of :func:`_phase_runs`, from
+    its frame weights (N_EVENTS, K), K = ceil(n_samples / 3) frames.
 
-    Block p, entry ((e, a), (e', a')), is the gram entry of lags 3a + p and
-    3a' + p: the sum over the frames g that hold a sample of phase p of
-    weights[e, g - a] weights[e', g - a']. Every frame holds phase p, except
-    that the last holds only phases p < n_samples - 3 (K - 1); so a block is
-    the gram of the :func:`.encoding.lagged` weights over all K frames, less
-    the last frame's outer product where that frame lacks its phase.
+    Phase p's gram, entry ((e, a), (e', a')), is the gram entry of lags
+    3a + p and 3a' + p: the sum over the frames g that hold a sample of
+    phase p of weights[e, g - a] weights[e', g - a']. Every frame holds
+    phase p, except that the last holds only the phases of the first run;
+    so the first block is the gram of the :func:`.encoding.lagged` weights
+    over all K frames, and the second, if any, that less the last frame's
+    outer product.
     """
     design = lagged(weights, FRAMES_PER_EPOCH)         # (PHASE_DIM, K)
-    grams = np.repeat((design @ design.T)[np.newaxis], SAMPLES_PER_FRAME, axis=0)
+    full = design @ design.T
+    if len(_phase_runs(n_samples)) == 1:
+        return full[np.newaxis]
     last = design[:, -1]
-    grams[n_samples - SAMPLES_PER_FRAME * (weights.shape[1] - 1) :] -= np.outer(last, last)
-    return grams
+    return np.stack([full, full - np.outer(last, last)])
 
 
 class CcaDecoder:
@@ -166,11 +176,13 @@ class CcaDecoder:
 
     It keeps ``weights`` (N * N_EVENTS, ceil(n_samples / 3)), event e of
     hypothesis i at each frame start in row i * N_EVENTS + e, and as
-    (N, 3, PHASE_DIM, PHASE_DIM) stacks the phase grams of every M_i M_i^T
-    and the inverses of their ridged lower Cholesky factors: the temporal
-    whitening of an instantaneous decision is one batched product with
-    them. A cumulative decision adds its state's grams and refactors. Every
-    structure must hold at least n_samples samples: ShapeError otherwise.
+    (N, B, PHASE_DIM, PHASE_DIM) stacks the B distinct phase grams of every
+    M_i M_i^T (B = 1 when n_samples is a multiple of 3, else 2; see
+    :func:`_phase_runs`) and the inverses of their ridged lower Cholesky
+    factors: the temporal whitening of an instantaneous decision is one
+    batched product with them per block. A cumulative decision adds its
+    state's grams and refactors. Every structure must hold at least
+    n_samples samples: ShapeError otherwise.
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
@@ -191,7 +203,18 @@ class CcaDecoder:
             raise ValueError("events must fire at frame starts")
         per_code = self.weights.reshape(len(structures), N_EVENTS, -1)
         self.grams = np.stack([_phase_grams(w, n_samples) for w in per_code])
-        self.gram_inverse_factors = _inverted(_ridged_cholesky(self.grams.copy(), "temporal"))
+        self.gram_inverse_factors = _inverted(
+            _ridged_cholesky(self.grams.copy(), "temporal", self._phase_counts())
+        )
+
+    def _phase_counts(self) -> list[int]:
+        """How many phases each gram block stands for."""
+        return [len(run) for run in _phase_runs(self.n_samples)]
+
+    def _block_columns(self, n_channels: int) -> list[slice]:
+        """The (phase, channel) columns of each gram block's phases."""
+        return [slice(run.start * n_channels, run.stop * n_channels)
+                for run in _phase_runs(self.n_samples)]
 
     def _samples(self, trial: Trial) -> NDArray:
         x = trial.samples[:, : self.n_samples]
@@ -201,33 +224,52 @@ class CcaDecoder:
             )
         return finite_samples(x)
 
+    def _check_state(self, state: CcaState, n_channels: int) -> None:
+        """ShapeError unless the state's sums have this decoder's shapes for
+        trials of n_channels channels: a state of another length or channel
+        count must not broadcast into the decision."""
+        want = {
+            "sxx": (n_channels, n_channels),
+            "sxm": (PHASE_DIM, SAMPLES_PER_FRAME * n_channels),
+            "smm": self.grams.shape[1:],
+        }
+        for name, shape in want.items():
+            got = np.shape(getattr(state, name))
+            if got != shape:
+                raise ShapeError(f"accumulated {name} has shape {got}, decoder expects {shape}")
+
     def _smx(self, x: NDArray, weights: NDArray) -> NDArray:
-        """M_i x^T by phase, (n, 3, PHASE_DIM, C), for the hypotheses whose
-        weight rows are given. Zero frames past the trial cut the responses
-        that run past its end."""
+        """M_i x^T, (n, PHASE_DIM, 3 * C), for the hypotheses whose weight
+        rows are given: row (event, frame lag a) and column (phase, channel)
+        hold design row (event, lag 3a + p) against channel c. Zero frames
+        past the trial cut the responses that run past its end."""
         frames = trial_frames(x, weights.shape[1] + FRAMES_PER_EPOCH - 1)
         sums = window_sums(frames, weights)     # [i * N_EVENTS + e, (a * 3 + p) * C + c]
-        sums = sums.reshape(-1, N_EVENTS, FRAMES_PER_EPOCH, SAMPLES_PER_FRAME, len(x))
-        return sums.transpose(0, 3, 1, 2, 4).reshape(-1, SAMPLES_PER_FRAME, PHASE_DIM, len(x))
+        return sums.reshape(-1, PHASE_DIM, SAMPLES_PER_FRAME * len(x))
 
     def decode(self, trial: Trial, state: CcaState | None = None) -> DecodeOutcome:
         x = self._samples(trial)
+        c = len(x)
         sxx = x @ x.T
         smx = self._smx(x, self.weights)
+        columns = self._block_columns(c)
+        k = np.empty_like(smx)
         if state is not None and state.mode == MODE_CUMULATIVE and not state.is_empty():
-            if state.sxx.shape != sxx.shape:
-                raise ShapeError("accumulated spatial covariance has a different channel count")
-            lm = _ridged_cholesky(self.grams + state.smm, "temporal")
-            lx = _ridged_cholesky((sxx + state.sxx)[np.newaxis], "spatial")[0]
-            k = _whiten(lx, smx + state.sxm, lm)
+            self._check_state(state, c)
+            sxx = sxx + state.sxx
+            lm = _ridged_cholesky(self.grams + state.smm, "temporal", self._phase_counts())
+            smx = smx + state.sxm
+            for i, b in np.ndindex(lm.shape[:2]):
+                k[i, :, columns[b]] = lapack.dtrtrs(lm[i, b], smx[i, :, columns[b]], lower=1)[0]
         else:
-            lx = _ridged_cholesky(sxx[np.newaxis], "spatial")[0]
-            # lx^-1 by one solve against the identity: at 8 channels, a
-            # product with it is ten times faster than a triangular solve
-            # over the 3 * PHASE_DIM * N columns
-            lx_inv = lapack.dtrtrs(lx, np.eye(len(x)), lower=1)[0]
-            k = np.matmul(self.gram_inverse_factors, smx).reshape(-1, len(x)) @ lx_inv.T
-        k = k.reshape(len(smx), -1, len(x))
+            for b, cols in enumerate(columns):
+                np.matmul(self.gram_inverse_factors[:, b], smx[:, :, cols], out=k[:, :, cols])
+        lx = _ridged_cholesky(sxx[np.newaxis], "spatial")[0]
+        # lx^-1 by one solve against the identity: at 8 channels, a product
+        # with it is ten times faster than a triangular solve over the
+        # 3 * PHASE_DIM * N columns
+        lx_inv = lapack.dtrtrs(lx, np.eye(c), lower=1)[0]
+        k = (k.reshape(-1, c) @ lx_inv.T).reshape(len(k), -1, c)
         # the largest singular value of each K, from its C x C gram
         top = np.linalg.eigvalsh(k.transpose(0, 2, 1) @ k)[:, -1]
         rhos = np.sqrt(np.maximum(top, 0.0))
@@ -243,16 +285,19 @@ class CcaDecoder:
         with the design of its own predicted label (naive labeling)."""
         if state.mode != MODE_CUMULATIVE:
             raise ValueError("update_cumulative requires a cumulative-mode state")
+        if not 0 <= predicted < len(self.grams):
+            raise LabelOutOfRange(
+                f"label {predicted} is not one of the {len(self.grams)} hypotheses"
+            )
         x = self._samples(trial)
-        sxx = x @ x.T
-        (smx,) = self._smx(x, self.weights[N_EVENTS * predicted : N_EVENTS * (predicted + 1)])
         if state.is_empty():
             state = CcaState(mode=MODE_CUMULATIVE, sxx=0.0, sxm=0.0, smm=0.0)
-        elif state.sxx.shape != sxx.shape or state.sxm.shape != smx.shape:
-            raise ShapeError("trial dimensions inconsistent with accumulated state")
+        else:
+            self._check_state(state, len(x))
+        (smx,) = self._smx(x, self.weights[N_EVENTS * predicted : N_EVENTS * (predicted + 1)])
         return CcaState(
             mode=MODE_CUMULATIVE,
-            sxx=state.sxx + sxx,
+            sxx=state.sxx + x @ x.T,
             sxm=state.sxm + smx,
             smm=state.smm + self.grams[predicted],
             n_trials_seen=state.n_trials_seen + 1,

@@ -73,6 +73,10 @@ class ShapeError(DataError):
     """Array dimensions inconsistent with accumulated state."""
 
 
+class LabelOutOfRange(DataError):
+    """A decided label names no hypothesis of the decoder."""
+
+
 class InsufficientEpochs(DataError):
     """Too few epochs for covariance estimation."""
 

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateCovariance,
     DegenerateHypothesis,
     InsufficientEpochs,
+    LabelOutOfRange,
     NumericalFailure,
     ShapeError,
     TrialTooShort,
@@ -458,6 +459,10 @@ class UmmDecoder:
         outcome's confidence as weight."""
         if state.mode != MODE_CUMULATIVE:
             raise ValueError("update_cumulative requires a cumulative-mode state")
+        if not 0 <= outcome.label < self.n_hypotheses:
+            raise LabelOutOfRange(
+                f"label {outcome.label} is not one of the {self.n_hypotheses} hypotheses"
+            )
         d = ep.n_features
         grams, sq_norms4 = ep.centered_moments
         if _pooled(state, d) is None:

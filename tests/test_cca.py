@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cvepdecode import cca
+from cvepdecode import cca, errors
 from cvepdecode.cca import CcaDecoder, CcaState, fit_filters
 from cvepdecode.codegen import default_code_set
 from cvepdecode.encoding import N_EVENTS, RESPONSE_LEN, StructureMatrix, structure_for_code
-from cvepdecode.errors import DegenerateCovariance, TrialTooShort
+from cvepdecode.errors import DegenerateCovariance, ShapeError, TrialTooShort
 from cvepdecode.sigproc import Trial
 from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
 
@@ -148,6 +148,25 @@ def test_update_requires_cumulative_mode():
         DECODER_2S.update_cumulative(CcaState(), _clean_trial(0), 0)
 
 
+@pytest.mark.parametrize("label", [20, -1, -21])
+def test_update_refuses_label_out_of_range(label):
+    state = CcaState(mode=cca.MODE_CUMULATIVE)
+    with pytest.raises(errors.LabelOutOfRange):
+        DECODER_2S.update_cumulative(state, _clean_trial(0), label)
+
+
+def test_state_of_another_length_refused():
+    # 189 samples end in a whole frame, 190 in a frame of one sample: the
+    # 190-sample decoder keeps two phase grams per code, the state one
+    trial = _clean_trial(4)
+    short, longer = CcaDecoder(STRUCTS_1C, 189), CcaDecoder(STRUCTS_1C, 190)
+    state = short.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), trial, 4)
+    with pytest.raises(ShapeError):
+        longer.decode(trial, state)
+    with pytest.raises(ShapeError):
+        longer.update_cumulative(state, trial, 4)
+
+
 def test_cumulative_beats_instantaneous_at_moderate_snr():
     # mirrors the cumulative > instantaneous ordering on a synthetic session
     from cvepdecode.evaluate import DecoderBank, accuracy_of, decode_session
@@ -208,7 +227,8 @@ def test_bank_stores_no_dense_design():
     assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_inverse_factors"}
     assert decoder.weights.shape == (60, 1890)
     assert decoder.weights.nbytes < 2**20
-    assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 3, 54, 54)
+    # 5670 samples end in a whole frame: the three phase grams are one
+    assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 1, 54, 54)
 
 
 @pytest.mark.parametrize("n_samples", [54, 756, 5670])
@@ -225,8 +245,8 @@ def test_whitening_routes_agree(n_samples):
     state = CcaState(
         mode=cca.MODE_CUMULATIVE,
         sxx=np.zeros((c, c)),
-        sxm=np.zeros((3, cca.PHASE_DIM, c)),
-        smm=np.zeros((3, cca.PHASE_DIM, cca.PHASE_DIM)),
+        sxm=np.zeros((cca.PHASE_DIM, 3 * c)),
+        smm=np.zeros((1, cca.PHASE_DIM, cca.PHASE_DIM)),
         n_trials_seen=1,
     )
     instant = decoder.decode(trial).scores
@@ -234,9 +254,7 @@ def test_whitening_routes_agree(n_samples):
     assert np.all(np.abs(instant - cumulative) <= 1e-12 * np.abs(cumulative))
 
 
-def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
-    decoder = CcaDecoder(STRUCTS_1C, 378)
-    trial = _clean_trial(6)
+def _count_lapack_calls(monkeypatch, names):
     calls = []
 
     def counted(name):
@@ -248,10 +266,56 @@ def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
 
         monkeypatch.setattr(cca.lapack, name, call)
 
-    counted("dtrtrs")
-    counted("dpotrf")
+    for name in names:
+        counted(name)
+    return calls
+
+
+def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
+    decoder = CcaDecoder(STRUCTS_1C, 378)
+    trial = _clean_trial(6)
+    calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial).label == 6
     assert sorted(calls) == [("dpotrf", (8, 8)), ("dtrtrs", (8, 8))]
+
+
+@pytest.mark.parametrize("n_samples, n_calls", [(378, 21), (377, 41)])
+def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_samples, n_calls):
+    # one dpotrf and one dtrtrs per (hypothesis, gram block), and one each
+    # for the spatial factor and its inverse: 378 samples end in a whole
+    # frame (one block per code), 377 in a frame of two samples (two)
+    decoder = CcaDecoder(STRUCTS_1C, n_samples)
+    past, trial = _clean_trial(1), _clean_trial(2)
+    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
+    calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
+    assert decoder.decode(trial, state).label == 2
+    names = [name for name, _ in calls]
+    assert names.count("dpotrf") == names.count("dtrtrs") == n_calls
+
+
+def _phase_blocks(n_samples):
+    """The gram block of each of the three sample phases."""
+    return [b for b, run in enumerate(cca._phase_runs(n_samples)) for _ in run]
+
+
+def _dense_phase_grams(mat):
+    """The three phase grams cut from the dense gram: dense index
+    e * 54 + 3a + p, phase-gram index e * 18 + a."""
+    dense = (mat @ mat.T).reshape(N_EVENTS, 18, 3, N_EVENTS, 18, 3)
+    return np.stack([dense[:, :, p, :, :, p].reshape(54, 54) for p in range(3)])
+
+
+@pytest.mark.parametrize("n_samples", [190, 191])
+def test_ridge_is_that_of_the_three_phase_stack(n_samples):
+    # the ridge follows the mean diagonal of the whole 162 x 162 gram: each
+    # block's trace counts once per phase it stands for
+    structs = [structure_for_code(c, 15) for c in CODES]
+    decoder = CcaDecoder(structs, n_samples)
+    three = np.stack([_dense_phase_grams(s.truncated(n_samples).mat) for s in structs])
+    want = cca._inverted(cca._ridged_cholesky(three, "temporal"))
+    got = decoder.gram_inverse_factors[:, _phase_blocks(n_samples)]
+    assert got.shape == want.shape == (20, 3, 54, 54)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n_samples", [54, 189, 190, 191, 756, 5669, 5670])
@@ -263,6 +327,8 @@ def test_phase_grams_are_the_dense_gram(n_samples):
     decoder = CcaDecoder(structs, n_samples)
     lags = np.arange(N_EVENTS * RESPONSE_LEN) % RESPONSE_LEN
     off_phase = lags[:, np.newaxis] % 3 != lags % 3
+    blocks = _phase_blocks(n_samples)
+    assert decoder.grams.shape[1] == max(blocks) + 1 == (1 if n_samples % 3 == 0 else 2)
     for struct, grams in zip(structs, decoder.grams):
         mat = struct.truncated(n_samples).mat
         dense = mat @ mat.T
@@ -270,7 +336,7 @@ def test_phase_grams_are_the_dense_gram(n_samples):
         # dense index e * 54 + 3a + p, phase-gram index e * 18 + a
         rebuilt = np.zeros((N_EVENTS, 18, 3, N_EVENTS, 18, 3))
         for p in range(3):
-            rebuilt[:, :, p, :, :, p] = grams[p].reshape(N_EVENTS, 18, N_EVENTS, 18)
+            rebuilt[:, :, p, :, :, p] = grams[blocks[p]].reshape(N_EVENTS, 18, N_EVENTS, 18)
         assert np.array_equal(rebuilt.reshape(dense.shape), dense)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from cvepdecode import umm
+from cvepdecode import errors, umm
 from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.errors import (
     DegenerateCovariance,
@@ -493,3 +493,11 @@ class TestCumulative:
         small = slice_epochs(Trial(samples=np.zeros((4, 120))))
         with pytest.raises(ShapeError):
             dec.update_cumulative(state, small, out)
+
+    @pytest.mark.parametrize("label", [20, -1])
+    def test_label_out_of_range(self, label):
+        # -1 must not fold the trial into the last code's sums
+        dec = UmmDecoder(CODES, 1)
+        out = DecodeOutcome(label=label, scores=np.zeros(20), confidence=0.5)
+        with pytest.raises(errors.LabelOutOfRange):
+            dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), self._epochs(), out)
