@@ -18,8 +18,11 @@ its frame weights, factored once, and the factors inverted once. The
 cross-covariances of a trial with every hypothesis' design are one call of
 the frame window-sum kernel of :mod:`.encoding`, laid out (event, frame
 lag) by (phase, channel): the phases that share a block are one run of
-columns. An instantaneous decision whitens them by one batched product
-with the inverse factors per block; a cumulative one refactors its grams
+columns. The frame weights repeat with the code's period, so on a trial of
+two full code cycles or more the kernel works on the frames folded by the
+period (:func:`.encoding.tiled_window_sums`), not on every frame. An
+instantaneous decision whitens them by one batched product with the
+inverse factors per block; a cumulative one refactors its grams
 and solves per (hypothesis, block). Both then apply the inverse spatial
 factor by one product. Each hypothesis scores the square root of the
 largest eigenvalue of its C x C matrix K^T K, K its whitened
@@ -35,7 +38,8 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import StructureMatrix, lagged, trial_frames, window_sums
+from .encoding import StructureMatrix, TiledWeights, common_period, lagged
+from .encoding import tiled_window_sums, trial_frames
 from .errors import (
     DegenerateCovariance,
     LabelOutOfRange,
@@ -174,18 +178,21 @@ def _phase_grams(weights: NDArray, n_samples: int) -> NDArray:
 class CcaDecoder:
     """Scores every code hypothesis on trials of one length.
 
-    It keeps ``weights`` (N * N_EVENTS, ceil(n_samples / 3)), event e of
-    hypothesis i at each frame start in row i * N_EVENTS + e, and as
-    (N, B, PHASE_DIM, PHASE_DIM) stacks the B distinct phase grams of every
+    It keeps ``weights``, the (N * N_EVENTS, ceil(n_samples / 3)) frame
+    weights, event e of hypothesis i at each frame start in row
+    i * N_EVENTS + e, as :class:`.encoding.TiledWeights` of the code
+    length; and as (N, B, PHASE_DIM, PHASE_DIM) stacks the B distinct phase grams of every
     M_i M_i^T (B = 1 when n_samples is a multiple of 3, else 2; see
     :func:`_phase_runs`) and the inverses of their ridged lower Cholesky
     factors: the temporal whitening of an instantaneous decision is one
     batched product with them per block. A cumulative decision adds its
     state's grams and refactors. Every structure must hold at least
-    n_samples samples: ShapeError otherwise.
+    n_samples samples (ShapeError otherwise), and all must tile codes of
+    one length (InvalidCodeSet otherwise).
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
+        period = common_period(s.period for s in structures)
         if n_samples < RESPONSE_LEN:
             raise TrialTooShort(
                 f"trial of {n_samples} samples is shorter than one response "
@@ -198,11 +205,12 @@ class CcaDecoder:
             )
         self.n_samples = n_samples
         events = np.concatenate([s.truncated(n_samples).events for s in structures])
-        self.weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
-        if np.count_nonzero(self.weights) != np.count_nonzero(events):
+        weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
+        if np.count_nonzero(weights) != np.count_nonzero(events):
             raise ValueError("events must fire at frame starts")
-        per_code = self.weights.reshape(len(structures), N_EVENTS, -1)
+        per_code = weights.reshape(len(structures), N_EVENTS, -1)
         self.grams = np.stack([_phase_grams(w, n_samples) for w in per_code])
+        self.weights = TiledWeights.of(weights, period)
         self.gram_inverse_factors = _inverted(
             _ridged_cholesky(self.grams.copy(), "temporal", self._phase_counts())
         )
@@ -238,13 +246,13 @@ class CcaDecoder:
             if got != shape:
                 raise ShapeError(f"accumulated {name} has shape {got}, decoder expects {shape}")
 
-    def _smx(self, x: NDArray, weights: NDArray) -> NDArray:
+    def _smx(self, x: NDArray, weights: TiledWeights) -> NDArray:
         """M_i x^T, (n, PHASE_DIM, 3 * C), for the hypotheses whose weight
         rows are given: row (event, frame lag a) and column (phase, channel)
         hold design row (event, lag 3a + p) against channel c. Zero frames
         past the trial cut the responses that run past its end."""
-        frames = trial_frames(x, weights.shape[1] + FRAMES_PER_EPOCH - 1)
-        sums = window_sums(frames, weights)     # [i * N_EVENTS + e, (a * 3 + p) * C + c]
+        frames = trial_frames(x, weights.n_frames + FRAMES_PER_EPOCH - 1)
+        sums = tiled_window_sums(frames, weights)   # [i * N_EVENTS + e, (a * 3 + p) * C + c]
         return sums.reshape(-1, PHASE_DIM, SAMPLES_PER_FRAME * len(x))
 
     def decode(self, trial: Trial, state: CcaState | None = None) -> DecodeOutcome:
@@ -294,7 +302,8 @@ class CcaDecoder:
             state = CcaState(mode=MODE_CUMULATIVE, sxx=0.0, sxm=0.0, smm=0.0)
         else:
             self._check_state(state, len(x))
-        (smx,) = self._smx(x, self.weights[N_EVENTS * predicted : N_EVENTS * (predicted + 1)])
+        rows = slice(N_EVENTS * predicted, N_EVENTS * (predicted + 1))
+        (smx,) = self._smx(x, self.weights.rows(rows))
         return CcaState(
             mode=MODE_CUMULATIVE,
             sxx=state.sxx + x @ x.T,

@@ -10,17 +10,27 @@ event train on demand and never stored. Events fire at frame starts, so
 both decoders sum response windows with one kernel, :func:`window_sums`
 over :func:`trial_frames`: CCA weights the windows by each hypothesis'
 events, UMM by its flash bits.
+
+Both weightings repeat with the code's period, its length in frames
+(:class:`TiledWeights`): one cycle's pattern, plus a few corrections where
+a flash run is cut by the tiling's first or last frame and where the
+trial onset fires. A window sum is linear in the frames, so
+:func:`tiled_window_sums` folds a trial of at least two full cycles by the
+period first: the full cycles' windows are one window sum of the pattern
+over P + 17 summed frames, the last partial cycle one more over its own
+frames, and the corrections one product with their windows. The kernel's
+work then follows the code length, not the trial length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 
 from .codegen import PRESENTATION_RATE_HZ, BitSequence
-from .errors import UnmodulatedCode
+from .errors import InvalidCodeSet, UnmodulatedCode
 from .sigproc import TARGET_FS
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
@@ -45,10 +55,113 @@ def trial_frames(x: NDArray, n_frames: int) -> NDArray[np.float64]:
 def window_sums(frames: NDArray, weights: NDArray) -> NDArray:
     """sum_k weights[r, k] frames[k : k + FRAMES_PER_EPOCH].ravel() for each
     row r: (R, FRAMES_PER_EPOCH * width) for frames (K + FRAMES_PER_EPOCH - 1,
-    width) and weights (R, K): one stacked product over the frame offsets."""
-    windows = sliding_window_view(frames, weights.shape[1], axis=0).transpose(0, 2, 1)
+    width) and weights (R, K): one stacked product over the frame offsets,
+    of a strided view that copies nothing (it costs less to build than a
+    sliding_window_view, which matters at a few hundred frames)."""
+    n_frames, width = frames.shape
+    if n_frames != weights.shape[1] + FRAMES_PER_EPOCH - 1:
+        raise ValueError(f"{n_frames} frames do not hold the windows of {weights.shape[1]} weights")
+    step, column = frames.strides
+    windows = as_strided(
+        frames, (FRAMES_PER_EPOCH, weights.shape[1], width), (step, step, column), writeable=False
+    )
     sums = np.matmul(weights, windows)                    # (FRAMES_PER_EPOCH, R, width)
-    return sums.transpose(1, 0, 2).reshape(len(weights), FRAMES_PER_EPOCH * frames.shape[1])
+    return sums.transpose(1, 0, 2).reshape(len(weights), FRAMES_PER_EPOCH * width)
+
+
+@dataclass(frozen=True)
+class TiledWeights:
+    """Frame weights (R, n_frames) that tile one cycle, pattern (R, P):
+    weights[:, k] = pattern[:, k % P], plus corrections[:, j] at frame
+    positions[j]."""
+
+    pattern: NDArray
+    n_frames: int
+    positions: NDArray[np.intp]     # (n_pos,) distinct frames below n_frames
+    corrections: NDArray            # (R, n_pos)
+
+    @classmethod
+    def tiling(cls, pattern: NDArray, n_frames: int) -> "TiledWeights":
+        """The pattern tiled over n_frames frames, with no corrections."""
+        return cls(pattern, n_frames, np.empty(0, np.intp), np.empty((len(pattern), 0)))
+
+    @classmethod
+    def of(cls, weights: NDArray, period: int) -> "TiledWeights":
+        """The dense weights (R, K) as the tiling of their second cycle,
+        frames period .. 2 * period - 1, and their exact differences from
+        it. A tiled code's events leave the cycle only at frame 0, where the
+        onset fires and a flash run may start instead of continuing one that
+        wraps the cycle, and at the tiling's last frame, where such a run is
+        cut; so the differences sit at two frames at most. Weights of fewer
+        than two cycles are kept whole, one cycle of their own length:
+        folding them would save nothing."""
+        n_frames = weights.shape[1]
+        if n_frames < 2 * period:
+            return cls.tiling(weights, n_frames)
+        pattern = weights[:, period : 2 * period]
+        differences = weights - cls.tiling(pattern, n_frames).dense()
+        positions = np.flatnonzero(np.any(differences != 0, axis=0))
+        return cls(pattern, n_frames, positions, differences[:, positions])
+
+    @property
+    def period(self) -> int:
+        return self.pattern.shape[1]
+
+    def rows(self, index) -> "TiledWeights":
+        """The weights of the rows ``index`` (a slice or an index array)."""
+        return replace(self, pattern=self.pattern[index], corrections=self.corrections[index])
+
+    def dense(self) -> NDArray:
+        """The (R, n_frames) weights."""
+        weights = self.pattern[:, np.arange(self.n_frames) % self.period]
+        weights[:, self.positions] += self.corrections
+        return weights
+
+
+def tiled_window_sums(frames: NDArray, weights: TiledWeights) -> NDArray:
+    """:func:`window_sums` of frames (K + FRAMES_PER_EPOCH - 1, width) with
+    the tiled weights, K = weights.n_frames.
+
+    Frames that hold q >= 2 full cycles of P frames are folded first:
+    folded[g] = sum_(c < q) frames[g + c P] for g < P + 17, and the full
+    cycles' windows are the pattern's window sums over the fold. Row
+    g >= P of the fold is row g - P less frames[g - P] plus
+    frames[g - P + q P]. The last K - q P windows are one more window sum
+    over frames[q P:], and the corrections one product with the windows
+    at their positions. Nothing assumes the frames past K are zero. With
+    fewer than two cycles the dense weights go to the kernel as they are.
+    """
+    period, n_frames = weights.period, weights.n_frames
+    n_cycles = n_frames // period
+    if n_cycles < 2:
+        return window_sums(frames, weights.dense())
+    full = n_cycles * period
+    n_fold = period + FRAMES_PER_EPOCH - 1
+    folded = np.empty((n_fold, frames.shape[1]))
+    folded[:period] = frames[:full].reshape(n_cycles, period, -1).sum(axis=0)
+    for g in range(period, n_fold, period):     # once for codes of 17 frames or more
+        stop = min(g + period, n_fold)
+        folded[g:stop] = (
+            folded[g - period : stop - period]
+            - frames[g - period : stop - period]
+            + frames[g - period + full : stop - period + full]
+        )
+    sums = window_sums(folded, weights.pattern)
+    if n_frames > full:
+        sums += window_sums(frames[full:], weights.pattern[:, : n_frames - full])
+    if weights.positions.size:
+        offsets = weights.positions[:, np.newaxis] + np.arange(FRAMES_PER_EPOCH)
+        sums += weights.corrections @ frames[offsets].reshape(len(offsets), -1)
+    return sums
+
+
+def common_period(periods) -> int:
+    """The one code length, in frames, of a code set: the period every
+    decoder folds its trials by. InvalidCodeSet if the lengths differ."""
+    distinct = sorted(set(periods))
+    if len(distinct) != 1:
+        raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {distinct}")
+    return distinct[0]
 
 
 def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
@@ -66,12 +179,20 @@ def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
 class StructureMatrix:
     """A code's event train: events (n_events, n_samples), 0/1 int8 at 180 Hz.
 
-    ``mat`` is the reconvolution design those events stand for, built on
-    each access: callers that need the dense matrix (grams, the simulator,
-    oracles) build it, use it and let it go.
+    ``period`` is the length in frames of the code the events tile; by
+    default the events are one cycle, whole frames of it. ``mat`` is the
+    reconvolution design those events stand for, built on each access:
+    callers that need the dense matrix (grams, the simulator, oracles)
+    build it, use it and let it go.
     """
 
     events: NDArray[np.int8]
+    period: int | None = None
+
+    def __post_init__(self):
+        if self.period is None:
+            n_frames = -(-self.events.shape[1] // SAMPLES_PER_FRAME)
+            object.__setattr__(self, "period", n_frames)
 
     @property
     def mat(self) -> NDArray[np.float64]:
@@ -84,7 +205,7 @@ class StructureMatrix:
 
         Valid because every design column depends on past events only.
         """
-        return StructureMatrix(events=self.events[:, :n_samples])
+        return replace(self, events=self.events[:, :n_samples])
 
 
 def _flash_runs(bits: NDArray) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
@@ -116,6 +237,7 @@ def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
     A run of a single 1 produces a short-flash event at the run's first
     frame; a run of two 1s a long-flash event. Runs may span cycle
     boundaries of the tiled sequence. The onset event fires at t=0 only.
+    The code's length is the train's period.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -124,4 +246,4 @@ def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
     events = np.zeros((N_EVENTS, len(tiled) * SAMPLES_PER_FRAME), dtype=np.int8)
     events[np.where(lengths == 1, EVENT_SHORT, EVENT_LONG), starts * SAMPLES_PER_FRAME] = 1
     events[EVENT_ONSET, 0] = 1
-    return StructureMatrix(events=events)
+    return StructureMatrix(events=events, period=len(code))

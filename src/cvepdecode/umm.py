@@ -16,12 +16,16 @@ frame-block grams (the blocks on and above the diagonal, from 18 lagged
 frame grams and a rank-4 step per frame offset), the fourth moment from
 sliding sums of the frames' norms and of their products with the offset
 means, and flash sums by weighting each epoch with its code bit (non-flash
-sums are the epoch total less them); offset 0's grams and the flash sums
-come from the window-sum kernel of :mod:`.encoding` that CCA shares. No
-(D, D) scatter is formed. Each statistic is computed in one place: an
+sums are the epoch total less them); offset 0's grams come from the
+window-sum kernel of :mod:`.encoding` that CCA shares, as do the epoch
+sums. The flash bits repeat with the code's period, so the flash sums of a
+trial of two full code cycles or more are taken over its frames folded by
+the period (:func:`.encoding.tiled_window_sums`); the lag-0 frame grams
+weight the frames by data, not by a period, and stay on the plain kernel.
+No (D, D) scatter is formed. Each statistic is computed in one place: an
 EpochSet forms its grams once, :func:`_cov_model` reads the lag blocks,
 the trace and the Ledoit-Wolf intensity from pooled grams, and
-:class:`UmmDecoder` tiles the code bits once.
+:class:`UmmDecoder` keeps one cycle of the code bits.
 """
 from __future__ import annotations
 
@@ -35,8 +39,10 @@ from scipy.linalg import lapack
 
 from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import trial_frames, window_sums
+from .encoding import TiledWeights, common_period, tiled_window_sums, trial_frames
+from .encoding import window_sums
 from .errors import (
+    ConfidenceOutOfRange,
     DegenerateCovariance,
     DegenerateHypothesis,
     InsufficientEpochs,
@@ -89,17 +95,19 @@ class EpochSet:
     @cached_property
     def epoch_sum(self) -> NDArray:
         """Sum of the centred epochs, (D,): the window sum with all-one
-        weights."""
-        return self.weighted_sums(np.ones((1, self.n_epochs)))[0]
+        weights. It stays on the plain kernel: folding by a one-frame
+        period costs more than it saves at a few hundred epochs."""
+        return window_sums(self._centred[0], np.ones((1, self.n_epochs)))[0]
 
     @property
     def offset(self) -> NDArray:
         """The epoch-feature shift removed by centring, (D,)."""
         return self._centred[1]
 
-    def weighted_sums(self, weights: NDArray) -> NDArray:
-        """weights @ (centred epochs), (R, D), for weights (R, K)."""
-        return window_sums(self._centred[0], weights)
+    def weighted_sums(self, weights: TiledWeights) -> NDArray:
+        """weights @ (centred epochs), (R, D), for tiled weights of K
+        frames."""
+        return tiled_window_sums(self._centred[0], weights)
 
     @cached_property
     def centered_moments(self) -> tuple[NDArray, float]:
@@ -393,12 +401,16 @@ def _pooled(state: UmmState | None, n_features: int) -> UmmState | None:
 class UmmDecoder:
     """UMM decoding against a fixed code set.
 
-    The codes are tiled once over n_cycles into an (N, frames) 0/1 matrix;
-    an epoch's label under each hypothesis is the bit at its onset frame.
+    It keeps one cycle of the codes, ``bits`` (N, P) 0/1, tiled over
+    n_cycles: an epoch's label under each hypothesis is the bit at its
+    onset frame, frames beyond n_cycles * P raise ShapeError. The codes must
+    be of one length, P: InvalidCodeSet otherwise.
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):
-        self.bits = np.array([np.tile(c.array, n_cycles) for c in codes], dtype=np.float64)
+        period = common_period(len(c) for c in codes)
+        self.bits = np.array([c.array for c in codes], dtype=np.float64)
+        self.n_frames = n_cycles * period
 
     @property
     def n_hypotheses(self) -> int:
@@ -410,14 +422,14 @@ class UmmDecoder:
         hypotheses ``rows``: flash sums weight the epochs by the code bits,
         non-flash sums are the epoch total less them."""
         k = ep.n_epochs
-        if k > self.bits.shape[1]:
+        if k > self.n_frames:
             raise ShapeError(
-                f"codes tiled to {self.bits.shape[1]} frames, "
+                f"codes tiled to {self.n_frames} frames, "
                 f"epochs extend to frame {k - 1}"
             )
         rows = np.asarray(rows)
-        flash = self.bits[rows, :k]
-        n_flash = flash.sum(axis=1, keepdims=True)
+        flash = TiledWeights.tiling(self.bits[rows], k)
+        n_flash = flash.dense().sum(axis=1, keepdims=True)
         degenerate = np.flatnonzero((n_flash[:, 0] == 0) | (n_flash[:, 0] == k))
         if degenerate.size:
             raise DegenerateHypothesis(
@@ -456,13 +468,16 @@ class UmmDecoder:
     ) -> UmmState:
         """Pool the trial's covariance statistics unconditionally; add its
         flash/non-flash means to the predicted hypothesis' sums with the
-        outcome's confidence as weight."""
+        outcome's confidence as weight, which must lie in [0, 1]."""
         if state.mode != MODE_CUMULATIVE:
             raise ValueError("update_cumulative requires a cumulative-mode state")
         if not 0 <= outcome.label < self.n_hypotheses:
             raise LabelOutOfRange(
                 f"label {outcome.label} is not one of the {self.n_hypotheses} hypotheses"
             )
+        w = float(outcome.confidence)
+        if not 0.0 <= w <= 1.0:
+            raise ConfidenceOutOfRange(f"confidence {w} is not a weight in [0, 1]")
         d = ep.n_features
         grams, sq_norms4 = ep.centered_moments
         if _pooled(state, d) is None:
@@ -473,7 +488,6 @@ class UmmDecoder:
                 nonflash_sum=np.zeros(d),
             )
         flash, nonflash = self._means(ep, [outcome.label])
-        w = float(outcome.confidence)
         return UmmState(
             mode=MODE_CUMULATIVE,
             scatter=state.scatter + grams,

@@ -221,12 +221,14 @@ def test_bank_stores_no_dense_design():
 
     bank = DecoderBank(CODES, max_dur_s=31.5)
     assert sum(s.events.nbytes for s in bank.structures) < 2**20
-    # a decoder keeps per-frame event weights, and grams and their inverse
-    # factors, whose size does not grow with the trial
+    # a decoder keeps per-frame event weights as one code cycle and the
+    # corrections at the tiling's first and last frames, and grams and their
+    # inverse factors, whose size does not grow with the trial
     decoder = bank.cca(5670)
     assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_inverse_factors"}
-    assert decoder.weights.shape == (60, 1890)
-    assert decoder.weights.nbytes < 2**20
+    assert decoder.weights.pattern.shape == (60, 126)
+    assert decoder.weights.n_frames == 1890
+    assert list(decoder.weights.positions) == [0, 1889]
     # 5670 samples end in a whole frame: the three phase grams are one
     assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 1, 54, 54)
 

@@ -1,17 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cvepdecode import cca, encoding, umm
+from cvepdecode.cca import CcaDecoder, CcaState
 from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.encoding import (
     EVENT_LONG,
     EVENT_ONSET,
     EVENT_SHORT,
+    FRAMES_PER_EPOCH,
     RESPONSE_LEN,
     StructureMatrix,
+    TiledWeights,
     n_cycles_to_cover,
     structure_for_code,
+    tiled_window_sums,
+    window_sums,
 )
 from cvepdecode.errors import UnmodulatedCode
+from cvepdecode.sigproc import Trial
+from cvepdecode.simulate import ForwardModel, synthesize_trial
+from cvepdecode.umm import UmmDecoder, UmmState, slice_epochs
 
 
 def _code(bits):
@@ -111,3 +122,96 @@ def test_cycle_count_follows_code_length():
     assert [n_cycles_to_cover(code, n) for n in (54, 378, 379, 756, 5670)] == [1, 1, 2, 2, 15]
     short = BitSequence(bits=code.bits[:64])  # 192 samples per cycle
     assert [n_cycles_to_cover(short, n) for n in (192, 193, 756)] == [1, 2, 4]
+
+
+def test_structure_records_the_code_length():
+    code = default_code_set(1)[0]
+    assert structure_for_code(code, 15).period == 126
+    assert structure_for_code(code, 15).truncated(378).period == 126
+    assert StructureMatrix(events=np.zeros((3, 379), dtype=np.int8)).period == 127
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    period=st.integers(1, 40),
+    n_cycles=st.integers(0, 5),
+    rem=st.integers(0, 39),
+    n_rows=st.integers(1, 4),
+    zero_past=st.booleans(),
+    first=st.booleans(),
+    last=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(period=30, n_cycles=0, rem=20, n_rows=2, zero_past=False, first=True, last=True, seed=0)
+@example(period=30, n_cycles=3, rem=0, n_rows=2, zero_past=True, first=True, last=True, seed=1)
+@example(period=30, n_cycles=3, rem=7, n_rows=2, zero_past=False, first=True, last=True, seed=2)
+@example(period=5, n_cycles=4, rem=3, n_rows=3, zero_past=False, first=True, last=True, seed=3)
+def test_tiled_window_sums_are_the_dense_kernel(
+    period, n_cycles, rem, n_rows, zero_past, first, last, seed
+):
+    # integer weights keep the split into pattern and corrections exact;
+    # frames past K are nonzero for UMM's epochs and zero for CCA's trials
+    n_frames = n_cycles * period + rem % period
+    if n_frames == 0:
+        n_frames = 1
+    rng = np.random.default_rng(seed)
+    pattern = rng.integers(-2, 3, size=(n_rows, period)).astype(float)
+    weights = np.tile(pattern, n_cycles + 1)[:, :n_frames]
+    positions = sorted({k for k, on in ((0, first), (n_frames - 1, last)) if on})
+    for k in positions:
+        weights[:, k] += rng.integers(1, 3, size=n_rows)
+    frames = rng.normal(size=(n_frames + FRAMES_PER_EPOCH - 1, 3))
+    if zero_past:
+        frames[n_frames:] = 0.0
+    want = window_sums(frames, weights)
+    explicit = TiledWeights(
+        pattern, n_frames, np.array(positions, dtype=np.intp),
+        weights[:, positions] - np.tile(pattern, n_cycles + 1)[:, positions],
+    )
+    for tiled in (explicit, TiledWeights.of(weights, period)):
+        assert np.array_equal(tiled.dense(), weights)
+        got = tiled_window_sums(frames, tiled)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _record_window_sum_frames(monkeypatch):
+    """The frame counts every call of the window-sum kernel is given."""
+    seen = []
+    original = encoding.window_sums
+
+    def recorded(frames, weights):
+        seen.append(len(frames))
+        return original(frames, weights)
+
+    monkeypatch.setattr(encoding, "window_sums", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("n_samples, most_frames", [(5670, 126 + 17), (720, 240 + 17)])
+def test_decisions_fold_trials_of_two_code_cycles(monkeypatch, n_samples, most_frames):
+    # 31.5 s is 15 cycles of the 126-frame codes: the kernel sees one cycle
+    # and the 17 frames the last window runs past it. 4.0 s (240 frames)
+    # holds one full cycle, so the kernel sees the whole trial.
+    codes = default_code_set(20)
+    decoder = CcaDecoder([structure_for_code(c, 15) for c in codes], n_samples)
+    trial = synthesize_trial(codes[0], ForwardModel(snr=0.05), 31.5, 4, 0)
+    trial = Trial(samples=trial.samples[:, :n_samples])
+    seen = _record_window_sum_frames(monkeypatch)
+    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), trial, 0)
+    decoder.decode(trial, state)
+    decoder.decode(trial)
+    assert seen and max(seen) == most_frames
+
+
+@pytest.mark.parametrize("dur_s, most_frames", [(31.5, 126 + 17), (4.2, 235 + 17)])
+def test_flash_sums_fold_trials_of_two_code_cycles(monkeypatch, dur_s, most_frames):
+    # 31.5 s holds 1873 epochs, 14 full cycles of the 126-frame codes: the
+    # kernel sees one cycle and the 17 frames past it. 4.2 s holds 235
+    # epochs, one full cycle: the flash sums see every frame.
+    codes = default_code_set(20)
+    ep = slice_epochs(synthesize_trial(codes[3], ForwardModel(snr=0.05), dur_s, 0, 3))
+    seen = _record_window_sum_frames(monkeypatch)
+    dec = UmmDecoder(codes, 15)
+    out = dec.decode_epochs(ep)
+    dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), ep, out)
+    assert seen and max(seen) == most_frames

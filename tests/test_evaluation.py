@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cvepdecode.cca import CcaDecoder
 from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.encoding import structure_for_code
 from cvepdecode.errors import (
     ConfigError,
     DegenerateCovariance,
     DegenerateSample,
+    InvalidCodeSet,
     InvalidCutoff,
     NumericalError,
     ShapeError,
@@ -87,6 +90,14 @@ class TestDecodeSession:
         for tag in METHOD_TAGS:
             outcomes = decode_session(session, tag, 4.2, bank)
             assert accuracy_of(outcomes, session.trials)[1] == 1.0, tag
+
+    def test_codes_of_unequal_lengths_refused(self):
+        # both decoders fold a trial by the one code length of the set
+        codes = [CODES[0], BitSequence(bits=CODES[1].bits[:124])]
+        with pytest.raises(InvalidCodeSet):
+            DecoderBank(codes, max_dur_s=4.2)
+        with pytest.raises(InvalidCodeSet):
+            CcaDecoder([structure_for_code(c, 2) for c in codes], 756)
 
     def test_bank_keeps_one_cca_decoder(self):
         bank = DecoderBank(CODES[:2], max_dur_s=31.5)

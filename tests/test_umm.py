@@ -501,3 +501,13 @@ class TestCumulative:
         out = DecodeOutcome(label=label, scores=np.zeros(20), confidence=0.5)
         with pytest.raises(errors.LabelOutOfRange):
             dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), self._epochs(), out)
+
+    @pytest.mark.parametrize("confidence", [np.nan, -1.0, 2.0])
+    def test_confidence_outside_unit_interval_refused(self, confidence):
+        # the confidence weighs the trial's ERP sums: NaN or a negative
+        # weight would poison the next decision, and above 1 it would count
+        # the trial for more than itself
+        dec = UmmDecoder(CODES, 1)
+        out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=confidence)
+        with pytest.raises(errors.ConfidenceOutOfRange):
+            dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), self._epochs(), out)
