@@ -159,6 +159,8 @@ def common_period(periods) -> int:
     """The one code length, in frames, of a code set: the period every
     decoder folds its trials by. InvalidCodeSet if the lengths differ."""
     distinct = sorted(set(periods))
+    if not distinct:
+        raise InvalidCodeSet("a code set needs at least one code")
     if len(distinct) != 1:
         raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {distinct}")
     return distinct[0]

@@ -17,7 +17,7 @@ from . import cca as cca_mod
 from . import umm as umm_mod
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
-from .encoding import n_cycles_to_cover, structure_for_code
+from .encoding import common_period, n_cycles_to_cover, structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCutoff, TruncatedTrial
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
 from .sigproc import duration_samples
@@ -57,6 +57,7 @@ class DecoderBank:
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):
         self.codes = codes
+        common_period(len(c) for c in codes)    # InvalidCodeSet before codes[0] is read
         n_cycles = n_cycles_to_cover(codes[0], duration_samples(max_dur_s))
         self.structures = [structure_for_code(c, n_cycles) for c in codes]
         self._cca: CcaDecoder | None = None

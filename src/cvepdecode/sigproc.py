@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -87,7 +88,10 @@ class FilterSpec:
                     f"({self.highpass_hz}, {self.lowpass_hz})"
                 )
 
+    @lru_cache(maxsize=32)
     def design(self, fs: float):
+        """The (b, a) coefficients at rate fs, designed once per (spec,
+        rate) and shared: the arrays are read-only."""
         from scipy import signal
 
         nyq = fs / 2.0
@@ -95,12 +99,14 @@ class FilterSpec:
             if self.center_hz >= nyq:
                 raise InvalidCutoff(f"notch at {self.center_hz} Hz >= Nyquist {nyq} Hz")
             b, a = signal.iirnotch(self.center_hz, self.q, fs=fs)
-            return b, a
-        if self.lowpass_hz >= nyq:
-            raise InvalidCutoff(f"lowpass {self.lowpass_hz} Hz >= Nyquist {nyq} Hz")
-        return signal.butter(
-            self.order, [self.highpass_hz, self.lowpass_hz], btype="bandpass", fs=fs
-        )
+        else:
+            if self.lowpass_hz >= nyq:
+                raise InvalidCutoff(f"lowpass {self.lowpass_hz} Hz >= Nyquist {nyq} Hz")
+            b, a = signal.butter(
+                self.order, [self.highpass_hz, self.lowpass_hz], btype="bandpass", fs=fs
+            )
+        b.flags.writeable = a.flags.writeable = False
+        return b, a
 
 
 @dataclass

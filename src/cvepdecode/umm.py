@@ -5,9 +5,11 @@ frame. Each candidate code splits the epochs into flash and non-flash
 sets; the hypothesis whose flash-minus-non-flash mean difference has the
 largest Mahalanobis energy wins. The covariance is the block-Toeplitz
 projection of the epochs' sample covariance, tapered linearly over the
-lags and shrunk toward a scaled identity with a Ledoit-Wolf intensity;
-its inverse is applied by one in-place LAPACK Cholesky factorisation of
-the dense block-Toeplitz matrix, built from the lag blocks with one copy.
+lags and shrunk toward a scaled identity with a Ledoit-Wolf intensity.
+A decision factors the dense block-Toeplitz matrix, built from the lag
+blocks with one copy, by one in-place LAPACK Cholesky factorisation
+Sigma = L L^T, and scores every hypothesis by one forward triangular
+solve: delta^T Sigma^{-1} delta is the squared norm of L^{-1} delta.
 
 An epoch is 18 consecutive frames of the trial, so an :class:`EpochSet`
 holds the trial's frames, not a copied epoch matrix, and computes every
@@ -210,23 +212,37 @@ def _dense_toeplitz(blocks: NDArray) -> NDArray:
     return rows.reshape(n * c, n * c)
 
 
+def _toeplitz_factor(blocks: NDArray) -> NDArray:
+    """The lower Cholesky factor L of the symmetric block-Toeplitz matrix
+    T = L L^T of the lag blocks (see :func:`_dense_toeplitz`).
+
+    Gathers the dense T once and factors it in place with LAPACK's potrf:
+    T is C-contiguous and symmetric, so its transpose is the same matrix
+    in Fortran order and needs no copy. The factor's upper triangle is
+    left as T's: LAPACK calls that take ``lower=1`` never read it. At
+    D = 432 this beats a block-Levinson recursion, build included. Raises
+    DegenerateCovariance if T is not positive definite. Nothing is scanned
+    for NaN here: :func:`_cov_model` checks the scatter's trace.
+    """
+    factor, info = lapack.dpotrf(_dense_toeplitz(blocks).T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise DegenerateCovariance("covariance is not positive definite")
+    return factor
+
+
 def block_levinson_solve(blocks: NDArray, y: NDArray) -> NDArray:
     """Solve T x = y for symmetric positive-definite block-Toeplitz T.
 
     blocks: (n_lags, C, C) with T[i, j] = blocks[i - j] and
     B(-l) = B(l)^T. y: (n_lags * C,) or (n_lags * C, m).
 
-    Gathers the dense T once and factors it in place with LAPACK's potrf:
-    T is C-contiguous and symmetric, so its transpose is the same matrix
-    in Fortran order and needs no copy. At D = 432 this beats a
-    block-Levinson recursion, build included. The name is kept because the
-    benchmark's trace (benchmarks/tracing.py) wraps this function by name.
-    Raises DegenerateCovariance if T is not positive definite. Nothing is
-    scanned for NaN here: :func:`_cov_model` checks the scatter's trace.
+    A forward and a back substitution with the factor of
+    :func:`_toeplitz_factor`, whose DegenerateCovariance it raises.
+    Decisions do not call it: :func:`score_hypotheses` needs only the
+    forward half. The name is kept because the benchmark's trace
+    (benchmarks/tracing.py) wraps this function by name.
     """
-    factor, info = lapack.dpotrf(_dense_toeplitz(blocks).T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise DegenerateCovariance("covariance is not positive definite")
+    factor = _toeplitz_factor(blocks)
     x, info = lapack.dpotrs(factor, y.reshape(len(factor), -1), lower=1)
     return x.reshape(y.shape)
 
@@ -351,10 +367,17 @@ def estimate_covariance(ep: EpochSet, gamma: float | None = None) -> CovModel:
 
 
 def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
-    """Mahalanobis energy of each hypothesis' mean difference."""
+    """Mahalanobis energy of each hypothesis' mean difference.
+
+    With Sigma = L L^T, delta^T Sigma^{-1} delta = ||L^{-1} delta||^2:
+    each score is the squared norm of the forward-solved mean difference,
+    one triangular solve over all hypotheses and no back substitution.
+    Raises DegenerateCovariance if the covariance is not positive
+    definite, NumericalFailure if a score is not finite.
+    """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-    sol = cov.solve(deltas.T)                      # (D, N)
-    scores = np.einsum("nd,dn->n", deltas, sol)
+    white, _ = lapack.dtrtrs(_toeplitz_factor(cov.blocks), deltas.T, lower=1)   # (D, N)
+    scores = np.einsum("dn,dn->n", white, white)
     if not np.all(np.isfinite(scores)):
         raise NumericalFailure("non-finite Mahalanobis scores")
     label = int(np.argmax(scores))

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from cvepdecode.cca import CcaDecoder
 from cvepdecode.codegen import BitSequence, default_code_set
@@ -37,7 +37,7 @@ from cvepdecode.evaluate import (
     sweep_csv_rows,
     wilcoxon_one_sided,
 )
-from cvepdecode.sigproc import TARGET_FS
+from cvepdecode.sigproc import TARGET_FS, FilterSpec
 from cvepdecode.simulate import ForwardModel, synthesize_session
 
 CODES = default_code_set(20)
@@ -98,6 +98,10 @@ class TestDecodeSession:
             DecoderBank(codes, max_dur_s=4.2)
         with pytest.raises(InvalidCodeSet):
             CcaDecoder([structure_for_code(c, 2) for c in codes], 756)
+
+    def test_empty_code_set_refused(self):
+        with pytest.raises(InvalidCodeSet):
+            DecoderBank([], max_dur_s=4.2)
 
     def test_bank_keeps_one_cca_decoder(self):
         bank = DecoderBank(CODES[:2], max_dur_s=31.5)
@@ -306,6 +310,38 @@ class TestSweep:
             t.code_index_true for t in session.trials
         ]
         assert not np.allclose(out.trials[0].samples, session.trials[0].samples)
+
+    def test_filtered_session_designs_each_filter_once(self, monkeypatch):
+        # bit-identical to filtering every trial with a fresh design, and
+        # one Butterworth design per (cutoffs, rate), not one per trial
+        session = _session(snr=1.0, dur_s=2.1, n_codes=4)
+        wants = {
+            cutoffs: [
+                signal.filtfilt(
+                    *signal.butter(4, list(cutoffs), btype="bandpass", fs=TARGET_FS),
+                    t.samples, axis=1, padtype="even", padlen=180,
+                )
+                for t in session.trials
+            ]
+            for cutoffs in ((6.0, 40.0), (6.0, 60.0))
+        }
+        designs = []
+        butter = signal.butter
+
+        def counted(*args, **kwargs):
+            designs.append(args)
+            return butter(*args, **kwargs)
+
+        monkeypatch.setattr(signal, "butter", counted)
+        FilterSpec.design.cache_clear()
+        for n_calls, (cutoffs, want) in enumerate(wants.items(), start=1):
+            out = filtered_session(session, *cutoffs)
+            assert len(designs) == n_calls
+            for got, trial_want in zip(out.trials, want):
+                assert np.array_equal(got.samples, trial_want)
+        b, a = FilterSpec(kind="bandpass", highpass_hz=6.0, lowpass_hz=40.0).design(TARGET_FS)
+        assert len(designs) == 2
+        assert not (b.flags.writeable or a.flags.writeable)
 
     def test_filtered_session_nyquist_lowpass_allowed(self):
         session = _session(snr=1.0, dur_s=2.1, n_codes=2)

@@ -401,6 +401,73 @@ class TestScoring:
         assert np.abs(base - moved).max() < 1e-6 * np.abs(base).max()
 
 
+def _trial_4s(idx=4, seed=11, snr=0.3):
+    """A real 4.2 s trial of 8 channels: D = 432, K = 235 epochs."""
+    return synthesize_trial(CODES[idx], ForwardModel(snr=snr), 4.2, seed, idx)
+
+
+class TestScoringOracles:
+    def _deltas_and_cov(self):
+        ep = slice_epochs(_trial_4s())
+        deltas = UmmDecoder(CODES, 2)._deltas(ep, None)
+        return deltas, estimate_covariance(ep)
+
+    def test_scores_are_dense_mahalanobis_energies(self):
+        deltas, cov = self._deltas_and_cov()
+        assert deltas.shape == (20, 432)
+        got = score_hypotheses(deltas, cov).scores
+        want = np.einsum("nd,dn->n", deltas, np.linalg.solve(cov.dense(), deltas.T))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_scores_match_the_full_solve(self):
+        deltas, cov = self._deltas_and_cov()
+        got = score_hypotheses(deltas, cov).scores
+        want = np.einsum("nd,dn->n", deltas, cov.solve(deltas.T))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lag0", [0.0, -1.0], ids=["zero", "negative"])
+    def test_not_positive_definite(self, lag0):
+        blocks = np.zeros((3, 2, 2))
+        blocks[0] = lag0 * np.eye(2)
+        cov = CovModel(blocks=blocks, shrinkage_gamma=0.0)
+        with pytest.raises(DegenerateCovariance):
+            score_hypotheses(np.ones((2, 6)), cov)
+
+
+def _count_lapack_calls(monkeypatch, names):
+    calls = []
+
+    def counted(name):
+        original = getattr(umm.lapack, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(umm.lapack, name, call)
+
+    for name in names:
+        counted(name)
+    return calls
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["umm_t11", "umm_tcw"])
+def test_decision_factors_once_and_solves_forward_only(monkeypatch, pooled):
+    # one Cholesky factor and one forward solve over all 20 hypotheses; a
+    # fall back to the full two-sided solve would show as a dpotrs call
+    dec = UmmDecoder(CODES, 2)
+    state = None
+    if pooled:
+        past = slice_epochs(_trial_4s(idx=9, seed=12))
+        state = dec.update_cumulative(
+            UmmState(mode=umm.MODE_CUMULATIVE), past, dec.decode_epochs(past)
+        )
+    calls = _count_lapack_calls(monkeypatch, ["dpotrf", "dtrtrs", "dpotrs"])
+    out = dec.decode_epochs(slice_epochs(_trial_4s()), state)
+    assert out.scores.shape == (20,)
+    assert sorted(calls) == [("dpotrf", (432, 432)), ("dtrtrs", (432, 432))]
+
+
 class TestDecoding:
     def test_planted_mean_high_snr(self):
         ok = 0
