@@ -27,6 +27,9 @@ and solves per (hypothesis, block). Both then apply the inverse spatial
 factor by one product. Each hypothesis scores the square root of the
 largest eigenvalue of its C x C matrix K^T K, K its whitened
 cross-covariance: all hypotheses in one batched symmetric eigenvalue call.
+The frames and x x^T come from the trial's :class:`.encoding.TrialStats`,
+which a decision and its cumulative update share. The decoder decides
+exactly the samples it is handed: ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
@@ -38,8 +41,8 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import StructureMatrix, TiledWeights, common_period, lagged
-from .encoding import tiled_window_sums, trial_frames
+from .encoding import StructureMatrix, TiledWeights, TrialStats, common_period, lagged
+from .encoding import tiled_window_sums
 from .errors import (
     DegenerateCovariance,
     LabelOutOfRange,
@@ -48,7 +51,7 @@ from .errors import (
     TrialTooShort,
 )
 from .outcome import DecodeOutcome, top2_confidence
-from .sigproc import Trial, finite_samples
+from .sigproc import Trial
 
 #: Relative ridge added to both covariance blocks before whitening; keeps
 #: Eq-style empirical covariances usable when they are rank-deficient.
@@ -188,7 +191,8 @@ class CcaDecoder:
     batched product with them per block. A cumulative decision adds its
     state's grams and refactors. Every structure must hold at least
     n_samples samples (ShapeError otherwise), and all must tile codes of
-    one length (InvalidCodeSet otherwise).
+    one length (InvalidCodeSet otherwise). A trial, or its TrialStats,
+    must hold n_samples samples: TrialTooShort if fewer, ShapeError if more.
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
@@ -224,13 +228,12 @@ class CcaDecoder:
         return [slice(run.start * n_channels, run.stop * n_channels)
                 for run in _phase_runs(self.n_samples)]
 
-    def _samples(self, trial: Trial) -> NDArray:
-        x = trial.samples[:, : self.n_samples]
-        if x.shape[1] != self.n_samples:
-            raise TrialTooShort(
-                f"trial holds {x.shape[1]} samples, decoder expects {self.n_samples}"
-            )
-        return finite_samples(x)
+    def _stats(self, trial: Trial | TrialStats) -> TrialStats:
+        stats = TrialStats.of(trial)
+        if stats.n_samples != self.n_samples:
+            error = TrialTooShort if stats.n_samples < self.n_samples else ShapeError
+            raise error(f"trial holds {stats.n_samples} samples, decoder expects {self.n_samples}")
+        return stats
 
     def _check_state(self, state: CcaState, n_channels: int) -> None:
         """ShapeError unless the state's sums have this decoder's shapes for
@@ -246,25 +249,24 @@ class CcaDecoder:
             if got != shape:
                 raise ShapeError(f"accumulated {name} has shape {got}, decoder expects {shape}")
 
-    def _smx(self, x: NDArray, weights: TiledWeights) -> NDArray:
+    def _smx(self, stats: TrialStats, weights: TiledWeights) -> NDArray:
         """M_i x^T, (n, PHASE_DIM, 3 * C), for the hypotheses whose weight
         rows are given: row (event, frame lag a) and column (phase, channel)
         hold design row (event, lag 3a + p) against channel c. Zero frames
         past the trial cut the responses that run past its end."""
-        frames = trial_frames(x, weights.n_frames + FRAMES_PER_EPOCH - 1)
-        sums = tiled_window_sums(frames, weights)   # [i * N_EVENTS + e, (a * 3 + p) * C + c]
-        return sums.reshape(-1, PHASE_DIM, SAMPLES_PER_FRAME * len(x))
+        sums = tiled_window_sums(stats.frames, weights)   # [i * N_EVENTS + e, (a * 3 + p) * C + c]
+        return sums.reshape(-1, PHASE_DIM, stats.frames.shape[1])
 
-    def decode(self, trial: Trial, state: CcaState | None = None) -> DecodeOutcome:
-        x = self._samples(trial)
-        c = len(x)
-        sxx = x @ x.T
-        smx = self._smx(x, self.weights)
+    def decode(self, trial: Trial | TrialStats, state: CcaState | None = None) -> DecodeOutcome:
+        stats = self._stats(trial)
+        c = len(stats.samples)
+        sxx = stats.sxx.copy()      # scratch: its factor is made in place
+        smx = self._smx(stats, self.weights)
         columns = self._block_columns(c)
         k = np.empty_like(smx)
         if state is not None and state.mode == MODE_CUMULATIVE and not state.is_empty():
             self._check_state(state, c)
-            sxx = sxx + state.sxx
+            sxx += state.sxx
             lm = _ridged_cholesky(self.grams + state.smm, "temporal", self._phase_counts())
             smx = smx + state.sxm
             for i, b in np.ndindex(lm.shape[:2]):
@@ -287,7 +289,7 @@ class CcaDecoder:
         return DecodeOutcome(label=label, scores=rhos, confidence=top2_confidence(rhos))
 
     def update_cumulative(
-        self, state: CcaState, trial: Trial, predicted: int
+        self, state: CcaState, trial: Trial | TrialStats, predicted: int
     ) -> CcaState:
         """Fold the finished trial into the accumulators, pairing its data
         with the design of its own predicted label (naive labeling)."""
@@ -297,16 +299,16 @@ class CcaDecoder:
             raise LabelOutOfRange(
                 f"label {predicted} is not one of the {len(self.grams)} hypotheses"
             )
-        x = self._samples(trial)
+        stats = self._stats(trial)
         if state.is_empty():
             state = CcaState(mode=MODE_CUMULATIVE, sxx=0.0, sxm=0.0, smm=0.0)
         else:
-            self._check_state(state, len(x))
+            self._check_state(state, len(stats.samples))
         rows = slice(N_EVENTS * predicted, N_EVENTS * (predicted + 1))
-        (smx,) = self._smx(x, self.weights.rows(rows))
+        (smx,) = self._smx(stats, self.weights.rows(rows))
         return CcaState(
             mode=MODE_CUMULATIVE,
-            sxx=state.sxx + x @ x.T,
+            sxx=state.sxx + stats.sxx,
             sxm=state.sxm + smx,
             smm=state.smm + self.grams[predicted],
             n_trials_seen=state.n_trials_seen + 1,

@@ -9,7 +9,8 @@ this as one matrix product (:func:`lagged` events) is derived from the
 event train on demand and never stored. Events fire at frame starts, so
 both decoders sum response windows with one kernel, :func:`window_sums`
 over :func:`trial_frames`: CCA weights the windows by each hypothesis'
-events, UMM by its flash bits.
+events, UMM by its flash bits. Both read a trial as one
+:class:`TrialStats`: its samples checked and framed once.
 
 Both weightings repeat with the code's period, its length in frames
 (:class:`TiledWeights`): one cycle's pattern, plus a few corrections where
@@ -24,6 +25,7 @@ work then follows the code length, not the trial length.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -31,7 +33,7 @@ from numpy.typing import NDArray
 
 from .codegen import PRESENTATION_RATE_HZ, BitSequence
 from .errors import InvalidCodeSet, UnmodulatedCode
-from .sigproc import TARGET_FS
+from .sigproc import TARGET_FS, Trial, finite_samples
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
 EVENT_SHORT = 0
@@ -153,6 +155,126 @@ def tiled_window_sums(frames: NDArray, weights: TiledWeights) -> NDArray:
         offsets = weights.positions[:, np.newaxis] + np.arange(FRAMES_PER_EPOCH)
         sums += weights.corrections @ frames[offsets].reshape(len(offsets), -1)
     return sums
+
+
+@dataclass(frozen=True)
+class TrialStats:
+    """One trial as both decoders read it: its (C, T) samples, checked
+    finite once, and their :func:`trial_frames`, laid out once, zero past
+    T: (ceil(T / 3) + FRAMES_PER_EPOCH - 1, SAMPLES_PER_FRAME * C), so CCA's
+    windows reach past the last frame. UMM's epochs lie in the whole frames,
+    the first floor(T / 3): epoch k is frames[k : k + 18] flattened, feature
+    (t * C + c) channel c at epoch sample t. Every statistic is computed on
+    first use and kept; UMM's are about the whole frames' column mean, so a
+    large constant offset does not cancel in their products."""
+
+    samples: NDArray[np.floating]
+    frames: NDArray[np.floating]
+
+    @classmethod
+    def of(cls, trial: Trial | TrialStats) -> TrialStats:
+        """The trial's statistics; a TrialStats is returned as it is."""
+        if isinstance(trial, TrialStats):
+            return trial
+        x = finite_samples(trial.samples)
+        n_frames = -(-x.shape[1] // SAMPLES_PER_FRAME) + FRAMES_PER_EPOCH - 1
+        return cls(samples=x, frames=trial_frames(x, n_frames))
+
+    @property
+    def n_samples(self) -> int:
+        return self.samples.shape[1]
+
+    @cached_property
+    def sxx(self) -> NDArray:
+        """The (C, C) spatial scatter x x^T."""
+        return self.samples @ self.samples.T
+
+    @property
+    def n_epochs(self) -> int:
+        return self.n_samples // SAMPLES_PER_FRAME - FRAMES_PER_EPOCH + 1
+
+    @property
+    def n_features(self) -> int:
+        return FRAMES_PER_EPOCH * self.frames.shape[1]
+
+    @cached_property
+    def _centred(self) -> tuple[NDArray, NDArray]:
+        """(whole frames less their column mean, the mean tiled to an epoch)."""
+        whole = self.frames[: self.n_samples // SAMPLES_PER_FRAME]
+        frame_mean = whole.mean(axis=0)
+        return whole - frame_mean, np.tile(frame_mean, FRAMES_PER_EPOCH)
+
+    @cached_property
+    def epoch_sum(self) -> NDArray:
+        """Sum of the centred epochs, (D,), on the plain kernel: folding by
+        a one-frame period costs more than it saves."""
+        return window_sums(self._centred[0], np.ones((1, self.n_epochs)))[0]
+
+    @property
+    def offset(self) -> NDArray:
+        """The epoch-feature shift removed by centring, (D,)."""
+        return self._centred[1]
+
+    def weighted_sums(self, weights: TiledWeights) -> NDArray:
+        """weights @ (centred epochs), (R, D), for tiled weights."""
+        return tiled_window_sums(self._centred[0], weights)
+
+    @cached_property
+    def centered_moments(self) -> tuple[NDArray, float]:
+        """(grams, sq_norms4) about the epoch mean m. grams, (18, 3C, 18,
+        3C), holds the scatter sum_k (x_k - m)(x_k - m)^T by frame blocks:
+        block (a, a + l) is grams[a, :, l, :], the lag-0 blocks exactly
+        symmetric, entries with a + l >= 18 exactly 0 and the blocks below
+        the diagonal left out. sq_norms4 = sum_k ||x_k - m||^4 is the fourth
+        moment the Ledoit-Wolf intensity needs.
+
+        With y the centred frames and s_a = sum_k y[k + a], block (a, a + l)
+        is sum_k y[k + a] y[k + a + l]^T - s_a s_(a + l)^T / K: for a = 0
+        the lag-l frame gram less an outer product, then a rank-4 step per
+        offset, which drops frame a - 1, adds frame K + a - 1 and moves the
+        window sums with them."""
+        y, k = self._centred[0], self.n_epochs
+        n, width = FRAMES_PER_EPOCH, y.shape[1]
+        pad = np.zeros((n - 1, width))
+        # s_a / sqrt(K), zero past the last offset
+        sums = np.concatenate([self.epoch_sum.reshape(n, width) / np.sqrt(k), pad])
+
+        def by_lag(rows):
+            """[f, l, q] = rows[f + l, q]"""
+            return sliding_window_view(rows, n, axis=0).transpose(0, 2, 1)
+
+        y_lag, sums_lag = by_lag(np.concatenate([y, pad])), by_lag(sums)
+        grams = np.empty((n, width, n, width))
+        grams[0] = window_sums(y, y[:k].T).reshape(width, n, width)
+        grams[0] -= sums[0][:, np.newaxis, np.newaxis] * sums[:n]
+        # step a (row a - 1): - y[a-1] y[a-1+l]^T + y[K+a-1] y[K+a-1+l]^T
+        #                     - s_a s_(a+l)^T / K + s_(a-1) s_(a-1+l)^T / K
+        left = np.stack([-y[: n - 1], y[k:], -sums[1:n], sums[: n - 1]], axis=2)
+        right = np.stack([y_lag[: n - 1], y_lag[k:], sums_lag[1:n], sums_lag[: n - 1]], axis=1)
+        np.matmul(
+            left,
+            right.reshape(n - 1, 4, n * width),
+            out=grams[1:].reshape(n - 1, width, n * width),
+        )
+        for a in range(1, n):
+            grams[a] += grams[a - 1]
+            grams[a, :, n - a :] = 0.0
+        # the lag-0 blocks equal their transposes up to rounding; make them
+        # exactly so
+        diagonal = grams[:, :, 0, :]
+        diagonal += diagonal.transpose(0, 2, 1)
+        diagonal *= 0.5
+
+        # ||x_k - m||^2 = sum_a ||y[k+a]||^2 - 2 sum_a y[k+a].m_a + sum_a ||m_a||^2
+        # with m_a = s_a / K: an 18-frame sliding sum and a diagonal one
+        means = self.epoch_sum.reshape(n, width) / k
+        cross = y @ means.T                       # [f, a] = y[f] . m_a
+        sq_norms = (
+            sliding_window_view(np.einsum("ij,ij->i", y, y), n).sum(axis=1)
+            - 2.0 * np.einsum("aak->k", sliding_window_view(cross, k, axis=0))
+            + np.vdot(means, means)
+        )
+        return grams, float(sq_norms @ sq_norms)
 
 
 def common_period(periods) -> int:

@@ -77,6 +77,10 @@ class LabelOutOfRange(DataError):
     """A decided label names no hypothesis of the decoder."""
 
 
+class UnlabeledTrial(DataError):
+    """An accuracy was asked of a trial that carries no true label."""
+
+
 class ConfidenceOutOfRange(DataError):
     """A decision's confidence, used as a weight, is not a number in [0, 1]."""
 

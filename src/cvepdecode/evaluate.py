@@ -17,8 +17,9 @@ from . import cca as cca_mod
 from . import umm as umm_mod
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
-from .encoding import common_period, n_cycles_to_cover, structure_for_code
-from .errors import ConfigError, DegenerateSample, InvalidCutoff, TruncatedTrial
+from .encoding import TrialStats, common_period, n_cycles_to_cover, structure_for_code
+from .errors import ConfigError, DegenerateSample, InvalidCutoff, LengthMismatch
+from .errors import TruncatedTrial, UnlabeledTrial
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
 from .sigproc import duration_samples
 from .simulate import Session
@@ -82,9 +83,10 @@ def decode_session(
     with one cumulative state update per trial. Returns the outcomes.
 
     Every method sees the first duration_s seconds of each trial, cut by
-    Trial.prefix, which raises TruncatedTrial past the trial's end. Without
-    a bank, one reaching duration_s is built; a given bank must reach
-    duration_s, or the decoders raise ShapeError."""
+    Trial.prefix, which raises TruncatedTrial past the trial's end, through
+    one TrialStats that the decision and its update share. Without a bank,
+    one reaching duration_s is built; a given bank must reach duration_s,
+    or the decoders raise ShapeError."""
     tag = canonical_tag(method_tag)
     trials = [trial.prefix(duration_s) for trial in session.trials]
     if bank is None:
@@ -94,23 +96,32 @@ def decode_session(
         decoder = bank.cca(duration_samples(duration_s))
         state = CcaState(mode=cca_mod.MODE_CUMULATIVE) if tag == "cca_ec" else None
         for trial in trials:
-            outcome = decoder.decode(trial, state)
+            stats = TrialStats.of(trial)
+            outcome = decoder.decode(stats, state)
             outcomes.append(outcome)
             if state is not None:
-                state = decoder.update_cumulative(state, trial, outcome.label)
+                state = decoder.update_cumulative(state, stats, outcome.label)
     else:
         decoder = bank.umm()
         state = UmmState(mode=umm_mod.MODE_CUMULATIVE) if tag == "umm_tcw" else None
         for trial in trials:
-            ep = umm_mod.slice_epochs(trial)
-            outcome = decoder.decode_epochs(ep, state)
+            stats = umm_mod.slice_epochs(trial)
+            outcome = decoder.decode_epochs(stats, state)
             outcomes.append(outcome)
             if state is not None:
-                state = decoder.update_cumulative(state, ep, outcome)
+                state = decoder.update_cumulative(state, stats, outcome)
     return outcomes
 
 
 def accuracy_of(outcomes, trials) -> tuple[int, float]:
+    """(correct decisions, their share of the trials). UnlabeledTrial if a
+    trial carries no true label: its decision can be neither right nor
+    wrong."""
+    unlabeled = [i for i, t in enumerate(trials) if t.code_index_true is None]
+    if unlabeled:
+        raise UnlabeledTrial(
+            f"trial {unlabeled[0]} has no true label; an accuracy needs a labeled session"
+        )
     correct = sum(
         1 for o, t in zip(outcomes, trials) if o.label == t.code_index_true
     )
@@ -171,9 +182,12 @@ EXACT_MAX_N = 20
 
 
 def _signed_ranks(a, b):
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    if len(np.asarray(a)) != len(np.asarray(b)):
-        raise ValueError("paired samples must have equal length")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if len(a) != len(b):
+        raise LengthMismatch(
+            f"paired samples must have equal length, got {len(a)} and {len(b)}"
+        )
+    d = a - b
     d = d[d != 0.0]
     if len(d) == 0:
         raise DegenerateSample("all paired differences are zero")

@@ -11,38 +11,27 @@ blocks with one copy, by one in-place LAPACK Cholesky factorisation
 Sigma = L L^T, and scores every hypothesis by one forward triangular
 solve: delta^T Sigma^{-1} delta is the squared norm of L^{-1} delta.
 
-An epoch is 18 consecutive frames of the trial, so an :class:`EpochSet`
-holds the trial's frames, not a copied epoch matrix, and computes every
-epoch statistic from them, about the frames' column mean: the scatter as
-frame-block grams (the blocks on and above the diagonal, from 18 lagged
-frame grams and a rank-4 step per frame offset), the fourth moment from
-sliding sums of the frames' norms and of their products with the offset
-means, and flash sums by weighting each epoch with its code bit (non-flash
-sums are the epoch total less them); offset 0's grams come from the
-window-sum kernel of :mod:`.encoding` that CCA shares, as do the epoch
-sums. The flash bits repeat with the code's period, so the flash sums of a
-trial of two full code cycles or more are taken over its frames folded by
-the period (:func:`.encoding.tiled_window_sums`); the lag-0 frame grams
-weight the frames by data, not by a period, and stay on the plain kernel.
-No (D, D) scatter is formed. Each statistic is computed in one place: an
-EpochSet forms its grams once, :func:`_cov_model` reads the lag blocks,
-the trace and the Ledoit-Wolf intensity from pooled grams, and
-:class:`UmmDecoder` keeps one cycle of the code bits.
+An epoch is 18 consecutive frames, so no epoch matrix is copied: the
+trial's :class:`.encoding.TrialStats` computes every epoch statistic from
+its frames, once, among them the scatter as frame-block grams (no (D, D)
+scatter is formed) and the flash sums, over the frames folded by the code
+period on a trial of two full cycles or more. :func:`_cov_model` reads
+the lag blocks, the trace and the Ledoit-Wolf intensity from pooled grams,
+and :class:`UmmDecoder` keeps one cycle of the code bits. The decoder
+decides every sample it is handed: ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 from scipy.linalg import lapack
 
 from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import TiledWeights, common_period, tiled_window_sums, trial_frames
-from .encoding import window_sums
+from .encoding import TiledWeights, TrialStats, common_period
 from .errors import (
     ConfidenceOutOfRange,
     DegenerateCovariance,
@@ -54,139 +43,24 @@ from .errors import (
     TrialTooShort,
 )
 from .outcome import DecodeOutcome, top2_confidence
-from .sigproc import Trial, finite_samples
+from .sigproc import Trial
 
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
 
 
-@dataclass(frozen=True)
-class EpochSet:
-    """Overlapping frame-locked epochs of one trial, held as the trial's
-    60 Hz frames.
-
-    frames: (n_epochs + FRAMES_PER_EPOCH - 1, SAMPLES_PER_FRAME * C), the
-    trial's whole frames as :func:`.encoding.trial_frames` lays them out.
-    Epoch k is frames[k : k + 18] flattened, so its feature (t * C + c) is
-    channel c at epoch sample t; it starts at frame k.
-
-    No (n_epochs, n_features) epoch matrix is formed: the scatter grams,
-    the fourth moment and the weighted epoch sums are computed from the
-    frames, about their column mean.
-    """
-
-    frames: NDArray[np.floating]
-    n_channels: int
-
-    @property
-    def n_epochs(self) -> int:
-        return self.frames.shape[0] - FRAMES_PER_EPOCH + 1
-
-    @property
-    def n_features(self) -> int:
-        return FRAMES_PER_EPOCH * self.frames.shape[1]
-
-    @cached_property
-    def _centred(self) -> tuple[NDArray, NDArray]:
-        """(frames less their column mean, that mean tiled to one epoch).
-        No centred statistic sees the shift, and centring keeps a large
-        constant offset from cancelling in the products below."""
-        frame_mean = self.frames.mean(axis=0)
-        return self.frames - frame_mean, np.tile(frame_mean, FRAMES_PER_EPOCH)
-
-    @cached_property
-    def epoch_sum(self) -> NDArray:
-        """Sum of the centred epochs, (D,): the window sum with all-one
-        weights. It stays on the plain kernel: folding by a one-frame
-        period costs more than it saves at a few hundred epochs."""
-        return window_sums(self._centred[0], np.ones((1, self.n_epochs)))[0]
-
-    @property
-    def offset(self) -> NDArray:
-        """The epoch-feature shift removed by centring, (D,)."""
-        return self._centred[1]
-
-    def weighted_sums(self, weights: TiledWeights) -> NDArray:
-        """weights @ (centred epochs), (R, D), for tiled weights of K
-        frames."""
-        return tiled_window_sums(self._centred[0], weights)
-
-    @cached_property
-    def centered_moments(self) -> tuple[NDArray, float]:
-        """(grams, sq_norms4) about the epoch mean m, computed on first use.
-
-        grams, (18, 3C, 18, 3C), holds the scatter
-        sum_k (x_k - m)(x_k - m)^T by frame blocks: block (a, a + l), rows
-        of frame offset a and columns of offset a + l, is grams[a, :, l, :],
-        the lag-0 blocks are exactly symmetric and entries with
-        a + l >= 18 are exactly 0; the blocks below the diagonal are the
-        transposes of these. sq_norms4 = sum_k ||x_k - m||^4 is the fourth
-        moment the Ledoit-Wolf intensity needs.
-
-        With y the centred frames and s_a = sum_k y[k + a] the window sum
-        of offset a, block (a, a + l) is
-        sum_k y[k + a] y[k + a + l]^T - s_a s_(a + l)^T / K. For a = 0 that
-        is the lag-l frame gram less a small outer product; each later
-        offset drops frame a - 1, adds frame K + a - 1 and moves its window
-        sums with them, a rank-4 step."""
-        y, k = self._centred[0], self.n_epochs
-        n, width = FRAMES_PER_EPOCH, y.shape[1]
-        pad = np.zeros((n - 1, width))
-        # s_a / sqrt(K), zero past the last offset
-        sums = np.concatenate([self.epoch_sum.reshape(n, width) / np.sqrt(k), pad])
-
-        def lagged(rows):
-            """[f, l, q] = rows[f + l, q]"""
-            return sliding_window_view(rows, n, axis=0).transpose(0, 2, 1)
-
-        y_lag, sums_lag = lagged(np.concatenate([y, pad])), lagged(sums)
-        grams = np.empty((n, width, n, width))
-        grams[0] = window_sums(y, y[:k].T).reshape(width, n, width)
-        grams[0] -= sums[0][:, np.newaxis, np.newaxis] * sums[:n]
-        # step a (row a - 1): - y[a-1] y[a-1+l]^T + y[K+a-1] y[K+a-1+l]^T
-        #                     - s_a s_(a+l)^T / K + s_(a-1) s_(a-1+l)^T / K
-        left = np.stack([-y[: n - 1], y[k:], -sums[1:n], sums[: n - 1]], axis=2)
-        right = np.stack([y_lag[: n - 1], y_lag[k:], sums_lag[1:n], sums_lag[: n - 1]], axis=1)
-        np.matmul(
-            left,
-            right.reshape(n - 1, 4, n * width),
-            out=grams[1:].reshape(n - 1, width, n * width),
-        )
-        for a in range(1, n):
-            grams[a] += grams[a - 1]
-            grams[a, :, n - a :] = 0.0
-        # the lag-0 blocks equal their transposes up to rounding; make them
-        # exactly so
-        diagonal = grams[:, :, 0, :]
-        diagonal += diagonal.transpose(0, 2, 1)
-        diagonal *= 0.5
-
-        # ||x_k - m||^2 = sum_a ||y[k+a]||^2 - 2 sum_a y[k+a].m_a + sum_a ||m_a||^2
-        # with m_a = s_a / K: an 18-frame sliding sum and a diagonal one
-        means = self.epoch_sum.reshape(n, width) / k
-        cross = y @ means.T                       # [f, a] = y[f] . m_a
-        sq_norms = (
-            sliding_window_view(np.einsum("ij,ij->i", y, y), n).sum(axis=1)
-            - 2.0 * np.einsum("aak->k", sliding_window_view(cross, k, axis=0))
-            + np.vdot(means, means)
-        )
-        return grams, float(sq_norms @ sq_norms)
-
-
-def slice_epochs(trial: Trial) -> EpochSet:
-    """One RESPONSE_LEN-sample epoch per 60 Hz frame whose full window fits
-    inside the trial, held as the trial's whole frames."""
-    x = trial.samples
-    n_channels, n_samples = x.shape
-    if n_samples < RESPONSE_LEN:
+def slice_epochs(trial: Trial | TrialStats) -> TrialStats:
+    """The trial's statistics, whose epochs are one RESPONSE_LEN-sample
+    window per 60 Hz frame that fits inside the trial. TrialTooShort if not
+    one fits."""
+    if trial.n_samples < RESPONSE_LEN:
         raise TrialTooShort(
-            f"trial of {n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
+            f"trial of {trial.n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
         )
-    frames = trial_frames(finite_samples(x), n_samples // SAMPLES_PER_FRAME)
-    return EpochSet(frames=frames, n_channels=n_channels)
+    return TrialStats.of(trial)
 
 
-def mean_difference(ep: EpochSet, code: BitSequence, n_cycles: int) -> NDArray:
+def mean_difference(ep: TrialStats, code: BitSequence, n_cycles: int) -> NDArray:
     """Flash-ERP minus non-flash-ERP under the hypothesis that ``code``
     drove the trial."""
     return UmmDecoder([code], n_cycles)._deltas(ep, None)[0]
@@ -253,7 +127,7 @@ class CovModel:
 
     blocks[l] is the tapered, shrunk C x C cross-channel block at lag l;
     the represented matrix has T[(t1, c1), (t2, c2)] = blocks[t1 - t2]
-    under the time-major feature layout of :class:`EpochSet`.
+    under the time-major feature layout of :class:`.encoding.TrialStats`.
     """
 
     blocks: NDArray[np.floating]      # (RESPONSE_LEN, C, C)
@@ -342,7 +216,7 @@ def _regularize(blocks: NDArray, gamma: float) -> NDArray:
 
 def _cov_model(grams: NDArray, sq_norms4: float, n: int, gamma: float | None) -> CovModel:
     """Regularized block-Toeplitz model of the covariance grams / n,
-    the frame-block scatter grams (see :attr:`EpochSet.centered_moments`)
+    the frame-block scatter grams (see :attr:`.encoding.TrialStats.centered_moments`)
     pooled over n epochs; ``gamma`` None selects the Ledoit-Wolf
     intensity."""
     if n < 2:
@@ -355,7 +229,7 @@ def _cov_model(grams: NDArray, sq_norms4: float, n: int, gamma: float | None) ->
     return CovModel(blocks=_regularize(blocks, gamma), shrinkage_gamma=gamma)
 
 
-def estimate_covariance(ep: EpochSet, gamma: float | None = None) -> CovModel:
+def estimate_covariance(ep: TrialStats, gamma: float | None = None) -> CovModel:
     """Tapered block-Toeplitz covariance of the epochs with shrinkage
     toward nu*I (nu = mean diagonal). With ``gamma`` unset, an analytic
     Ledoit-Wolf intensity is used; the epoch count in a single trial is
@@ -398,7 +272,7 @@ class UmmState:
 
     mode: str = MODE_INSTANTANEOUS
     # sum of the trials' centred scatter grams, (18, 3C, 18, 3C) in the
-    # layout of EpochSet.centered_moments: block (a, a + l) at [a, :, l, :]
+    # layout of TrialStats.centered_moments: block (a, a + l) at [a, :, l, :]
     scatter: NDArray | None = None
     sq_norms4: float = 0.0                  # sum of ||x_k - trial mean||^4
     n_epochs: int = 0
@@ -439,7 +313,7 @@ class UmmDecoder:
     def n_hypotheses(self) -> int:
         return self.bits.shape[0]
 
-    def _means(self, ep: EpochSet, rows) -> tuple[NDArray, NDArray]:
+    def _means(self, ep: TrialStats, rows) -> tuple[NDArray, NDArray]:
         """Flash and non-flash means of the centred epochs (add
         ``ep.offset`` for the epoch means), each (len(rows), D), under the
         hypotheses ``rows``: flash sums weight the epochs by the code bits,
@@ -461,7 +335,7 @@ class UmmDecoder:
         flash_sums = ep.weighted_sums(flash)
         return flash_sums / n_flash, (ep.epoch_sum - flash_sums) / (k - n_flash)
 
-    def _deltas(self, ep: EpochSet, pooled: UmmState | None) -> NDArray:
+    def _deltas(self, ep: TrialStats, pooled: UmmState | None) -> NDArray:
         flash, nonflash = self._means(ep, np.arange(self.n_hypotheses))
         deltas = flash - nonflash
         if pooled is not None:
@@ -473,7 +347,7 @@ class UmmDecoder:
     def decode(self, trial: Trial, state: UmmState | None = None) -> DecodeOutcome:
         return self.decode_epochs(slice_epochs(trial), state)
 
-    def decode_epochs(self, ep: EpochSet, state: UmmState | None = None) -> DecodeOutcome:
+    def decode_epochs(self, ep: TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         """Score every hypothesis on the epochs, pooling a cumulative
         state's covariance statistics and ERP sums when it holds any."""
         pooled = _pooled(state, ep.n_features)
@@ -487,7 +361,7 @@ class UmmDecoder:
         return score_hypotheses(self._deltas(ep, pooled), cov)
 
     def update_cumulative(
-        self, state: UmmState, ep: EpochSet, outcome: DecodeOutcome
+        self, state: UmmState, ep: TrialStats, outcome: DecodeOutcome
     ) -> UmmState:
         """Pool the trial's covariance statistics unconditionally; add its
         flash/non-flash means to the predicted hypothesis' sums with the

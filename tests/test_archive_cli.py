@@ -256,6 +256,24 @@ class TestCli:
         assert main(["curve", "--method", "umm_t11", "--in", str(out)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["curve", "--method", "cca_e1"], ["sweep", "--axis", "lowpass", "--methods", "umm_t11"]],
+        ids=["curve", "sweep"],
+    )
+    def test_unlabeled_session_accuracy_exit_2(self, tmp_path, capsys, argv):
+        # an archive without labels has no accuracy to report, not 0.000000
+        out = _simulate(tmp_path)
+        _edit_header(out, "labels", None)
+        assert main([*argv, "--in", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and "no true label" in captured.err
+        # decode still prints its rows, with the label cells empty
+        assert main(["decode", "--method", "cca_e1", "--in", str(out), "--duration", "2.1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) == 3 and all(r[1] == r[3] == "" for r in rows)
+
     def test_sweep_runs_single_method(self, tmp_path, capsys):
         out = _simulate(tmp_path)
         assert main(["sweep", "--axis", "lowpass", "--in", str(out), "--methods", "cca_e1"]) == 0

@@ -160,11 +160,28 @@ def test_state_of_another_length_refused():
     # 190-sample decoder keeps two phase grams per code, the state one
     trial = _clean_trial(4)
     short, longer = CcaDecoder(STRUCTS_1C, 189), CcaDecoder(STRUCTS_1C, 190)
-    state = short.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), trial, 4)
+    past, trial = Trial(samples=trial.samples[:, :189]), Trial(samples=trial.samples[:, :190])
+    state = short.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 4)
     with pytest.raises(ShapeError):
         longer.decode(trial, state)
     with pytest.raises(ShapeError):
         longer.update_cumulative(state, trial, 4)
+
+
+def test_longer_trial_refused():
+    # the decoder decides exactly the samples it is handed: Trial.prefix is
+    # the one cut, a longer trial is an error, not cut to the decoder
+    trial = _clean_trial(4)
+    longer = Trial(samples=np.concatenate([trial.samples, trial.samples[:, -1:]], axis=1))
+    assert (trial.n_samples, longer.n_samples) == (378, 379)
+    state = DECODER_2S.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), trial, 4)
+    for call in (
+        lambda: DECODER_2S.decode(longer),
+        lambda: DECODER_2S.decode(longer, state),
+        lambda: DECODER_2S.update_cumulative(state, longer, 4),
+    ):
+        with pytest.raises(ShapeError):
+            call()
 
 
 def test_cumulative_beats_instantaneous_at_moderate_snr():
@@ -287,7 +304,7 @@ def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_sam
     # for the spatial factor and its inverse: 378 samples end in a whole
     # frame (one block per code), 377 in a frame of two samples (two)
     decoder = CcaDecoder(STRUCTS_1C, n_samples)
-    past, trial = _clean_trial(1), _clean_trial(2)
+    past, trial = (Trial(samples=_clean_trial(i).samples[:, :n_samples]) for i in (1, 2))
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial, state).label == 2

@@ -210,6 +210,9 @@ def test_flash_sums_fold_trials_of_two_code_cycles(monkeypatch, dur_s, most_fram
     # epochs, one full cycle: the flash sums see every frame.
     codes = default_code_set(20)
     ep = slice_epochs(synthesize_trial(codes[3], ForwardModel(snr=0.05), dur_s, 0, 3))
+    # the epoch sum and the lag-0 grams weight the frames by data, not by
+    # the period, and stay on the plain kernel: form them before recording
+    ep.centered_moments
     seen = _record_window_sum_frames(monkeypatch)
     dec = UmmDecoder(codes, 15)
     out = dec.decode_epochs(ep)

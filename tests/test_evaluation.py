@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
+from cvepdecode import cca, encoding, sigproc, umm
 from cvepdecode.cca import CcaDecoder
 from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.encoding import structure_for_code
@@ -15,6 +16,7 @@ from cvepdecode.errors import (
     DegenerateSample,
     InvalidCodeSet,
     InvalidCutoff,
+    LengthMismatch,
     NumericalError,
     ShapeError,
     TruncatedTrial,
@@ -159,6 +161,28 @@ class TestDecodeSession:
         with pytest.raises(NumericalError):
             decode_session(session, tag, 4.2)
 
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_each_trial_checked_and_framed_once(self, monkeypatch, tag):
+        # a decision and its cumulative update read one TrialStats
+        session = _session(snr=0.05)
+        bank = DecoderBank(session.codes, max_dur_s=4.2)
+        originals = {
+            "finite_samples": sigproc.finite_samples,
+            "trial_frames": encoding.trial_frames,
+        }
+        calls = dict.fromkeys(originals, 0)
+        for name, original in originals.items():
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (sigproc, encoding, cca, umm):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        decode_session(session, tag, 4.2, bank)
+        assert calls == dict.fromkeys(originals, session.n_trials)
+
     def test_outcome_count_and_order(self):
         session = _session()
         outcomes = decode_session(session, "cca_e1", 2.1)
@@ -240,6 +264,12 @@ class TestWilcoxon:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSample):
             wilcoxon_one_sided([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 3), (1, 3)])
+    def test_unequal_lengths_refused(self, n_a, n_b):
+        # checked before the subtraction, which would broadcast a length 1
+        with pytest.raises(LengthMismatch, match=f"got {n_a} and {n_b}"):
+            wilcoxon_one_sided(np.arange(n_a) + 1.0, np.zeros(n_b))
 
     def test_swap_symmetry(self):
         a = [3.0, 1.0, 4.0, 1.5, 5.0]
