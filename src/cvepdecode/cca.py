@@ -22,10 +22,11 @@ columns. The frame weights repeat with the code's period, so on a trial of
 two full code cycles or more the kernel works on the frames folded by the
 period (:func:`.encoding.tiled_window_sums`), not on every frame. An
 instantaneous decision whitens them by one batched product with the
-inverse factors per block; a cumulative one refactors its grams
-and solves per (hypothesis, block). Both then apply the inverse spatial
-factor by one product. Each hypothesis scores the square root of the
-largest eigenvalue of its C x C matrix K^T K, K its whitened
+inverse factors per block; a cumulative one adds its state's sums,
+refactors its grams and solves per (hypothesis, block), but a fresh state,
+all zero sums, takes the instantaneous route. Both then apply the inverse
+spatial factor by one product. Each hypothesis scores the square root of
+the largest eigenvalue of its C x C matrix K^T K, K its whitened
 cross-covariance: all hypotheses in one batched symmetric eigenvalue call.
 The frames and x x^T come from the trial's :class:`.encoding.TrialStats`,
 which a decision and its cumulative update share. The decoder decides
@@ -44,6 +45,7 @@ from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAM
 from .encoding import StructureMatrix, TiledWeights, TrialStats, common_period, lagged
 from .encoding import tiled_window_sums
 from .errors import (
+    ConfigError,
     DegenerateCovariance,
     LabelOutOfRange,
     NumericalFailure,
@@ -66,7 +68,8 @@ MODE_CUMULATIVE = "cumulative"
 
 @dataclass
 class CcaState:
-    """Accumulated covariance terms for cumulative decoding.
+    """Accumulated covariance terms for cumulative decoding, running sums
+    over the decided trials: a fresh state's are the scalar 0.0.
 
     The spatial accumulator and the predicted-structure cross/temporal
     accumulators are shared across hypotheses: the spatial covariance does
@@ -77,13 +80,10 @@ class CcaState:
     """
 
     mode: str = MODE_INSTANTANEOUS
-    sxx: NDArray | None = None     # (C, C)
-    sxm: NDArray | None = None     # (PHASE_DIM, 3 * C): x M^T, transposed, phase-major columns
-    smm: NDArray | None = None     # (B, PHASE_DIM, PHASE_DIM): distinct phase grams
+    sxx: NDArray | float = 0.0     # (C, C)
+    sxm: NDArray | float = 0.0     # (PHASE_DIM, 3 * C): x M^T, transposed, phase-major columns
+    smm: NDArray | float = 0.0     # (B, PHASE_DIM, PHASE_DIM): distinct phase grams
     n_trials_seen: int = 0
-
-    def is_empty(self) -> bool:
-        return self.n_trials_seen == 0
 
 
 def _phase_runs(n_samples: int) -> list[range]:
@@ -211,7 +211,7 @@ class CcaDecoder:
         events = np.concatenate([s.truncated(n_samples).events for s in structures])
         weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
         if np.count_nonzero(weights) != np.count_nonzero(events):
-            raise ValueError("events must fire at frame starts")
+            raise ShapeError("events must fire at frame starts")
         per_code = weights.reshape(len(structures), N_EVENTS, -1)
         self.grams = np.stack([_phase_grams(w, n_samples) for w in per_code])
         self.weights = TiledWeights.of(weights, period)
@@ -236,9 +236,9 @@ class CcaDecoder:
         return stats
 
     def _check_state(self, state: CcaState, n_channels: int) -> None:
-        """ShapeError unless the state's sums have this decoder's shapes for
-        trials of n_channels channels: a state of another length or channel
-        count must not broadcast into the decision."""
+        """ShapeError unless each sum of the state is a fresh 0.0 or has this
+        decoder's shape for trials of n_channels channels: a state of another
+        length or channel count must not broadcast into the decision."""
         want = {
             "sxx": (n_channels, n_channels),
             "sxm": (PHASE_DIM, SAMPLES_PER_FRAME * n_channels),
@@ -246,7 +246,7 @@ class CcaDecoder:
         }
         for name, shape in want.items():
             got = np.shape(getattr(state, name))
-            if got != shape:
+            if got not in ((), shape):
                 raise ShapeError(f"accumulated {name} has shape {got}, decoder expects {shape}")
 
     def _smx(self, stats: TrialStats, weights: TiledWeights) -> NDArray:
@@ -264,8 +264,10 @@ class CcaDecoder:
         smx = self._smx(stats, self.weights)
         columns = self._block_columns(c)
         k = np.empty_like(smx)
-        if state is not None and state.mode == MODE_CUMULATIVE and not state.is_empty():
+        if state is not None and state.mode == MODE_CUMULATIVE:
             self._check_state(state, c)
+        # a fresh state's zero sums add nothing: the instantaneous route
+        if state is not None and state.mode == MODE_CUMULATIVE and state.n_trials_seen:
             sxx += state.sxx
             lm = _ridged_cholesky(self.grams + state.smm, "temporal", self._phase_counts())
             smx = smx + state.sxm
@@ -294,16 +296,13 @@ class CcaDecoder:
         """Fold the finished trial into the accumulators, pairing its data
         with the design of its own predicted label (naive labeling)."""
         if state.mode != MODE_CUMULATIVE:
-            raise ValueError("update_cumulative requires a cumulative-mode state")
+            raise ConfigError("update_cumulative requires a cumulative-mode state")
         if not 0 <= predicted < len(self.grams):
             raise LabelOutOfRange(
                 f"label {predicted} is not one of the {len(self.grams)} hypotheses"
             )
         stats = self._stats(trial)
-        if state.is_empty():
-            state = CcaState(mode=MODE_CUMULATIVE, sxx=0.0, sxm=0.0, smm=0.0)
-        else:
-            self._check_state(state, len(stats.samples))
+        self._check_state(state, len(stats.samples))
         rows = slice(N_EVENTS * predicted, N_EVENTS * (predicted + 1))
         (smx,) = self._smx(stats, self.weights.rows(rows))
         return CcaState(

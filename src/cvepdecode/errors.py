@@ -70,7 +70,8 @@ class DegenerateCovariance(NumericalError):
 
 
 class ShapeError(DataError):
-    """Array dimensions inconsistent with accumulated state."""
+    """Array dimensions or event layout inconsistent with the decoder or
+    its accumulated state."""
 
 
 class LabelOutOfRange(DataError):
@@ -109,7 +110,8 @@ class ConfigError(DataError):
 
 
 class DegenerateSample(DataError):
-    """All paired differences are zero; the signed-rank test is undefined."""
+    """A paired sample is not finite, or all paired differences are zero;
+    the signed-rank test is undefined."""
 
 
 class CorruptArchive(DataError):

@@ -57,7 +57,6 @@ class DecoderBank:
     one."""
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):
-        self.codes = codes
         common_period(len(c) for c in codes)    # InvalidCodeSet before codes[0] is read
         n_cycles = n_cycles_to_cover(codes[0], duration_samples(max_dur_s))
         self.structures = [structure_for_code(c, n_cycles) for c in codes]
@@ -91,25 +90,21 @@ def decode_session(
     trials = [trial.prefix(duration_s) for trial in session.trials]
     if bank is None:
         bank = DecoderBank(session.codes, max_dur_s=duration_s)
-    outcomes = []
     if tag.startswith("cca"):
         decoder = bank.cca(duration_samples(duration_s))
         state = CcaState(mode=cca_mod.MODE_CUMULATIVE) if tag == "cca_ec" else None
-        for trial in trials:
-            stats = TrialStats.of(trial)
-            outcome = decoder.decode(stats, state)
-            outcomes.append(outcome)
-            if state is not None:
-                state = decoder.update_cumulative(state, stats, outcome.label)
     else:
         decoder = bank.umm()
         state = UmmState(mode=umm_mod.MODE_CUMULATIVE) if tag == "umm_tcw" else None
-        for trial in trials:
-            stats = umm_mod.slice_epochs(trial)
-            outcome = decoder.decode_epochs(stats, state)
-            outcomes.append(outcome)
-            if state is not None:
-                state = decoder.update_cumulative(state, stats, outcome)
+    outcomes = []
+    for trial in trials:
+        stats = TrialStats.of(trial)
+        outcome = decoder.decode(stats, state)
+        outcomes.append(outcome)
+        if state is not None:
+            # UMM's update weighs the trial by the outcome's confidence
+            decided = outcome.label if tag == "cca_ec" else outcome
+            state = decoder.update_cumulative(state, stats, decided)
     return outcomes
 
 
@@ -187,6 +182,8 @@ def _signed_ranks(a, b):
         raise LengthMismatch(
             f"paired samples must have equal length, got {len(a)} and {len(b)}"
         )
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DegenerateSample("paired samples hold a non-finite value")
     d = a - b
     d = d[d != 0.0]
     if len(d) == 0:
@@ -229,7 +226,8 @@ def wilcoxon_one_sided(a, b) -> tuple[float, float]:
 
     Zero differences are dropped; the null is exact sign enumeration for
     n <= 20 and a tie-corrected, continuity-corrected normal approximation
-    beyond. Returns (W+, p).
+    beyond. Returns (W+, p). DegenerateSample if a sample is not finite or
+    every difference is zero, LengthMismatch for samples of unequal length.
     """
     d, ranks, w_plus = _signed_ranks(a, b)
     if len(d) <= EXACT_MAX_N:

@@ -34,6 +34,7 @@ from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
 from .encoding import TiledWeights, TrialStats, common_period
 from .errors import (
     ConfidenceOutOfRange,
+    ConfigError,
     DegenerateCovariance,
     DegenerateHypothesis,
     InsufficientEpochs,
@@ -58,12 +59,6 @@ def slice_epochs(trial: Trial | TrialStats) -> TrialStats:
             f"trial of {trial.n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
         )
     return TrialStats.of(trial)
-
-
-def mean_difference(ep: TrialStats, code: BitSequence, n_cycles: int) -> NDArray:
-    """Flash-ERP minus non-flash-ERP under the hypothesis that ``code``
-    drove the trial."""
-    return UmmDecoder([code], n_cycles)._deltas(ep, None)[0]
 
 
 # -- covariance --------------------------------------------------------------
@@ -132,15 +127,6 @@ class CovModel:
 
     blocks: NDArray[np.floating]      # (RESPONSE_LEN, C, C)
     shrinkage_gamma: float
-
-    @property
-    def n_features(self) -> int:
-        n, c, _ = self.blocks.shape
-        return n * c
-
-    def dense(self) -> NDArray:
-        """Materialize the full covariance."""
-        return _dense_toeplitz(self.blocks)
 
     def solve(self, v: NDArray) -> NDArray:
         """Sigma^{-1} v by a Cholesky solve of the dense covariance."""
@@ -263,7 +249,8 @@ def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
 @dataclass
 class UmmState:
     """Pooled covariance statistics (label-free) plus confidence-weighted
-    flash/non-flash ERP sums under naive labeling.
+    flash/non-flash ERP sums under naive labeling, running sums over the
+    decided trials: a fresh state's are the scalar 0.0, which pool exactly.
 
     The ERP estimates are global: each finished trial contributes its
     flash and non-flash epoch means, split by its own predicted code,
@@ -273,25 +260,26 @@ class UmmState:
     mode: str = MODE_INSTANTANEOUS
     # sum of the trials' centred scatter grams, (18, 3C, 18, 3C) in the
     # layout of TrialStats.centered_moments: block (a, a + l) at [a, :, l, :]
-    scatter: NDArray | None = None
+    scatter: NDArray | float = 0.0
     sq_norms4: float = 0.0                  # sum of ||x_k - trial mean||^4
     n_epochs: int = 0
-    flash_sum: NDArray | None = None        # (D,), confidence-weighted
-    nonflash_sum: NDArray | None = None     # (D,)
+    flash_sum: NDArray | float = 0.0        # (D,), confidence-weighted
+    nonflash_sum: NDArray | float = 0.0     # (D,)
     weight_total: float = 0.0
     n_trials_seen: int = 0
 
-    def is_empty(self) -> bool:
-        return self.n_trials_seen == 0
 
-
-def _pooled(state: UmmState | None, n_features: int) -> UmmState | None:
-    """The state if it holds cumulative statistics to pool with a trial of
-    n_features features, else None."""
-    if state is None or state.mode != MODE_CUMULATIVE or state.is_empty():
+def _pooled(state: UmmState | None, ep: TrialStats) -> UmmState | None:
+    """The state if it is cumulative, else None. ShapeError unless each of
+    its sums is a fresh zero scalar or has the shape of the trial's."""
+    if state is None or state.mode != MODE_CUMULATIVE:
         return None
-    if FRAMES_PER_EPOCH * state.scatter.shape[1] != n_features:
-        raise ShapeError("accumulated statistics have a different feature count")
+    d = ep.n_features
+    want = {"scatter": ep.centered_moments[0].shape, "flash_sum": (d,), "nonflash_sum": (d,)}
+    for name, shape in want.items():
+        got = np.shape(getattr(state, name))
+        if got not in ((), shape):
+            raise ShapeError(f"accumulated {name} has shape {got}, the trial's is {shape}")
     return state
 
 
@@ -308,10 +296,6 @@ class UmmDecoder:
         period = common_period(len(c) for c in codes)
         self.bits = np.array([c.array for c in codes], dtype=np.float64)
         self.n_frames = n_cycles * period
-
-    @property
-    def n_hypotheses(self) -> int:
-        return self.bits.shape[0]
 
     def _means(self, ep: TrialStats, rows) -> tuple[NDArray, NDArray]:
         """Flash and non-flash means of the centred epochs (add
@@ -336,7 +320,7 @@ class UmmDecoder:
         return flash_sums / n_flash, (ep.epoch_sum - flash_sums) / (k - n_flash)
 
     def _deltas(self, ep: TrialStats, pooled: UmmState | None) -> NDArray:
-        flash, nonflash = self._means(ep, np.arange(self.n_hypotheses))
+        flash, nonflash = self._means(ep, np.arange(len(self.bits)))
         deltas = flash - nonflash
         if pooled is not None:
             deltas = (pooled.flash_sum - pooled.nonflash_sum + deltas) / (
@@ -344,13 +328,13 @@ class UmmDecoder:
             )
         return deltas
 
-    def decode(self, trial: Trial, state: UmmState | None = None) -> DecodeOutcome:
+    def decode(self, trial: Trial | TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         return self.decode_epochs(slice_epochs(trial), state)
 
     def decode_epochs(self, ep: TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         """Score every hypothesis on the epochs, pooling a cumulative
-        state's covariance statistics and ERP sums when it holds any."""
-        pooled = _pooled(state, ep.n_features)
+        state's covariance statistics and ERP sums."""
+        pooled = _pooled(state, ep)
         grams, sq_norms4 = ep.centered_moments
         n = ep.n_epochs
         if pooled is not None:
@@ -367,23 +351,16 @@ class UmmDecoder:
         flash/non-flash means to the predicted hypothesis' sums with the
         outcome's confidence as weight, which must lie in [0, 1]."""
         if state.mode != MODE_CUMULATIVE:
-            raise ValueError("update_cumulative requires a cumulative-mode state")
-        if not 0 <= outcome.label < self.n_hypotheses:
+            raise ConfigError("update_cumulative requires a cumulative-mode state")
+        if not 0 <= outcome.label < len(self.bits):
             raise LabelOutOfRange(
-                f"label {outcome.label} is not one of the {self.n_hypotheses} hypotheses"
+                f"label {outcome.label} is not one of the {len(self.bits)} hypotheses"
             )
         w = float(outcome.confidence)
         if not 0.0 <= w <= 1.0:
             raise ConfidenceOutOfRange(f"confidence {w} is not a weight in [0, 1]")
-        d = ep.n_features
+        _pooled(state, ep)      # ShapeError for sums of another shape
         grams, sq_norms4 = ep.centered_moments
-        if _pooled(state, d) is None:
-            state = UmmState(
-                mode=MODE_CUMULATIVE,
-                scatter=np.zeros_like(grams),
-                flash_sum=np.zeros(d),
-                nonflash_sum=np.zeros(d),
-            )
         flash, nonflash = self._means(ep, [outcome.label])
         return UmmState(
             mode=MODE_CUMULATIVE,

@@ -87,7 +87,7 @@ def test_decode_too_short():
 def test_events_off_the_frame_grid_rejected():
     events = np.zeros((3, 378), dtype=np.int8)
     events[0, 4] = 1  # sample 4 is inside frame 1, not at its start
-    with pytest.raises(ValueError, match="frame starts"):
+    with pytest.raises(ShapeError, match="frame starts"):
         CcaDecoder([StructureMatrix(events=events)], 378)
 
 
@@ -144,7 +144,7 @@ def test_update_cumulative_order_invariant_sxx():
 
 
 def test_update_requires_cumulative_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.ConfigError):
         DECODER_2S.update_cumulative(CcaState(), _clean_trial(0), 0)
 
 
@@ -369,3 +369,28 @@ def test_decoder_never_builds_the_dense_design(monkeypatch):
     decoder = CcaDecoder(STRUCTS_1C, 378)
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     assert decoder.decode(trial, state).label == 2
+
+
+@pytest.mark.parametrize("n_samples", [756, 5670], ids=["4.2s", "31.5s"])
+def test_fresh_cumulative_state_decides_as_none(n_samples):
+    # a fresh state is zero sums: it adds nothing, bit for bit
+    decoder = CcaDecoder([structure_for_code(c, 15) for c in CODES], n_samples)
+    session = synthesize_session(1, ForwardModel(snr=0.05), seed=6, codes=CODES[:1], dur_s=31.5)
+    trial = Trial(samples=session.trials[0].samples[:, :n_samples])
+    instant = decoder.decode(trial)
+    fresh = decoder.decode(trial, CcaState(mode=cca.MODE_CUMULATIVE))
+    assert fresh.label == instant.label
+    assert np.array_equal(fresh.scores, instant.scores)
+    assert fresh.confidence == instant.confidence
+
+
+@pytest.mark.parametrize("n_trials_seen", [0, 1])
+@pytest.mark.parametrize("name, shape", [("sxx", (3, 3)), ("sxm", (54, 9)), ("smm", (2, 54, 54))])
+def test_state_sums_of_another_shape_refused(n_trials_seen, name, shape):
+    state = CcaState(mode=cca.MODE_CUMULATIVE, n_trials_seen=n_trials_seen)
+    setattr(state, name, np.zeros(shape))
+    trial = _clean_trial(4)
+    with pytest.raises(ShapeError, match=name):
+        DECODER_2S.decode(trial, state)
+    with pytest.raises(ShapeError, match=name):
+        DECODER_2S.update_cumulative(state, trial, 4)

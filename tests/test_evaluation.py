@@ -265,6 +265,17 @@ class TestWilcoxon:
         with pytest.raises(DegenerateSample):
             wilcoxon_one_sided([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [([0.5, np.nan, 0.7], [0.4, 0.3, 0.2]), ([0.5, np.inf, 0.7], [0.4, 0.3, 0.2]),
+         ([0.5, 0.6, 0.7], [0.4, -np.inf, 0.2])],
+        ids=["nan", "inf", "minus-inf"],
+    )
+    def test_non_finite_sample_refused(self, a, b):
+        # a NaN used to surface as a bare ValueError, an inf as a p-value
+        with pytest.raises(DegenerateSample, match="non-finite"):
+            wilcoxon_one_sided(a, b)
+
     @pytest.mark.parametrize("n_a, n_b", [(2, 3), (1, 3)])
     def test_unequal_lengths_refused(self, n_a, n_b):
         # checked before the subtraction, which would broadcast a length 1

@@ -21,7 +21,6 @@ from cvepdecode.umm import (
     UmmState,
     block_levinson_solve,
     estimate_covariance,
-    mean_difference,
     score_hypotheses,
     slice_epochs,
 )
@@ -211,7 +210,7 @@ class TestMeanDifference:
         x = np.tile([2.5, 2.5, 2.5, 0.0, 0.0, 0.0], 18)[np.newaxis, :]
         ep = slice_epochs(_trial_from_array(x))
         v = x[0, 0:54] - x[0, 3:57]
-        delta = mean_difference(ep, code, 2)
+        delta = UmmDecoder([code], 2)._deltas(ep, None)[0]
         assert np.allclose(delta, v)
 
     def test_balanced_split_half_cycle(self):
@@ -225,7 +224,7 @@ class TestMeanDifference:
         code = BitSequence(bits=(1,) * 4)
         ep = slice_epochs(_trial_from_array(np.zeros((1, 60))))
         with pytest.raises(DegenerateHypothesis):
-            mean_difference(ep, code, 1)
+            UmmDecoder([code], 1)._deltas(ep, None)[0]
 
 
 class TestCovariance:
@@ -245,9 +244,9 @@ class TestCovariance:
         rng = np.random.default_rng(1)
         trial = synthesize_trial(CODES[0], ForwardModel(snr=1.0), 4.2, 7, 0)
         cov = estimate_covariance(slice_epochs(trial))
-        v = rng.normal(size=cov.n_features)
         dense = _dense_from_blocks(cov.blocks)
-        assert np.array_equal(cov.dense(), dense)
+        v = rng.normal(size=len(dense))
+        assert np.array_equal(umm._dense_toeplitz(cov.blocks), dense)
         expect = np.linalg.solve(dense, v)
         got = cov.solve(v)
         assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
@@ -255,7 +254,7 @@ class TestCovariance:
     def test_full_shrinkage_is_scaled_identity(self):
         trial = synthesize_trial(CODES[1], ForwardModel(snr=1.0), 2.1, 3, 1)
         cov = estimate_covariance(slice_epochs(trial), gamma=1.0)
-        dense = cov.dense()
+        dense = umm._dense_toeplitz(cov.blocks)
         nu = dense[0, 0]
         assert np.allclose(dense, nu * np.eye(dense.shape[0]))
 
@@ -305,7 +304,7 @@ class TestCovariance:
     def test_symmetric_and_positive_definite(self):
         trial = synthesize_trial(CODES[2], ForwardModel(snr=0.2), 2.1, 9, 2)
         cov = estimate_covariance(slice_epochs(trial))
-        dense = cov.dense()
+        dense = umm._dense_toeplitz(cov.blocks)
         assert np.allclose(dense, dense.T)
         linalg.cholesky(dense)  # raises if not PD
 
@@ -416,7 +415,8 @@ class TestScoringOracles:
         deltas, cov = self._deltas_and_cov()
         assert deltas.shape == (20, 432)
         got = score_hypotheses(deltas, cov).scores
-        want = np.einsum("nd,dn->n", deltas, np.linalg.solve(cov.dense(), deltas.T))
+        dense = umm._dense_toeplitz(cov.blocks)
+        want = np.einsum("nd,dn->n", deltas, np.linalg.solve(dense, deltas.T))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_scores_match_the_full_solve(self):
@@ -560,6 +560,41 @@ class TestCumulative:
         small = slice_epochs(Trial(samples=np.zeros((4, 120))))
         with pytest.raises(ShapeError):
             dec.update_cumulative(state, small, out)
+
+    @pytest.mark.parametrize("n_trials_seen", [0, 1])
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("scatter", (18, 9, 18, 9)), ("flash_sum", (216,)), ("nonflash_sum", (432, 1))],
+    )
+    def test_sums_of_another_shape_refused(self, n_trials_seen, name, shape):
+        # checked whether or not the state has seen a trial: a wrongly
+        # shaped sum must not broadcast into the decision
+        dec = UmmDecoder(CODES, 1)
+        state = UmmState(mode=umm.MODE_CUMULATIVE, n_trials_seen=n_trials_seen)
+        setattr(state, name, np.zeros(shape))
+        ep = self._epochs()
+        out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=0.5)
+        with pytest.raises(ShapeError, match=name):
+            dec.decode_epochs(ep, state)
+        with pytest.raises(ShapeError, match=name):
+            dec.update_cumulative(state, ep, out)
+
+    @pytest.mark.parametrize("dur_s", [4.2, 31.5])
+    def test_fresh_state_decides_as_none(self, dur_s):
+        # a fresh state is zero sums: pooling it changes nothing, bit for bit
+        dec = UmmDecoder(CODES, 15)
+        ep = slice_epochs(synthesize_trial(CODES[8], ForwardModel(snr=0.05), dur_s, 5, 8))
+        instant = dec.decode_epochs(ep)
+        fresh = dec.decode_epochs(ep, UmmState(mode=umm.MODE_CUMULATIVE))
+        assert fresh.label == instant.label
+        assert np.array_equal(fresh.scores, instant.scores)
+        assert fresh.confidence == instant.confidence
+
+    def test_update_requires_cumulative_mode(self):
+        dec = UmmDecoder(CODES, 1)
+        out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=0.5)
+        with pytest.raises(errors.ConfigError):
+            dec.update_cumulative(UmmState(), self._epochs(), out)
 
     @pytest.mark.parametrize("label", [20, -1])
     def test_label_out_of_range(self, label):
