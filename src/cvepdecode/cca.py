@@ -6,31 +6,30 @@ sequence-specific spatial (per-channel) and temporal (per-event-lag)
 filters. The cumulative variant accumulates spatial covariance plus the
 cross/temporal terms of previously decoded trials under naive labeling.
 
-The decoder stores no design matrix. Every event fires at a frame start,
-so design row (event e, lag 3a + p) is nonzero only at samples of phase p
-(t % 3 == p): the temporal gram M_i M_i^T is zero between lags of
-different phases, and is three PHASE_DIM x PHASE_DIM phase grams, rows
-ordered (event, frame lag a). Every frame holds all three phases but the
-last, which holds the first r = (n_samples - 1) % 3 + 1: phases p < r share
-one gram and phases p >= r another, the first less the last frame's outer
-product. So a code keeps one gram block when r = 3, else two, built from
-its frame weights, factored once, and the factors inverted once. The
-cross-covariances of a trial with every hypothesis' design are one call of
-the frame window-sum kernel of :mod:`.encoding`, laid out (event, frame
-lag) by (phase, channel): the phases that share a block are one run of
-columns. The frame weights repeat with the code's period, so on a trial of
-two full code cycles or more the kernel works on the frames folded by the
-period (:func:`.encoding.tiled_window_sums`), not on every frame. An
+The decoder stores no design matrix. A decision reads a trial's whole
+frames, its first 3 floor(T / 3) samples; up to two trailing samples are
+read by neither decoder. Every event fires at a frame start, so design row
+(event e, lag 3a + p) is nonzero only at samples of phase p (t % 3 == p):
+the temporal gram M_i M_i^T is zero between lags of different phases, and
+as every whole frame holds all three phases it is three copies of one
+PHASE_DIM x PHASE_DIM phase gram, rows ordered (event, frame lag a). A code
+keeps that one gram, built from its frame weights, factored once, and the
+factor inverted once. The cross-covariances of a trial with every
+hypothesis' design are one call of the frame window-sum kernel of
+:mod:`.encoding`, laid out (event, frame lag) by (phase, channel). The
+frame weights repeat with the code's period, so on a trial of two full
+code cycles or more the kernel works on the frames folded by the period
+(:func:`.encoding.tiled_window_sums`), not on every frame. An
 instantaneous decision whitens them by one batched product with the
-inverse factors per block; a cumulative one adds its state's sums,
-refactors its grams and solves per (hypothesis, block), but a fresh state,
-all zero sums, takes the instantaneous route. Both then apply the inverse
-spatial factor by one product. Each hypothesis scores the square root of
-the largest eigenvalue of its C x C matrix K^T K, K its whitened
-cross-covariance: all hypotheses in one batched symmetric eigenvalue call.
-The frames and x x^T come from the trial's :class:`.encoding.TrialStats`,
-which a decision and its cumulative update share. The decoder decides
-exactly the samples it is handed: ``Trial.prefix`` is the one cut.
+inverse factors; a cumulative one adds its state's sums, refactors its
+grams and solves per hypothesis, but a fresh state, all zero sums, takes
+the instantaneous route. Both then apply the inverse spatial factor by one
+product. Each hypothesis scores the square root of the largest eigenvalue
+of its C x C matrix K^T K, K its whitened cross-covariance: all hypotheses
+in one batched symmetric eigenvalue call. The frames and x x^T come from
+the trial's :class:`.encoding.TrialStats`, which a decision and its
+cumulative update share. The decoder decides the trials of exactly the
+length it is built for: ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
@@ -76,38 +75,28 @@ class CcaState:
     not depend on the hypothesis, and under naive labeling every
     hypothesis reuses the same predicted structure of past trials. The
     terms are laid out like the decoder's: the cross term by (phase,
-    channel) columns, the temporal one as its distinct phase gram blocks.
+    channel) columns, the temporal one as the phase gram.
     """
 
     mode: str = MODE_INSTANTANEOUS
     sxx: NDArray | float = 0.0     # (C, C)
     sxm: NDArray | float = 0.0     # (PHASE_DIM, 3 * C): x M^T, transposed, phase-major columns
-    smm: NDArray | float = 0.0     # (B, PHASE_DIM, PHASE_DIM): distinct phase grams
+    smm: NDArray | float = 0.0     # (PHASE_DIM, PHASE_DIM): the phase gram
     n_trials_seen: int = 0
 
 
-def _phase_runs(n_samples: int) -> list[range]:
-    """The runs of sample phases that share a phase gram over n_samples
-    samples: the r = (n_samples - 1) % 3 + 1 phases the last frame holds,
-    then the rest; one run when r = 3."""
-    r = (n_samples - 1) % SAMPLES_PER_FRAME + 1
-    return [range(r)] if r == SAMPLES_PER_FRAME else [range(r), range(r, SAMPLES_PER_FRAME)]
-
-
-def _ridged_cholesky(blocks: NDArray, what: str, counts: list[int] | None = None) -> NDArray:
-    """Lower Cholesky factors of the float stack blocks (..., B, n, n), the B
-    distinct diagonal blocks of block-diagonal matrices, in place: callers
-    pass scratch. Block b stands for counts[b] diagonal blocks (one each
-    by default). Each matrix is ridged by RIDGE_REL times the mean diagonal
-    of its whole block-diagonal matrix. LAPACK's potrf factors block by
-    block; its clean=1 zeroes the upper triangles."""
-    counts = np.ones(blocks.shape[-3]) if counts is None else np.asarray(counts, dtype=float)
-    tr = np.trace(blocks, axis1=-2, axis2=-1) @ counts
+def _ridged_cholesky(blocks: NDArray, what: str) -> NDArray:
+    """Lower Cholesky factors of the float stack blocks (..., n, n), in
+    place: callers pass scratch. Each matrix is ridged by RIDGE_REL times
+    its mean diagonal, which a phase gram shares with the block-diagonal
+    gram of its three phases. LAPACK's potrf factors one matrix a call; its
+    clean=1 zeroes the upper triangles."""
+    tr = np.trace(blocks, axis1=-2, axis2=-1)
     if not np.all(np.isfinite(tr) & (tr > 0)):
         bad = "non-positive" if np.all(np.isfinite(tr)) else "non-finite"
         raise DegenerateCovariance(f"{what} covariance has a {bad} trace")
-    ridge = RIDGE_REL * tr / (counts.sum() * blocks.shape[-1])
-    np.einsum("...ii->...i", blocks)[...] += ridge[..., np.newaxis, np.newaxis]
+    ridge = RIDGE_REL * tr / blocks.shape[-1]
+    np.einsum("...ii->...i", blocks)[...] += ridge[..., np.newaxis]
     for i in np.ndindex(blocks.shape[:-2]):
         blocks[i], info = lapack.dpotrf(blocks[i], lower=1, clean=1)
         if info:
@@ -140,8 +129,8 @@ def fit_filters(
     -------
     (w, r, rho): spatial filter (C,), temporal filter (M,), correlation.
     """
-    lx = _ridged_cholesky(np.array(sxx, dtype=float)[np.newaxis], "spatial")[0]
-    lm = _ridged_cholesky(np.array(smm, dtype=float)[np.newaxis], "temporal")[0]
+    lx = _ridged_cholesky(np.array(sxx, dtype=float), "spatial")
+    lm = _ridged_cholesky(np.array(smm, dtype=float), "temporal")
     # lx^-1 sxm lm^-T by two triangular solves; LAPACK is called directly:
     # SciPy's wrappers cost more than a small solve
     k = lapack.dtrtrs(lx, np.asarray(sxm, dtype=float), lower=1)[0]
@@ -157,38 +146,19 @@ def fit_filters(
     return w, r, rho
 
 
-def _phase_grams(weights: NDArray, n_samples: int) -> NDArray:
-    """The (B, PHASE_DIM, PHASE_DIM) distinct phase grams of one code's
-    design over n_samples samples, one per run of :func:`_phase_runs`, from
-    its frame weights (N_EVENTS, K), K = ceil(n_samples / 3) frames.
-
-    Phase p's gram, entry ((e, a), (e', a')), is the gram entry of lags
-    3a + p and 3a' + p: the sum over the frames g that hold a sample of
-    phase p of weights[e, g - a] weights[e', g - a']. Every frame holds
-    phase p, except that the last holds only the phases of the first run;
-    so the first block is the gram of the :func:`.encoding.lagged` weights
-    over all K frames, and the second, if any, that less the last frame's
-    outer product.
-    """
-    design = lagged(weights, FRAMES_PER_EPOCH)         # (PHASE_DIM, K)
-    full = design @ design.T
-    if len(_phase_runs(n_samples)) == 1:
-        return full[np.newaxis]
-    last = design[:, -1]
-    return np.stack([full, full - np.outer(last, last)])
-
-
 class CcaDecoder:
     """Scores every code hypothesis on trials of one length.
 
-    It keeps ``weights``, the (N * N_EVENTS, ceil(n_samples / 3)) frame
-    weights, event e of hypothesis i at each frame start in row
-    i * N_EVENTS + e, as :class:`.encoding.TiledWeights` of the code
-    length; and as (N, B, PHASE_DIM, PHASE_DIM) stacks the B distinct phase grams of every
-    M_i M_i^T (B = 1 when n_samples is a multiple of 3, else 2; see
-    :func:`_phase_runs`) and the inverses of their ridged lower Cholesky
+    It keeps ``weights``, the (N * N_EVENTS, floor(n_samples / 3)) frame
+    weights of the whole frames, event e of hypothesis i at each frame
+    start in row i * N_EVENTS + e, as :class:`.encoding.TiledWeights` of
+    the code length; and as (N, PHASE_DIM, PHASE_DIM) stacks the phase gram
+    of every M_i M_i^T and the inverses of their ridged lower Cholesky
     factors: the temporal whitening of an instantaneous decision is one
-    batched product with them per block. A cumulative decision adds its
+    batched product with them. Phase p's gram entry ((e, a), (e', a')) is
+    the gram entry of lags 3a + p and 3a' + p, the sum over the frames g of
+    weights[e, g - a] weights[e', g - a']: the gram of the
+    :func:`.encoding.lagged` weights. A cumulative decision adds its
     state's grams and refactors. Every structure must hold at least
     n_samples samples (ShapeError otherwise), and all must tile codes of
     one length (InvalidCodeSet otherwise). A trial, or its TrialStats,
@@ -208,25 +178,16 @@ class CcaDecoder:
                 f"event trains reach {reach} samples, trials of {n_samples} asked for"
             )
         self.n_samples = n_samples
-        events = np.concatenate([s.truncated(n_samples).events for s in structures])
+        whole = n_samples // SAMPLES_PER_FRAME * SAMPLES_PER_FRAME
+        events = np.concatenate([s.truncated(whole).events for s in structures])
         weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
         if np.count_nonzero(weights) != np.count_nonzero(events):
             raise ShapeError("events must fire at frame starts")
         per_code = weights.reshape(len(structures), N_EVENTS, -1)
-        self.grams = np.stack([_phase_grams(w, n_samples) for w in per_code])
+        designs = (lagged(w, FRAMES_PER_EPOCH) for w in per_code)     # (PHASE_DIM, K) each
+        self.grams = np.stack([d @ d.T for d in designs])
         self.weights = TiledWeights.of(weights, period)
-        self.gram_inverse_factors = _inverted(
-            _ridged_cholesky(self.grams.copy(), "temporal", self._phase_counts())
-        )
-
-    def _phase_counts(self) -> list[int]:
-        """How many phases each gram block stands for."""
-        return [len(run) for run in _phase_runs(self.n_samples)]
-
-    def _block_columns(self, n_channels: int) -> list[slice]:
-        """The (phase, channel) columns of each gram block's phases."""
-        return [slice(run.start * n_channels, run.stop * n_channels)
-                for run in _phase_runs(self.n_samples)]
+        self.gram_inverse_factors = _inverted(_ridged_cholesky(self.grams.copy(), "temporal"))
 
     def _stats(self, trial: Trial | TrialStats) -> TrialStats:
         stats = TrialStats.of(trial)
@@ -242,7 +203,7 @@ class CcaDecoder:
         want = {
             "sxx": (n_channels, n_channels),
             "sxm": (PHASE_DIM, SAMPLES_PER_FRAME * n_channels),
-            "smm": self.grams.shape[1:],
+            "smm": (PHASE_DIM, PHASE_DIM),
         }
         for name, shape in want.items():
             got = np.shape(getattr(state, name))
@@ -253,7 +214,7 @@ class CcaDecoder:
         """M_i x^T, (n, PHASE_DIM, 3 * C), for the hypotheses whose weight
         rows are given: row (event, frame lag a) and column (phase, channel)
         hold design row (event, lag 3a + p) against channel c. Zero frames
-        past the trial cut the responses that run past its end."""
+        past the whole frames cut the responses that run past them."""
         sums = tiled_window_sums(stats.frames, weights)   # [i * N_EVENTS + e, (a * 3 + p) * C + c]
         return sums.reshape(-1, PHASE_DIM, stats.frames.shape[1])
 
@@ -262,21 +223,17 @@ class CcaDecoder:
         c = len(stats.samples)
         sxx = stats.sxx.copy()      # scratch: its factor is made in place
         smx = self._smx(stats, self.weights)
-        columns = self._block_columns(c)
-        k = np.empty_like(smx)
         if state is not None and state.mode == MODE_CUMULATIVE:
             self._check_state(state, c)
         # a fresh state's zero sums add nothing: the instantaneous route
         if state is not None and state.mode == MODE_CUMULATIVE and state.n_trials_seen:
             sxx += state.sxx
-            lm = _ridged_cholesky(self.grams + state.smm, "temporal", self._phase_counts())
+            lm = _ridged_cholesky(self.grams + state.smm, "temporal")
             smx = smx + state.sxm
-            for i, b in np.ndindex(lm.shape[:2]):
-                k[i, :, columns[b]] = lapack.dtrtrs(lm[i, b], smx[i, :, columns[b]], lower=1)[0]
+            k = np.stack([lapack.dtrtrs(l, s, lower=1)[0] for l, s in zip(lm, smx)])
         else:
-            for b, cols in enumerate(columns):
-                np.matmul(self.gram_inverse_factors[:, b], smx[:, :, cols], out=k[:, :, cols])
-        lx = _ridged_cholesky(sxx[np.newaxis], "spatial")[0]
+            k = self.gram_inverse_factors @ smx
+        lx = _ridged_cholesky(sxx, "spatial")
         # lx^-1 by one solve against the identity: at 8 channels, a product
         # with it is ten times faster than a triangular solve over the
         # 3 * PHASE_DIM * N columns

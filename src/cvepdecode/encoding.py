@@ -10,7 +10,9 @@ event train on demand and never stored. Events fire at frame starts, so
 both decoders sum response windows with one kernel, :func:`window_sums`
 over :func:`trial_frames`: CCA weights the windows by each hypothesis'
 events, UMM by its flash bits. Both read a trial as one
-:class:`TrialStats`: its samples checked and framed once.
+:class:`TrialStats`: its samples checked and framed once. Both decide a
+trial's whole frames, its first 3 floor(T / 3) samples: up to two
+trailing samples, a partial frame, are read by neither.
 
 Both weightings repeat with the code's period, its length in frames
 (:class:`TiledWeights`): one cycle's pattern, plus a few corrections where
@@ -160,13 +162,15 @@ def tiled_window_sums(frames: NDArray, weights: TiledWeights) -> NDArray:
 @dataclass(frozen=True)
 class TrialStats:
     """One trial as both decoders read it: its (C, T) samples, checked
-    finite once, and their :func:`trial_frames`, laid out once, zero past
-    T: (ceil(T / 3) + FRAMES_PER_EPOCH - 1, SAMPLES_PER_FRAME * C), so CCA's
-    windows reach past the last frame. UMM's epochs lie in the whole frames,
-    the first floor(T / 3): epoch k is frames[k : k + 18] flattened, feature
-    (t * C + c) channel c at epoch sample t. Every statistic is computed on
-    first use and kept; UMM's are about the whole frames' column mean, so a
-    large constant offset does not cancel in their products."""
+    finite once, and the :func:`trial_frames` of its n_frames = floor(T / 3)
+    whole frames, laid out once, zero past them: (n_frames +
+    FRAMES_PER_EPOCH - 1, SAMPLES_PER_FRAME * C), so CCA's windows reach
+    past the last frame. Both decoders read the whole frames alone, the
+    first 3 n_frames samples: x x^T is theirs, and UMM's epoch k is
+    frames[k : k + 18] flattened, feature (t * C + c) channel c at epoch
+    sample t. Every statistic is computed on first use and kept; UMM's are
+    about the whole frames' column mean, so a large constant offset does
+    not cancel in their products."""
 
     samples: NDArray[np.floating]
     frames: NDArray[np.floating]
@@ -177,21 +181,28 @@ class TrialStats:
         if isinstance(trial, TrialStats):
             return trial
         x = finite_samples(trial.samples)
-        n_frames = -(-x.shape[1] // SAMPLES_PER_FRAME) + FRAMES_PER_EPOCH - 1
-        return cls(samples=x, frames=trial_frames(x, n_frames))
+        n_frames = x.shape[1] // SAMPLES_PER_FRAME
+        whole = x[:, : SAMPLES_PER_FRAME * n_frames]
+        return cls(samples=x, frames=trial_frames(whole, n_frames + FRAMES_PER_EPOCH - 1))
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
+    @property
+    def n_frames(self) -> int:
+        """The whole frames, floor(T / 3)."""
+        return self.n_samples // SAMPLES_PER_FRAME
+
     @cached_property
     def sxx(self) -> NDArray:
-        """The (C, C) spatial scatter x x^T."""
-        return self.samples @ self.samples.T
+        """The (C, C) spatial scatter x x^T of the whole frames' samples."""
+        whole = self.samples[:, : SAMPLES_PER_FRAME * self.n_frames]
+        return whole @ whole.T
 
     @property
     def n_epochs(self) -> int:
-        return self.n_samples // SAMPLES_PER_FRAME - FRAMES_PER_EPOCH + 1
+        return self.n_frames - FRAMES_PER_EPOCH + 1
 
     @property
     def n_features(self) -> int:
@@ -200,7 +211,7 @@ class TrialStats:
     @cached_property
     def _centred(self) -> tuple[NDArray, NDArray]:
         """(whole frames less their column mean, the mean tiled to an epoch)."""
-        whole = self.frames[: self.n_samples // SAMPLES_PER_FRAME]
+        whole = self.frames[: self.n_frames]
         frame_mean = whole.mean(axis=0)
         return whole - frame_mean, np.tile(frame_mean, FRAMES_PER_EPOCH)
 

@@ -288,6 +288,8 @@ def bandpass_sweep(
     keeps the highpass fixed at 6 Hz. ``session_source(highpass, lowpass)``
     must return the re-preprocessed session for those cutoffs, over one
     code set: a single DecoderBank, built for the first cutoff, serves all.
+    Each cutoff's session is let go before the next is asked for, so two
+    are never held at once.
     """
     if axis not in ("highpass", "lowpass"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -310,6 +312,7 @@ def bandpass_sweep(
             outcomes = decode_session(session, tag, duration_s, bank)
             n_correct, _ = accuracy_of(outcomes, session.trials)
             grid.n_correct[tag].append(n_correct)
+        del session
     return grid
 
 

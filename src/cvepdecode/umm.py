@@ -215,15 +215,14 @@ def _cov_model(grams: NDArray, sq_norms4: float, n: int, gamma: float | None) ->
     return CovModel(blocks=_regularize(blocks, gamma), shrinkage_gamma=gamma)
 
 
-def estimate_covariance(ep: TrialStats, gamma: float | None = None) -> CovModel:
+def estimate_covariance(ep: TrialStats) -> CovModel:
     """Tapered block-Toeplitz covariance of the epochs with shrinkage
-    toward nu*I (nu = mean diagonal). With ``gamma`` unset, an analytic
-    Ledoit-Wolf intensity is used; the epoch count in a single trial is
-    small against the feature dimension, so automatic regularization is
-    the default.
+    toward nu*I (nu = mean diagonal) by an analytic Ledoit-Wolf intensity:
+    the epoch count in a single trial is small against the feature
+    dimension, so the regularization is automatic.
     """
     grams, sq_norms4 = ep.centered_moments
-    return _cov_model(grams, sq_norms4, ep.n_epochs, gamma)
+    return _cov_model(grams, sq_norms4, ep.n_epochs, None)
 
 
 def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:

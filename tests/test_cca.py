@@ -155,22 +155,9 @@ def test_update_refuses_label_out_of_range(label):
         DECODER_2S.update_cumulative(state, _clean_trial(0), label)
 
 
-def test_state_of_another_length_refused():
-    # 189 samples end in a whole frame, 190 in a frame of one sample: the
-    # 190-sample decoder keeps two phase grams per code, the state one
-    trial = _clean_trial(4)
-    short, longer = CcaDecoder(STRUCTS_1C, 189), CcaDecoder(STRUCTS_1C, 190)
-    past, trial = Trial(samples=trial.samples[:, :189]), Trial(samples=trial.samples[:, :190])
-    state = short.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 4)
-    with pytest.raises(ShapeError):
-        longer.decode(trial, state)
-    with pytest.raises(ShapeError):
-        longer.update_cumulative(state, trial, 4)
-
-
 def test_longer_trial_refused():
-    # the decoder decides exactly the samples it is handed: Trial.prefix is
-    # the one cut, a longer trial is an error, not cut to the decoder
+    # the decoder decides trials of exactly its length: Trial.prefix is the
+    # one cut, a longer trial is an error, not cut to the decoder
     trial = _clean_trial(4)
     longer = Trial(samples=np.concatenate([trial.samples, trial.samples[:, -1:]], axis=1))
     assert (trial.n_samples, longer.n_samples) == (378, 379)
@@ -211,26 +198,33 @@ def _dense_rhos(x, mats, state=None):
     )
 
 
+def _whole(n_samples):
+    """The samples of the whole frames of an n_samples trial."""
+    return n_samples // 3 * 3
+
+
 @pytest.mark.parametrize("n_samples", [54, 189, 190, 191, 756, 5669, 5670])
 def test_frame_kernel_matches_dense_design(n_samples):
     # 190 samples end in a frame of one sample, 191 and 5669 in one of two:
-    # the kernel pads the last frame with zeros
+    # the decoder reads the whole frames, the dense oracle their samples
     structs = [structure_for_code(c, 15) for c in CODES]
     decoder = CcaDecoder(structs, n_samples)
-    mats = [s.truncated(n_samples).mat for s in structs]
+    whole = _whole(n_samples)
+    mats = [s.truncated(whole).mat for s in structs]
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=2, codes=CODES[:2], dur_s=31.5)
     past, trial = (Trial(samples=t.samples[:, :n_samples]) for t in session.trials)
+    x, x0 = trial.samples[:, :whole], past.samples[:, :whole]
 
     got = decoder.decode(trial).scores
-    assert np.abs(got - _dense_rhos(trial.samples, mats)).max() < 1e-10
+    assert np.abs(got - _dense_rhos(x, mats)).max() < 1e-10
 
     # cca_ec with one past trial, folded in under its predicted label
     label = decoder.decode(past).label
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, label)
-    x0, m0 = past.samples, mats[label]
+    m0 = mats[label]
     dense_state = (x0 @ x0.T, x0 @ m0.T, m0 @ m0.T)
     got = decoder.decode(trial, state).scores
-    assert np.abs(got - _dense_rhos(trial.samples, mats, dense_state)).max() < 1e-10
+    assert np.abs(got - _dense_rhos(x, mats, dense_state)).max() < 1e-10
 
 
 def test_bank_stores_no_dense_design():
@@ -246,14 +240,14 @@ def test_bank_stores_no_dense_design():
     assert decoder.weights.pattern.shape == (60, 126)
     assert decoder.weights.n_frames == 1890
     assert list(decoder.weights.positions) == [0, 1889]
-    # 5670 samples end in a whole frame: the three phase grams are one
-    assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 1, 54, 54)
+    # every whole frame holds the three phases: their grams are one
+    assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 54, 54)
 
 
 @pytest.mark.parametrize("n_samples", [54, 756, 5670])
 def test_whitening_routes_agree(n_samples):
     # an empty-sum cumulative state refactors the decoder's own grams and
-    # solves per block; the instantaneous route applies the inverse factors.
+    # solves per hypothesis; the instantaneous route applies the inverse factors.
     # Code 0's 54 x 54 phase grams have rank 18 at 54 samples and 51 at
     # 756 and 5670: the ridge holds them up.
     structs = [structure_for_code(c, 15) for c in CODES]
@@ -265,7 +259,7 @@ def test_whitening_routes_agree(n_samples):
         mode=cca.MODE_CUMULATIVE,
         sxx=np.zeros((c, c)),
         sxm=np.zeros((cca.PHASE_DIM, 3 * c)),
-        smm=np.zeros((1, cca.PHASE_DIM, cca.PHASE_DIM)),
+        smm=np.zeros((cca.PHASE_DIM, cca.PHASE_DIM)),
         n_trials_seen=1,
     )
     instant = decoder.decode(trial).scores
@@ -298,11 +292,11 @@ def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
     assert sorted(calls) == [("dpotrf", (8, 8)), ("dtrtrs", (8, 8))]
 
 
-@pytest.mark.parametrize("n_samples, n_calls", [(378, 21), (377, 41)])
+@pytest.mark.parametrize("n_samples, n_calls", [(378, 21), (377, 21)])
 def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_samples, n_calls):
-    # one dpotrf and one dtrtrs per (hypothesis, gram block), and one each
-    # for the spatial factor and its inverse: 378 samples end in a whole
-    # frame (one block per code), 377 in a frame of two samples (two)
+    # one dpotrf and one dtrtrs per hypothesis' phase gram, and one each for
+    # the spatial factor and its inverse: 378 samples end in a whole frame,
+    # 377 in a frame of two samples, which is not read
     decoder = CcaDecoder(STRUCTS_1C, n_samples)
     past, trial = (Trial(samples=_clean_trial(i).samples[:, :n_samples]) for i in (1, 2))
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
@@ -310,11 +304,6 @@ def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_sam
     assert decoder.decode(trial, state).label == 2
     names = [name for name, _ in calls]
     assert names.count("dpotrf") == names.count("dtrtrs") == n_calls
-
-
-def _phase_blocks(n_samples):
-    """The gram block of each of the three sample phases."""
-    return [b for b, run in enumerate(cca._phase_runs(n_samples)) for _ in run]
 
 
 def _dense_phase_grams(mat):
@@ -326,13 +315,13 @@ def _dense_phase_grams(mat):
 
 @pytest.mark.parametrize("n_samples", [190, 191])
 def test_ridge_is_that_of_the_three_phase_stack(n_samples):
-    # the ridge follows the mean diagonal of the whole 162 x 162 gram: each
-    # block's trace counts once per phase it stands for
+    # the ridge follows the mean diagonal of the whole 162 x 162 gram of
+    # the whole frames, which each of its three equal phase grams shares
     structs = [structure_for_code(c, 15) for c in CODES]
     decoder = CcaDecoder(structs, n_samples)
-    three = np.stack([_dense_phase_grams(s.truncated(n_samples).mat) for s in structs])
+    three = np.stack([_dense_phase_grams(s.truncated(_whole(n_samples)).mat) for s in structs])
     want = cca._inverted(cca._ridged_cholesky(three, "temporal"))
-    got = decoder.gram_inverse_factors[:, _phase_blocks(n_samples)]
+    got = np.repeat(decoder.gram_inverse_factors[:, np.newaxis], 3, axis=1)
     assert got.shape == want.shape == (20, 3, 54, 54)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -341,21 +330,22 @@ def test_ridge_is_that_of_the_three_phase_stack(n_samples):
 def test_phase_grams_are_the_dense_gram(n_samples):
     # lag 3a + p of the design is nonzero only at samples of phase p, so the
     # dense gram is zero between lags of different phases; within a phase
-    # its entries are event counts, which the phase grams hold exactly
+    # its entries are event counts, which the phase gram holds exactly. A
+    # trailing partial frame is not read: the dense gram is that of the
+    # whole frames
     structs = [structure_for_code(c, 15) for c in CODES]
     decoder = CcaDecoder(structs, n_samples)
     lags = np.arange(N_EVENTS * RESPONSE_LEN) % RESPONSE_LEN
     off_phase = lags[:, np.newaxis] % 3 != lags % 3
-    blocks = _phase_blocks(n_samples)
-    assert decoder.grams.shape[1] == max(blocks) + 1 == (1 if n_samples % 3 == 0 else 2)
-    for struct, grams in zip(structs, decoder.grams):
-        mat = struct.truncated(n_samples).mat
+    assert decoder.grams.shape == (20, 54, 54)
+    for struct, gram in zip(structs, decoder.grams):
+        mat = struct.truncated(_whole(n_samples)).mat
         dense = mat @ mat.T
         assert np.all(dense[off_phase] == 0)
         # dense index e * 54 + 3a + p, phase-gram index e * 18 + a
         rebuilt = np.zeros((N_EVENTS, 18, 3, N_EVENTS, 18, 3))
         for p in range(3):
-            rebuilt[:, :, p, :, :, p] = grams[blocks[p]].reshape(N_EVENTS, 18, N_EVENTS, 18)
+            rebuilt[:, :, p, :, :, p] = gram.reshape(N_EVENTS, 18, N_EVENTS, 18)
         assert np.array_equal(rebuilt.reshape(dense.shape), dense)
 
 

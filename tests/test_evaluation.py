@@ -183,6 +183,19 @@ class TestDecodeSession:
         decode_session(session, tag, 4.2, bank)
         assert calls == dict.fromkeys(originals, session.n_trials)
 
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_trailing_partial_frame_is_not_read(self, tag):
+        # 756 samples are 252 whole frames; one or two samples more are a
+        # partial frame, which no method reads
+        session = _session(snr=0.05, dur_s=758 / TARGET_FS)
+        bank = DecoderBank(session.codes, max_dur_s=758 / TARGET_FS)
+        want = decode_session(session, tag, 756 / TARGET_FS, bank)
+        for n_samples in (757, 758):
+            got = decode_session(session, tag, n_samples / TARGET_FS, bank)
+            assert [o.label for o in got] == [o.label for o in want]
+            assert np.array_equal([o.scores for o in got], [o.scores for o in want])
+            assert np.array_equal([o.confidence for o in got], [o.confidence for o in want])
+
     def test_outcome_count_and_order(self):
         session = _session()
         outcomes = decode_session(session, "cca_e1", 2.1)
@@ -310,6 +323,20 @@ class TestSweep:
         assert all(hp == 6.0 for hp, _ in calls)
         assert [lp for _, lp in calls] == list(DEFAULT_LOWPASS_GRID)
         assert len(grid.n_correct["cca_e1"]) == 9
+
+    def test_sweep_holds_one_session_at_a_time(self):
+        base = _session(dur_s=2.1, n_codes=3)
+        made = []
+
+        def source(hp, lp):
+            gc.collect()
+            assert all(ref() is None for ref in made)
+            session = filtered_session(base, hp, lp)
+            made.append(weakref.ref(session))
+            return session
+
+        bandpass_sweep(source, ["cca_e1"], "lowpass", (20.0, 40.0, 60.0), duration_s=2.1)
+        assert len(made) == 3
 
     def test_sweep_builds_one_bank(self, monkeypatch):
         # the bank depends on the codes and the duration, not on the filter

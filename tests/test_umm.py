@@ -235,7 +235,7 @@ class TestCovariance:
         x = rng.normal(scale=sigma, size=(2, 3 * 10_000 + 51))
         ep = slice_epochs(_trial_from_array(x))
         assert ep.n_epochs == 10_000
-        cov = estimate_covariance(ep, gamma=0.0)
+        cov = umm._cov_model(*ep.centered_moments, ep.n_epochs, 0.0)
         assert np.trace(cov.blocks[0]) / 2 == pytest.approx(sigma**2, rel=0.05)
         off = np.concatenate([cov.blocks[lag].ravel() for lag in range(1, 54)])
         assert np.abs(off).max() < 0.05 * sigma**2
@@ -253,7 +253,8 @@ class TestCovariance:
 
     def test_full_shrinkage_is_scaled_identity(self):
         trial = synthesize_trial(CODES[1], ForwardModel(snr=1.0), 2.1, 3, 1)
-        cov = estimate_covariance(slice_epochs(trial), gamma=1.0)
+        ep = slice_epochs(trial)
+        cov = umm._cov_model(*ep.centered_moments, ep.n_epochs, 1.0)
         dense = umm._dense_toeplitz(cov.blocks)
         nu = dense[0, 0]
         assert np.allclose(dense, nu * np.eye(dense.shape[0]))
@@ -272,7 +273,7 @@ class TestCovariance:
         ep = slice_epochs(_trial_from_array(x))
         for gamma in (0.0, None):
             want, want_gamma = _dense_covariance(_dense_epochs(x), n_channels, gamma)
-            cov = estimate_covariance(ep, gamma)
+            cov = umm._cov_model(*ep.centered_moments, ep.n_epochs, gamma)
             assert _within(cov.blocks, want, 0.0)
             assert _within(cov.shrinkage_gamma, want_gamma, 1.0)
 
