@@ -43,15 +43,9 @@ from scipy.linalg import lapack
 from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
 from .encoding import StructureMatrix, TiledWeights, TrialStats, common_period, lagged
 from .encoding import tiled_window_sums
-from .errors import (
-    ConfigError,
-    DegenerateCovariance,
-    LabelOutOfRange,
-    NumericalFailure,
-    ShapeError,
-    TrialTooShort,
-)
-from .outcome import DecodeOutcome, top2_confidence
+from .errors import DegenerateCovariance, NumericalFailure, ShapeError, TrialTooShort
+from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
+from .outcome import decided, pooled
 from .sigproc import Trial
 
 #: Relative ridge added to both covariance blocks before whitening; keeps
@@ -60,9 +54,6 @@ RIDGE_REL = 1e-9
 
 #: Design rows of one sample phase: (event, frame lag) pairs, 3 x 18.
 PHASE_DIM = N_EVENTS * FRAMES_PER_EPOCH
-
-MODE_INSTANTANEOUS = "instantaneous"
-MODE_CUMULATIVE = "cumulative"
 
 
 @dataclass
@@ -83,6 +74,15 @@ class CcaState:
     sxm: NDArray | float = 0.0     # (PHASE_DIM, 3 * C): x M^T, transposed, phase-major columns
     smm: NDArray | float = 0.0     # (PHASE_DIM, PHASE_DIM): the phase gram
     n_trials_seen: int = 0
+
+
+def _sum_shapes(n_channels: int) -> dict[str, tuple[int, int]]:
+    """The shape of each CcaState sum for trials of n_channels channels."""
+    return {
+        "sxx": (n_channels, n_channels),
+        "sxm": (PHASE_DIM, SAMPLES_PER_FRAME * n_channels),
+        "smm": (PHASE_DIM, PHASE_DIM),
+    }
 
 
 def _ridged_cholesky(blocks: NDArray, what: str) -> NDArray:
@@ -196,20 +196,6 @@ class CcaDecoder:
             raise error(f"trial holds {stats.n_samples} samples, decoder expects {self.n_samples}")
         return stats
 
-    def _check_state(self, state: CcaState, n_channels: int) -> None:
-        """ShapeError unless each sum of the state is a fresh 0.0 or has this
-        decoder's shape for trials of n_channels channels: a state of another
-        length or channel count must not broadcast into the decision."""
-        want = {
-            "sxx": (n_channels, n_channels),
-            "sxm": (PHASE_DIM, SAMPLES_PER_FRAME * n_channels),
-            "smm": (PHASE_DIM, PHASE_DIM),
-        }
-        for name, shape in want.items():
-            got = np.shape(getattr(state, name))
-            if got not in ((), shape):
-                raise ShapeError(f"accumulated {name} has shape {got}, decoder expects {shape}")
-
     def _smx(self, stats: TrialStats, weights: TiledWeights) -> NDArray:
         """M_i x^T, (n, PHASE_DIM, 3 * C), for the hypotheses whose weight
         rows are given: row (event, frame lag a) and column (phase, channel)
@@ -221,12 +207,11 @@ class CcaDecoder:
     def decode(self, trial: Trial | TrialStats, state: CcaState | None = None) -> DecodeOutcome:
         stats = self._stats(trial)
         c = len(stats.samples)
+        state = pooled(state, _sum_shapes(c))
         sxx = stats.sxx.copy()      # scratch: its factor is made in place
         smx = self._smx(stats, self.weights)
-        if state is not None and state.mode == MODE_CUMULATIVE:
-            self._check_state(state, c)
         # a fresh state's zero sums add nothing: the instantaneous route
-        if state is not None and state.mode == MODE_CUMULATIVE and state.n_trials_seen:
+        if state is not None and state.n_trials_seen:
             sxx += state.sxx
             lm = _ridged_cholesky(self.grams + state.smm, "temporal")
             smx = smx + state.sxm
@@ -241,25 +226,16 @@ class CcaDecoder:
         k = (k.reshape(-1, c) @ lx_inv.T).reshape(len(k), -1, c)
         # the largest singular value of each K, from its C x C gram
         top = np.linalg.eigvalsh(k.transpose(0, 2, 1) @ k)[:, -1]
-        rhos = np.sqrt(np.maximum(top, 0.0))
-        if not np.all(np.isfinite(rhos)):
-            raise NumericalFailure("non-finite hypothesis scores")
-        label = int(np.argmax(rhos))
-        return DecodeOutcome(label=label, scores=rhos, confidence=top2_confidence(rhos))
+        return decided(np.sqrt(np.maximum(top, 0.0)))
 
     def update_cumulative(
         self, state: CcaState, trial: Trial | TrialStats, predicted: int
     ) -> CcaState:
         """Fold the finished trial into the accumulators, pairing its data
         with the design of its own predicted label (naive labeling)."""
-        if state.mode != MODE_CUMULATIVE:
-            raise ConfigError("update_cumulative requires a cumulative-mode state")
-        if not 0 <= predicted < len(self.grams):
-            raise LabelOutOfRange(
-                f"label {predicted} is not one of the {len(self.grams)} hypotheses"
-            )
+        check_update(state, predicted, len(self.grams))
         stats = self._stats(trial)
-        self._check_state(state, len(stats.samples))
+        pooled(state, _sum_shapes(len(stats.samples)))
         rows = slice(N_EVENTS * predicted, N_EVENTS * (predicted + 1))
         (smx,) = self._smx(stats, self.weights.rows(rows))
         return CcaState(

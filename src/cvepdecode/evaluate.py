@@ -13,13 +13,12 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from . import cca as cca_mod
-from . import umm as umm_mod
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
 from .encoding import TrialStats, common_period, n_cycles_to_cover, structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCutoff, LengthMismatch
 from .errors import TruncatedTrial, UnlabeledTrial
+from .outcome import MODE_CUMULATIVE
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
 from .sigproc import duration_samples
 from .simulate import Session
@@ -92,10 +91,10 @@ def decode_session(
         bank = DecoderBank(session.codes, max_dur_s=duration_s)
     if tag.startswith("cca"):
         decoder = bank.cca(duration_samples(duration_s))
-        state = CcaState(mode=cca_mod.MODE_CUMULATIVE) if tag == "cca_ec" else None
+        state = CcaState(mode=MODE_CUMULATIVE) if tag == "cca_ec" else None
     else:
         decoder = bank.umm()
-        state = UmmState(mode=umm_mod.MODE_CUMULATIVE) if tag == "umm_tcw" else None
+        state = UmmState(mode=MODE_CUMULATIVE) if tag == "umm_tcw" else None
     outcomes = []
     for trial in trials:
         stats = TrialStats.of(trial)
@@ -289,7 +288,9 @@ def bandpass_sweep(
     must return the re-preprocessed session for those cutoffs, over one
     code set: a single DecoderBank, built for the first cutoff, serves all.
     Each cutoff's session is let go before the next is asked for, so two
-    are never held at once.
+    are never held at once. ConfigError, before any session is asked for,
+    for no method or a method named twice: each method keeps one count
+    per cutoff.
     """
     if axis not in ("highpass", "lowpass"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -297,6 +298,8 @@ def bandpass_sweep(
         cutoffs_hz = DEFAULT_HIGHPASS_GRID if axis == "highpass" else DEFAULT_LOWPASS_GRID
     cutoffs = tuple(float(c) for c in cutoffs_hz)
     tags = [canonical_tag(t) for t in method_tags]
+    if not tags or len(set(tags)) < len(tags):
+        raise ConfigError(f"a sweep needs one or more distinct methods, got {tags}")
     grid = SweepGrid(axis=axis, cutoffs_hz=cutoffs, n_trials=0)
     grid.n_correct = {t: [] for t in tags}
     bank = None

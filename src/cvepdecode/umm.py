@@ -32,22 +32,11 @@ from scipy.linalg import lapack
 from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
 from .encoding import TiledWeights, TrialStats, common_period
-from .errors import (
-    ConfidenceOutOfRange,
-    ConfigError,
-    DegenerateCovariance,
-    DegenerateHypothesis,
-    InsufficientEpochs,
-    LabelOutOfRange,
-    NumericalFailure,
-    ShapeError,
-    TrialTooShort,
-)
-from .outcome import DecodeOutcome, top2_confidence
+from .errors import ConfidenceOutOfRange, DegenerateCovariance, DegenerateHypothesis
+from .errors import InsufficientEpochs, ShapeError, TrialTooShort
+from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
+from .outcome import decided, pooled
 from .sigproc import Trial
-
-MODE_INSTANTANEOUS = "instantaneous"
-MODE_CUMULATIVE = "cumulative"
 
 
 def slice_epochs(trial: Trial | TrialStats) -> TrialStats:
@@ -236,11 +225,7 @@ def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
     """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
     white, _ = lapack.dtrtrs(_toeplitz_factor(cov.blocks), deltas.T, lower=1)   # (D, N)
-    scores = np.einsum("dn,dn->n", white, white)
-    if not np.all(np.isfinite(scores)):
-        raise NumericalFailure("non-finite Mahalanobis scores")
-    label = int(np.argmax(scores))
-    return DecodeOutcome(label=label, scores=scores, confidence=top2_confidence(scores))
+    return decided(np.einsum("dn,dn->n", white, white))
 
 
 # -- state / cumulative learning --------------------------------------------
@@ -268,18 +253,10 @@ class UmmState:
     n_trials_seen: int = 0
 
 
-def _pooled(state: UmmState | None, ep: TrialStats) -> UmmState | None:
-    """The state if it is cumulative, else None. ShapeError unless each of
-    its sums is a fresh zero scalar or has the shape of the trial's."""
-    if state is None or state.mode != MODE_CUMULATIVE:
-        return None
+def _sum_shapes(ep: TrialStats) -> dict[str, tuple[int, ...]]:
+    """The shape of each UmmState sum for trials of the epochs' layout."""
     d = ep.n_features
-    want = {"scatter": ep.centered_moments[0].shape, "flash_sum": (d,), "nonflash_sum": (d,)}
-    for name, shape in want.items():
-        got = np.shape(getattr(state, name))
-        if got not in ((), shape):
-            raise ShapeError(f"accumulated {name} has shape {got}, the trial's is {shape}")
-    return state
+    return {"scatter": ep.centered_moments[0].shape, "flash_sum": (d,), "nonflash_sum": (d,)}
 
 
 class UmmDecoder:
@@ -308,23 +285,23 @@ class UmmDecoder:
                 f"epochs extend to frame {k - 1}"
             )
         rows = np.asarray(rows)
-        flash = TiledWeights.tiling(self.bits[rows], k)
-        n_flash = flash.dense().sum(axis=1, keepdims=True)
+        bits = self.bits[rows]
+        # the flashes of the full cycles and of the partial one, exact integers
+        n_cycles, rest = divmod(k, bits.shape[1])
+        n_flash = n_cycles * bits.sum(1, keepdims=True) + bits[:, :rest].sum(1, keepdims=True)
         degenerate = np.flatnonzero((n_flash[:, 0] == 0) | (n_flash[:, 0] == k))
         if degenerate.size:
             raise DegenerateHypothesis(
                 f"hypothesis {rows[degenerate[0]]} yields an empty flash or non-flash set"
             )
-        flash_sums = ep.weighted_sums(flash)
+        flash_sums = ep.weighted_sums(TiledWeights.tiling(bits, k))
         return flash_sums / n_flash, (ep.epoch_sum - flash_sums) / (k - n_flash)
 
-    def _deltas(self, ep: TrialStats, pooled: UmmState | None) -> NDArray:
+    def _deltas(self, ep: TrialStats, state: UmmState | None) -> NDArray:
         flash, nonflash = self._means(ep, np.arange(len(self.bits)))
         deltas = flash - nonflash
-        if pooled is not None:
-            deltas = (pooled.flash_sum - pooled.nonflash_sum + deltas) / (
-                pooled.weight_total + 1.0
-            )
+        if state is not None:
+            deltas = (state.flash_sum - state.nonflash_sum + deltas) / (state.weight_total + 1.0)
         return deltas
 
     def decode(self, trial: Trial | TrialStats, state: UmmState | None = None) -> DecodeOutcome:
@@ -333,15 +310,15 @@ class UmmDecoder:
     def decode_epochs(self, ep: TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         """Score every hypothesis on the epochs, pooling a cumulative
         state's covariance statistics and ERP sums."""
-        pooled = _pooled(state, ep)
+        state = pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
         n = ep.n_epochs
-        if pooled is not None:
-            grams = grams + pooled.scatter
-            sq_norms4 += pooled.sq_norms4
-            n += pooled.n_epochs
+        if state is not None:
+            grams = grams + state.scatter
+            sq_norms4 += state.sq_norms4
+            n += state.n_epochs
         cov = _cov_model(grams, sq_norms4, n, None)
-        return score_hypotheses(self._deltas(ep, pooled), cov)
+        return score_hypotheses(self._deltas(ep, state), cov)
 
     def update_cumulative(
         self, state: UmmState, ep: TrialStats, outcome: DecodeOutcome
@@ -349,16 +326,11 @@ class UmmDecoder:
         """Pool the trial's covariance statistics unconditionally; add its
         flash/non-flash means to the predicted hypothesis' sums with the
         outcome's confidence as weight, which must lie in [0, 1]."""
-        if state.mode != MODE_CUMULATIVE:
-            raise ConfigError("update_cumulative requires a cumulative-mode state")
-        if not 0 <= outcome.label < len(self.bits):
-            raise LabelOutOfRange(
-                f"label {outcome.label} is not one of the {len(self.bits)} hypotheses"
-            )
+        check_update(state, outcome.label, len(self.bits))
         w = float(outcome.confidence)
         if not 0.0 <= w <= 1.0:
             raise ConfidenceOutOfRange(f"confidence {w} is not a weight in [0, 1]")
-        _pooled(state, ep)      # ShapeError for sums of another shape
+        pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
         flash, nonflash = self._means(ep, [outcome.label])
         return UmmState(

@@ -281,6 +281,14 @@ class TestCli:
         assert lines[0] == "method,axis,cutoff_hz,n_trials,n_correct,accuracy"
         assert len(lines) == 10  # header + 9 cutoffs
 
+    @pytest.mark.parametrize("methods", ["cca_e1,CCA_E1", ","], ids=["repeated", "empty"])
+    def test_sweep_of_repeated_or_no_method_exit_2(self, tmp_path, capsys, methods):
+        out = _simulate(tmp_path)
+        assert main(["sweep", "--axis", "lowpass", "--in", str(out), "--methods", methods]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:")
+
     def test_stats_between_two_curves(self, tmp_path, capsys):
         out = _simulate(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -370,6 +370,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             bandpass_sweep(lambda hp, lp: None, ["cca_e1"], "diagonal")
 
+    @pytest.mark.parametrize(
+        "tags", [[], ["cca_e1", "CCA_E1"], ["umm_t11", "cca_ec", " umm_t11 "]],
+        ids=["none", "case", "spaced"],
+    )
+    def test_no_or_repeated_method_refused_before_filtering(self, tags):
+        # a method named twice would append two counts per cutoff to its
+        # one list, and every cutoff would be reported with another's count
+        calls = []
+        with pytest.raises(ConfigError):
+            bandpass_sweep(lambda hp, lp: calls.append((hp, lp)), tags, "lowpass", duration_s=2.1)
+        assert calls == []
+
     def test_filtered_session_preserves_structure(self):
         session = _session(snr=1.0, dur_s=2.1, n_codes=3)
         out = filtered_session(session, 6.0, 40.0)

@@ -385,6 +385,14 @@ class TestScoring:
         assert np.allclose(out.scores, [1.0, 4.0, 9.0])
         assert out.label == 2
 
+    def test_nan_mean_difference_is_a_numerical_failure(self):
+        blocks = np.zeros((3, 2, 2))
+        blocks[0] = np.eye(2)
+        deltas = np.ones((3, 6))
+        deltas[1, 4] = np.nan
+        with pytest.raises(errors.NumericalFailure, match="non-finite"):
+            score_hypotheses(deltas, CovModel(blocks=blocks, shrinkage_gamma=0.0))
+
     def test_joint_linear_transform_invariance(self):
         # Mahalanobis distance under any invertible map applied to both
         # deltas and covariance; small D, dense path as oracle
