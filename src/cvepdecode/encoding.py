@@ -170,7 +170,8 @@ class TrialStats:
     frames[k : k + 18] flattened, feature (t * C + c) channel c at epoch
     sample t. Every statistic is computed on first use and kept; UMM's are
     about the whole frames' column mean, so a large constant offset does
-    not cancel in their products."""
+    not cancel in their products. UMM reads only scatters and mean
+    differences, which the shift does not move, so it is not kept."""
 
     samples: NDArray[np.floating]
     frames: NDArray[np.floating]
@@ -209,26 +210,20 @@ class TrialStats:
         return FRAMES_PER_EPOCH * self.frames.shape[1]
 
     @cached_property
-    def _centred(self) -> tuple[NDArray, NDArray]:
-        """(whole frames less their column mean, the mean tiled to an epoch)."""
+    def _centred(self) -> NDArray:
+        """The whole frames less their column mean."""
         whole = self.frames[: self.n_frames]
-        frame_mean = whole.mean(axis=0)
-        return whole - frame_mean, np.tile(frame_mean, FRAMES_PER_EPOCH)
+        return whole - whole.mean(axis=0)
 
     @cached_property
     def epoch_sum(self) -> NDArray:
         """Sum of the centred epochs, (D,), on the plain kernel: folding by
         a one-frame period costs more than it saves."""
-        return window_sums(self._centred[0], np.ones((1, self.n_epochs)))[0]
-
-    @property
-    def offset(self) -> NDArray:
-        """The epoch-feature shift removed by centring, (D,)."""
-        return self._centred[1]
+        return window_sums(self._centred, np.ones((1, self.n_epochs)))[0]
 
     def weighted_sums(self, weights: TiledWeights) -> NDArray:
         """weights @ (centred epochs), (R, D), for tiled weights."""
-        return tiled_window_sums(self._centred[0], weights)
+        return tiled_window_sums(self._centred, weights)
 
     @cached_property
     def centered_moments(self) -> tuple[NDArray, float]:
@@ -244,7 +239,7 @@ class TrialStats:
         the lag-l frame gram less an outer product, then a rank-4 step per
         offset, which drops frame a - 1, adds frame K + a - 1 and moves the
         window sums with them."""
-        y, k = self._centred[0], self.n_epochs
+        y, k = self._centred, self.n_epochs
         n, width = FRAMES_PER_EPOCH, y.shape[1]
         pad = np.zeros((n - 1, width))
         # s_a / sqrt(K), zero past the last offset

@@ -53,7 +53,8 @@ class DecoderBank:
 
     The codes are tiled to reach max_dur_s seconds, and the bank serves
     trials up to that length: both decoders raise ShapeError on a longer
-    one."""
+    one. A default bank reaches the session's longest trial, the
+    stimulation it was recorded under, at any decoded duration."""
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):
         common_period(len(c) for c in codes)    # InvalidCodeSet before codes[0] is read
@@ -71,6 +72,17 @@ class DecoderBank:
         return self._umm
 
 
+def _session_bank(session: Session, bank: DecoderBank | None) -> DecoderBank:
+    """The given bank, or one reaching the session's longest trial.
+    ConfigError for a session with no trials."""
+    if not session.trials:
+        raise ConfigError("a session with no trials has nothing to decode")
+    if bank is None:
+        longest = max(t.n_samples for t in session.trials)
+        bank = DecoderBank(session.codes, max_dur_s=longest / TARGET_FS)
+    return bank
+
+
 def decode_session(
     session: Session,
     method_tag: str,
@@ -83,12 +95,12 @@ def decode_session(
     Every method sees the first duration_s seconds of each trial, cut by
     Trial.prefix, which raises TruncatedTrial past the trial's end, through
     one TrialStats that the decision and its update share. Without a bank,
-    one reaching duration_s is built; a given bank must reach duration_s,
-    or the decoders raise ShapeError."""
+    one reaching the session's longest trial is built; a given bank must
+    reach duration_s, or the decoders raise ShapeError. ConfigError for a
+    session with no trials."""
     tag = canonical_tag(method_tag)
     trials = [trial.prefix(duration_s) for trial in session.trials]
-    if bank is None:
-        bank = DecoderBank(session.codes, max_dur_s=duration_s)
+    bank = _session_bank(session, bank)
     if tag.startswith("cca"):
         decoder = bank.cca(duration_samples(duration_s))
         state = CcaState(mode=MODE_CUMULATIVE) if tag == "cca_ec" else None
@@ -144,8 +156,10 @@ def decoding_curve(
 ) -> DecodingCurve:
     """Per-duration accuracy; cumulative state is reset between durations so
     every point is an independent operating condition. Without
-    ``durations_s``, the DEFAULT_DURATIONS_S that fit the shortest trial."""
+    ``durations_s``, the DEFAULT_DURATIONS_S that fit the shortest trial.
+    One bank serves every point. ConfigError for a session with no trials."""
     tag = canonical_tag(method_tag)
+    bank = _session_bank(session, bank)
     if durations_s is None:
         n_samples = min(t.n_samples for t in session.trials)
         durations = tuple(
@@ -160,8 +174,6 @@ def decoding_curve(
         durations = tuple(durations_s)
         if not durations:
             raise ConfigError("a decoding curve needs at least one duration")
-    if bank is None:
-        bank = DecoderBank(session.codes, max_dur_s=max(durations))
     curve = DecodingCurve(method_tag=tag, durations_s=durations, n_trials=session.n_trials)
     for dur in durations:
         outcomes = decode_session(session, tag, dur, bank)
@@ -286,7 +298,8 @@ def bandpass_sweep(
     The highpass axis keeps the lowpass fixed at 40 Hz; the lowpass axis
     keeps the highpass fixed at 6 Hz. ``session_source(highpass, lowpass)``
     must return the re-preprocessed session for those cutoffs, over one
-    code set: a single DecoderBank, built for the first cutoff, serves all.
+    code set: a single DecoderBank, built for the first cutoff, serves all;
+    a session with no trials raises ConfigError.
     Each cutoff's session is let go before the next is asked for, so two
     are never held at once. ConfigError, before any session is asked for,
     for no method or a method named twice: each method keeps one count
@@ -309,8 +322,7 @@ def bandpass_sweep(
         else:
             session = session_source(SWEEP_FIXED_HIGHPASS, cutoff)
         grid.n_trials = session.n_trials
-        if bank is None:
-            bank = DecoderBank(session.codes, max_dur_s=duration_s)
+        bank = _session_bank(session, bank)
         for tag in tags:
             outcomes = decode_session(session, tag, duration_s, bank)
             n_correct, _ = accuracy_of(outcomes, session.trials)

@@ -21,7 +21,6 @@ from .sigproc import TARGET_FS, Trial, duration_samples
 
 FULL_TRIAL_S = 31.5      # 15 cycles of a 126-frame code at 60 Hz
 
-DEFAULT_N_CHANNELS = 8
 #: occipital-ish default spatial pattern; any non-zero vector works
 DEFAULT_MIXING = np.array([0.2, 0.1, 0.9, 0.7, 1.0, 0.8, 0.9, 0.1])
 

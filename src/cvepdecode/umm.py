@@ -232,12 +232,12 @@ def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
 
 @dataclass
 class UmmState:
-    """Pooled covariance statistics (label-free) plus confidence-weighted
-    flash/non-flash ERP sums under naive labeling, running sums over the
+    """Pooled covariance statistics (label-free) plus a confidence-weighted
+    sum of mean differences under naive labeling, running sums over the
     decided trials: a fresh state's are the scalar 0.0, which pool exactly.
 
-    The ERP estimates are global: each finished trial contributes its
-    flash and non-flash epoch means, split by its own predicted code,
+    The ERP estimate is global: each finished trial contributes its
+    flash-minus-non-flash mean difference under its own predicted code,
     weighted by the decoder's confidence in that prediction.
     """
 
@@ -247,16 +247,14 @@ class UmmState:
     scatter: NDArray | float = 0.0
     sq_norms4: float = 0.0                  # sum of ||x_k - trial mean||^4
     n_epochs: int = 0
-    flash_sum: NDArray | float = 0.0        # (D,), confidence-weighted
-    nonflash_sum: NDArray | float = 0.0     # (D,)
+    delta_sum: NDArray | float = 0.0        # (D,), confidence-weighted
     weight_total: float = 0.0
     n_trials_seen: int = 0
 
 
 def _sum_shapes(ep: TrialStats) -> dict[str, tuple[int, ...]]:
     """The shape of each UmmState sum for trials of the epochs' layout."""
-    d = ep.n_features
-    return {"scatter": ep.centered_moments[0].shape, "flash_sum": (d,), "nonflash_sum": (d,)}
+    return {"scatter": ep.centered_moments[0].shape, "delta_sum": (ep.n_features,)}
 
 
 class UmmDecoder:
@@ -273,11 +271,11 @@ class UmmDecoder:
         self.bits = np.array([c.array for c in codes], dtype=np.float64)
         self.n_frames = n_cycles * period
 
-    def _means(self, ep: TrialStats, rows) -> tuple[NDArray, NDArray]:
-        """Flash and non-flash means of the centred epochs (add
-        ``ep.offset`` for the epoch means), each (len(rows), D), under the
-        hypotheses ``rows``: flash sums weight the epochs by the code bits,
-        non-flash sums are the epoch total less them."""
+    def _deltas(self, ep: TrialStats, rows) -> NDArray:
+        """Flash-minus-non-flash means of the epochs, (len(rows), D), under
+        the hypotheses ``rows``: flash sums weight the centred epochs by the
+        code bits, non-flash sums are the epoch total less them. The
+        centring shifts both means alike, so it cancels in the difference."""
         k = ep.n_epochs
         if k > self.n_frames:
             raise ShapeError(
@@ -294,22 +292,15 @@ class UmmDecoder:
             raise DegenerateHypothesis(
                 f"hypothesis {rows[degenerate[0]]} yields an empty flash or non-flash set"
             )
-        flash_sums = ep.weighted_sums(TiledWeights.tiling(bits, k))
-        return flash_sums / n_flash, (ep.epoch_sum - flash_sums) / (k - n_flash)
-
-    def _deltas(self, ep: TrialStats, state: UmmState | None) -> NDArray:
-        flash, nonflash = self._means(ep, np.arange(len(self.bits)))
-        deltas = flash - nonflash
-        if state is not None:
-            deltas = (state.flash_sum - state.nonflash_sum + deltas) / (state.weight_total + 1.0)
-        return deltas
+        sums = ep.weighted_sums(TiledWeights.tiling(bits, k))
+        return sums / n_flash - (ep.epoch_sum - sums) / (k - n_flash)
 
     def decode(self, trial: Trial | TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         return self.decode_epochs(slice_epochs(trial), state)
 
     def decode_epochs(self, ep: TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         """Score every hypothesis on the epochs, pooling a cumulative
-        state's covariance statistics and ERP sums."""
+        state's covariance statistics and its sum of mean differences."""
         state = pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
         n = ep.n_epochs
@@ -318,28 +309,29 @@ class UmmDecoder:
             sq_norms4 += state.sq_norms4
             n += state.n_epochs
         cov = _cov_model(grams, sq_norms4, n, None)
-        return score_hypotheses(self._deltas(ep, state), cov)
+        deltas = self._deltas(ep, np.arange(len(self.bits)))
+        if state is not None:
+            deltas = (state.delta_sum + deltas) / (state.weight_total + 1.0)
+        return score_hypotheses(deltas, cov)
 
     def update_cumulative(
         self, state: UmmState, ep: TrialStats, outcome: DecodeOutcome
     ) -> UmmState:
         """Pool the trial's covariance statistics unconditionally; add its
-        flash/non-flash means to the predicted hypothesis' sums with the
-        outcome's confidence as weight, which must lie in [0, 1]."""
+        mean difference under the predicted hypothesis to the state's sum
+        with the outcome's confidence as weight, which must lie in [0, 1]."""
         check_update(state, outcome.label, len(self.bits))
         w = float(outcome.confidence)
         if not 0.0 <= w <= 1.0:
             raise ConfidenceOutOfRange(f"confidence {w} is not a weight in [0, 1]")
         pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
-        flash, nonflash = self._means(ep, [outcome.label])
         return UmmState(
             mode=MODE_CUMULATIVE,
             scatter=state.scatter + grams,
             sq_norms4=state.sq_norms4 + sq_norms4,
             n_epochs=state.n_epochs + ep.n_epochs,
-            flash_sum=state.flash_sum + w * (flash[0] + ep.offset),
-            nonflash_sum=state.nonflash_sum + w * (nonflash[0] + ep.offset),
+            delta_sum=state.delta_sum + w * self._deltas(ep, [outcome.label])[0],
             weight_total=state.weight_total + w,
             n_trials_seen=state.n_trials_seen + 1,
         )

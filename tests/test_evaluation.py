@@ -40,7 +40,7 @@ from cvepdecode.evaluate import (
     wilcoxon_one_sided,
 )
 from cvepdecode.sigproc import TARGET_FS, FilterSpec
-from cvepdecode.simulate import ForwardModel, synthesize_session
+from cvepdecode.simulate import ForwardModel, Session, synthesize_session
 
 CODES = default_code_set(20)
 
@@ -71,6 +71,27 @@ class TestGrids:
         assert canonical_tag(" CCA_E1 ") == "cca_e1"
         with pytest.raises(ConfigError):
             canonical_tag("lda")
+
+
+@pytest.fixture(scope="module")
+def long_session():
+    """40 trials of 10.5 s, five code cycles, at -17 dB SNR."""
+    return synthesize_session(2, ForwardModel(snr=10 ** -1.7), seed=6, dur_s=10.5)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda s: decode_session(s, "cca_e1", 2.1),
+        lambda s: decoding_curve(s, "umm_t11"),
+        lambda s: decoding_curve(s, "umm_t11", (2.1,)),
+        lambda s: bandpass_sweep(lambda hp, lp: s, ["cca_e1"], "lowpass", (40.0,)),
+    ],
+    ids=["decode", "curve", "curve-durations", "sweep"],
+)
+def test_session_without_trials_refused(run):
+    with pytest.raises(ConfigError, match="no trials"):
+        run(Session(trials=[], codes=CODES[:5]))
 
 
 class TestDecodeSession:
@@ -135,8 +156,20 @@ class TestDecodeSession:
             original(self, codes, max_dur_s=max_dur_s)
 
         monkeypatch.setattr(DecoderBank, "__init__", recorded)
+        # the duration of the session's trials, 4.2 s, not the decoded 2.1 s
         decode_session(_session(), "cca_e1", 2.1)
-        assert reaches == [2.1]
+        assert reaches == [4.2]
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_default_bank_decides_as_one_reaching_the_trials(self, long_session, tag):
+        # a bank built to the decoded 4.2 s, two whole code cycles, would
+        # cut the flash runs that the 10.5 s stimulation continued
+        got = decode_session(long_session, tag, 4.2)
+        want = decode_session(long_session, tag, 4.2, DecoderBank(long_session.codes, 10.5))
+        assert [o.label for o in got] == [o.label for o in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.scores, b.scores)
+            assert a.confidence == b.confidence
 
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_duration_past_trial_end(self, tag):
@@ -229,6 +262,12 @@ class TestDecodingCurve:
         curve = decoding_curve(session, "umm_tcw", durations_s=(2.1, 4.2))
         alone = decoding_curve(session, "umm_tcw", durations_s=(4.2,))
         assert curve.n_correct[1] == alone.n_correct[0]
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_point_does_not_depend_on_the_other_durations(self, long_session, tag):
+        alone = decoding_curve(long_session, tag, (4.2,))
+        with_full = decoding_curve(long_session, tag, (4.2, 10.5))
+        assert alone.n_correct[0] == with_full.n_correct[0]
 
     def test_csv_rows(self):
         session = _session()
@@ -339,7 +378,7 @@ class TestSweep:
         assert len(made) == 3
 
     def test_sweep_builds_one_bank(self, monkeypatch):
-        # the bank depends on the codes and the duration, not on the filter
+        # the bank depends on the codes and the trial length, not on the filter
         session = _session(dur_s=2.1, n_codes=3)
         builds = []
         original = DecoderBank.__init__

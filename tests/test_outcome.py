@@ -40,9 +40,9 @@ def test_pooled_accepts_fresh_and_shaped_sums():
 @pytest.mark.parametrize("value", [1.0, np.nan, np.zeros(2), np.zeros((2, 2, 1))])
 def test_pooled_refuses_another_sum(value):
     # a non-zero scalar would broadcast into every entry of the sum
-    state = UmmState(mode=MODE_CUMULATIVE, flash_sum=value)
-    with pytest.raises(ShapeError, match="flash_sum"):
-        pooled(state, {"flash_sum": (4,)})
+    state = UmmState(mode=MODE_CUMULATIVE, delta_sum=value)
+    with pytest.raises(ShapeError, match="delta_sum"):
+        pooled(state, {"delta_sum": (4,)})
 
 
 def test_check_update():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -11,9 +13,10 @@ from cvepdecode.errors import (
     ShapeError,
     TrialTooShort,
 )
+from cvepdecode.evaluate import DecoderBank, decode_session
 from cvepdecode.outcome import DecodeOutcome
 from cvepdecode.sigproc import Trial
-from cvepdecode.simulate import ForwardModel, synthesize_trial
+from cvepdecode.simulate import ForwardModel, Session, synthesize_session, synthesize_trial
 from cvepdecode.umm import (
     FRAMES_PER_EPOCH,
     CovModel,
@@ -134,7 +137,7 @@ def _random_codes(rng, n_epochs, n_codes=4):
 
 
 class TestTrialStatistics:
-    """The statistics an EpochSet computes from the trial's frames against
+    """The statistics a TrialStats computes from the trial's frames against
     the same statistics of a dense epoch matrix sliced here."""
 
     @pytest.mark.parametrize("extra", [51, 52, 53])
@@ -152,7 +155,10 @@ class TestTrialStatistics:
 
     def _check(self, x, n_epochs, rng):
         ep = slice_epochs(_trial_from_array(x))
-        epochs = _dense_epochs(x)
+        # a mean difference does not move under a per-feature shift, so the
+        # oracle slices the channel-centred samples and carries no rounding
+        # of an offset that cancels
+        epochs = _dense_epochs(x - x.mean(axis=1, keepdims=True))
         assert ep.n_epochs == epochs.shape[0] == n_epochs
         assert ep.n_features == epochs.shape[1]
         amplitude = np.abs(x - x.mean(axis=1, keepdims=True)).max()
@@ -166,31 +172,34 @@ class TestTrialStatistics:
 
         if n_epochs == 1:
             with pytest.raises(DegenerateHypothesis):
-                UmmDecoder(CODES[:1], 1)._means(ep, [0])
+                UmmDecoder(CODES[:1], 1)._deltas(ep, [0])
             return
         codes = _random_codes(rng, n_epochs)
-        flash, nonflash = UmmDecoder(codes, 1)._means(ep, np.arange(len(codes)))
+        deltas = UmmDecoder(codes, 1)._deltas(ep, np.arange(len(codes)))
         for i, code in enumerate(codes):
             bits = code.array == 1
-            assert _within(flash[i] + ep.offset, epochs[bits].mean(axis=0), amplitude)
-            assert _within(nonflash[i] + ep.offset, epochs[~bits].mean(axis=0), amplitude)
+            want = epochs[bits].mean(axis=0) - epochs[~bits].mean(axis=0)
+            assert _within(deltas[i], want, amplitude)
 
     def test_cumulative_state_sums_dense_quantities(self):
         rng = np.random.default_rng(12)
         codes = _random_codes(rng, 235)
         dec = UmmDecoder(codes, 1)
         state = UmmState(mode=umm.MODE_CUMULATIVE)
-        scatter, sq_norms4, flash_sum, nonflash_sum = 0.0, 0.0, 0.0, 0.0
+        scatter, sq_norms4, delta_sum = 0.0, 0.0, 0.0
         updates = [(0, 0.5, 0.0), (2, 1.0, 50.0), (1, 0.0, -3.0), (2, 0.25, 1e4)]
         for label, weight, offset in updates:
             x = offset + rng.standard_normal((8, 3 * 235 + 51))
-            epochs = _dense_epochs(x)
+            # the oracle centres each channel first: no statistic summed
+            # here moves under a per-feature shift
+            epochs = _dense_epochs(x - x.mean(axis=1, keepdims=True))
             centred = epochs - epochs.mean(axis=0)
             scatter = scatter + centred.T @ centred
             sq_norms4 += np.sum(np.sum(centred**2, axis=1) ** 2)
             bits = codes[label].array == 1
-            flash_sum = flash_sum + weight * epochs[bits].mean(axis=0)
-            nonflash_sum = nonflash_sum + weight * epochs[~bits].mean(axis=0)
+            delta_sum = delta_sum + weight * (
+                epochs[bits].mean(axis=0) - epochs[~bits].mean(axis=0)
+            )
             outcome = DecodeOutcome(label=label, scores=np.zeros(len(codes)), confidence=weight)
             state = dec.update_cumulative(state, slice_epochs(_trial_from_array(x)), outcome)
         assert state.n_trials_seen == len(updates)
@@ -198,8 +207,7 @@ class TestTrialStatistics:
         assert state.weight_total == sum(w for _, w, _ in updates)
         assert _within(_scatter_from_grams(state.scatter), scatter, 0.0)
         assert _within(state.sq_norms4, sq_norms4, 0.0)
-        assert _within(state.flash_sum, flash_sum, 0.0)
-        assert _within(state.nonflash_sum, nonflash_sum, 0.0)
+        assert _within(state.delta_sum, delta_sum, 0.0)
 
 
 class TestMeanDifference:
@@ -210,7 +218,7 @@ class TestMeanDifference:
         x = np.tile([2.5, 2.5, 2.5, 0.0, 0.0, 0.0], 18)[np.newaxis, :]
         ep = slice_epochs(_trial_from_array(x))
         v = x[0, 0:54] - x[0, 3:57]
-        delta = UmmDecoder([code], 2)._deltas(ep, None)[0]
+        delta = UmmDecoder([code], 2)._deltas(ep, [0])[0]
         assert np.allclose(delta, v)
 
     def test_balanced_split_half_cycle(self):
@@ -224,7 +232,7 @@ class TestMeanDifference:
         code = BitSequence(bits=(1,) * 4)
         ep = slice_epochs(_trial_from_array(np.zeros((1, 60))))
         with pytest.raises(DegenerateHypothesis):
-            UmmDecoder([code], 1)._deltas(ep, None)[0]
+            UmmDecoder([code], 1)._deltas(ep, [0])
 
 
 class TestCovariance:
@@ -417,7 +425,7 @@ def _trial_4s(idx=4, seed=11, snr=0.3):
 class TestScoringOracles:
     def _deltas_and_cov(self):
         ep = slice_epochs(_trial_4s())
-        deltas = UmmDecoder(CODES, 2)._deltas(ep, None)
+        deltas = UmmDecoder(CODES, 2)._deltas(ep, np.arange(len(CODES)))
         return deltas, estimate_covariance(ep)
 
     def test_scores_are_dense_mahalanobis_energies(self):
@@ -458,6 +466,25 @@ def _count_lapack_calls(monkeypatch, names):
     for name in names:
         counted(name)
     return calls
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.parametrize("tag", ["umm_t11", "umm_tcw"])
+def test_channel_offsets_leave_decisions_unchanged(tag, seed):
+    # metamorphic: a constant offset per channel shifts every epoch alike,
+    # so neither the scatter nor a mean difference, pooled or not, moves
+    session = synthesize_session(1, ForwardModel(snr=0.05), seed=seed, dur_s=4.2)
+    offsets = 1e6 * np.random.default_rng(0).uniform(-1.0, 1.0, (8, 1))
+    shifted = Session(
+        trials=[replace(t, samples=t.samples + offsets) for t in session.trials],
+        codes=session.codes,
+    )
+    bank = DecoderBank(session.codes, 4.2)
+    want = decode_session(session, tag, 4.2, bank)
+    got = decode_session(shifted, tag, 4.2, bank)
+    assert [o.label for o in got] == [o.label for o in want]
+    for a, b in zip(got, want):
+        assert np.abs(a.scores - b.scores).max() <= 5e-11 * np.abs(b.scores).max()
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["umm_t11", "umm_tcw"])
@@ -510,7 +537,7 @@ class TestCumulative:
         outcome = DecodeOutcome(label=3, scores=np.zeros(20), confidence=0.0)
         state = dec.update_cumulative(state, ep, outcome)
         assert state.weight_total == 0.0
-        assert np.allclose(state.flash_sum, 0.0)
+        assert np.allclose(state.delta_sum, 0.0)
         assert state.n_epochs == ep.n_epochs  # covariance still pooled
 
     def test_equal_weight_blend_idempotent(self):
@@ -521,8 +548,8 @@ class TestCumulative:
         one = DecodeOutcome(label=out.label, scores=out.scores, confidence=0.7)
         s1 = dec.update_cumulative(state, ep, one)
         s2 = dec.update_cumulative(s1, ep, one)
-        blended_two = s2.flash_sum / s2.weight_total
-        blended_one = s1.flash_sum / s1.weight_total
+        blended_two = s2.delta_sum / s2.weight_total
+        blended_one = s1.delta_sum / s1.weight_total
         assert np.allclose(blended_two, blended_one)
 
     def test_confident_trials_boost_true_margin(self):
@@ -573,7 +600,7 @@ class TestCumulative:
     @pytest.mark.parametrize("n_trials_seen", [0, 1])
     @pytest.mark.parametrize(
         "name, shape",
-        [("scatter", (18, 9, 18, 9)), ("flash_sum", (216,)), ("nonflash_sum", (432, 1))],
+        [("scatter", (18, 9, 18, 9)), ("delta_sum", (216,)), ("delta_sum", (432, 1))],
     )
     def test_sums_of_another_shape_refused(self, n_trials_seen, name, shape):
         # checked whether or not the state has seen a trial: a wrongly
