@@ -77,18 +77,14 @@ def _parse(header_line: bytes, payload: bytes) -> Session:
 
     if not isinstance(header, dict):
         raise CorruptArchive("archive header is not a JSON object")
-    version = header.get("version")
+    version = _field(header, "version", (int,))
     if version != ARCHIVE_VERSION:
         raise UnsupportedVersion(f"archive version {version!r}, expected {ARCHIVE_VERSION}")
-    try:
-        channels = int(header["channels"])
-        fs = float(header["fs_hz"])
-        frame_rate = float(header["frame_rate_hz"])
-        n_trials = int(header["n_trials"])
-        trial_len = int(header["trial_len_samples"])
-        code_lines = header["codes"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptArchive(f"incomplete archive header: {exc}") from exc
+    channels = _field(header, "channels", (int,))
+    fs = _field(header, "fs_hz", (int, float))
+    frame_rate = _field(header, "frame_rate_hz", (int, float))
+    n_trials = _field(header, "n_trials", (int,))
+    trial_len = _field(header, "trial_len_samples", (int,))
 
     if fs != TARGET_FS or frame_rate != PRESENTATION_RATE_HZ:
         raise CorruptArchive(f"archive at {fs} Hz with {frame_rate} Hz frames; "
@@ -102,10 +98,12 @@ def _parse(header_line: bytes, payload: bytes) -> Session:
             f"payload holds {len(payload)} bytes, header implies {expected}"
         )
     try:
-        codes = parse_code_set(code_lines)
+        codes = parse_code_set(header.get("codes"))
     except InvalidCodeSet as exc:
         raise CorruptArchive(f"header codes: {exc}") from exc
-    labels = header.get("labels") or [None] * n_trials
+    labels = header.get("labels")
+    if labels is None:
+        labels = [None] * n_trials
     if not isinstance(labels, list) or len(labels) != n_trials:
         raise CorruptArchive(f"header labels do not give one label per trial ({n_trials})")
     if any(l is not None and not (type(l) is int and 0 <= l < len(codes)) for l in labels):
@@ -120,3 +118,14 @@ def _parse(header_line: bytes, payload: bytes) -> Session:
     data = data.reshape(n_trials, channels, trial_len)
     trials = [Trial(samples=data[i], code_index_true=labels[i]) for i in range(n_trials)]
     return Session(trials=trials, codes=codes, seed=seed)
+
+
+def _field(header: dict, key: str, types: tuple[type, ...]):
+    """header[key] if it is of one of the exact types: a JSON bool is no
+    int, and a float of integral value no int either. CorruptArchive
+    otherwise, a missing key included."""
+    value = header.get(key)
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise CorruptArchive(f"archive header {key!r} is {value!r}, not a JSON {names}")
+    return value

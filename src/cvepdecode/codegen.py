@@ -43,7 +43,7 @@ class BitSequence:
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+            raise InvalidCodeSet("bits must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -59,7 +59,7 @@ class BitSequence:
     def from_line(cls, line: str) -> "BitSequence":
         stripped = line.strip()
         if stripped and set(stripped) - {"0", "1"}:
-            raise ValueError(f"invalid code line: {line!r}")
+            raise InvalidCodeSet(f"invalid code line: {line!r}")
         return cls(bits=tuple(int(c) for c in stripped))
 
 

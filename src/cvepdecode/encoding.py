@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 
 from .codegen import PRESENTATION_RATE_HZ, BitSequence
-from .errors import InvalidCodeSet, UnmodulatedCode
+from .errors import ConfigError, InvalidCodeSet, ShapeError, UnmodulatedCode
 from .sigproc import TARGET_FS, Trial, finite_samples
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
@@ -56,19 +56,27 @@ def trial_frames(x: NDArray, n_frames: int) -> NDArray[np.float64]:
     return frames.reshape(n_frames, SAMPLES_PER_FRAME * len(x))
 
 
+def _runs(frames: NDArray, n: int, length: int, hop: int = 1) -> NDArray:
+    """The (n, length, width) view of n runs of length consecutive rows of
+    frames (rows, width), run i starting at row i * hop. The rows it reads,
+    (n - 1) * hop + length, must exist. It copies nothing, and costs less
+    to build than a sliding_window_view, which matters at a few hundred
+    frames."""
+    step, column = frames.strides
+    return as_strided(
+        frames, (n, length, frames.shape[1]), (hop * step, step, column), writeable=False
+    )
+
+
 def window_sums(frames: NDArray, weights: NDArray) -> NDArray:
     """sum_k weights[r, k] frames[k : k + FRAMES_PER_EPOCH].ravel() for each
     row r: (R, FRAMES_PER_EPOCH * width) for frames (K + FRAMES_PER_EPOCH - 1,
     width) and weights (R, K): one stacked product over the frame offsets,
-    of a strided view that copies nothing (it costs less to build than a
-    sliding_window_view, which matters at a few hundred frames)."""
+    each a run of K frames (:func:`_runs`)."""
     n_frames, width = frames.shape
     if n_frames != weights.shape[1] + FRAMES_PER_EPOCH - 1:
-        raise ValueError(f"{n_frames} frames do not hold the windows of {weights.shape[1]} weights")
-    step, column = frames.strides
-    windows = as_strided(
-        frames, (FRAMES_PER_EPOCH, weights.shape[1], width), (step, step, column), writeable=False
-    )
+        raise ShapeError(f"{n_frames} frames do not hold the windows of {weights.shape[1]} weights")
+    windows = _runs(frames, FRAMES_PER_EPOCH, weights.shape[1])
     sums = np.matmul(weights, windows)                    # (FRAMES_PER_EPOCH, R, width)
     return sums.transpose(1, 0, 2).reshape(len(weights), FRAMES_PER_EPOCH * width)
 
@@ -127,29 +135,20 @@ def tiled_window_sums(frames: NDArray, weights: TiledWeights) -> NDArray:
     the tiled weights, K = weights.n_frames.
 
     Frames that hold q >= 2 full cycles of P frames are folded first:
-    folded[g] = sum_(c < q) frames[g + c P] for g < P + 17, and the full
-    cycles' windows are the pattern's window sums over the fold. Row
-    g >= P of the fold is row g - P less frames[g - P] plus
-    frames[g - P + q P]. The last K - q P windows are one more window sum
-    over frames[q P:], and the corrections one product with the windows
-    at their positions. Nothing assumes the frames past K are zero. With
-    fewer than two cycles the dense weights go to the kernel as they are.
+    folded[g] = sum_(c < q) frames[g + c P] for g < P + 17, the sum of q
+    runs of P + 17 frames, one per cycle, and the full cycles' windows are
+    the pattern's window sums over the fold. The last K - q P windows are
+    one more window sum over frames[q P:], and the corrections one product
+    with the windows at their positions. Nothing assumes the frames past K
+    are zero. With fewer than two cycles the dense weights go to the
+    kernel as they are.
     """
     period, n_frames = weights.period, weights.n_frames
     n_cycles = n_frames // period
     if n_cycles < 2:
         return window_sums(frames, weights.dense())
     full = n_cycles * period
-    n_fold = period + FRAMES_PER_EPOCH - 1
-    folded = np.empty((n_fold, frames.shape[1]))
-    folded[:period] = frames[:full].reshape(n_cycles, period, -1).sum(axis=0)
-    for g in range(period, n_fold, period):     # once for codes of 17 frames or more
-        stop = min(g + period, n_fold)
-        folded[g:stop] = (
-            folded[g - period : stop - period]
-            - frames[g - period : stop - period]
-            + frames[g - period + full : stop - period + full]
-        )
+    folded = _runs(frames, n_cycles, period + FRAMES_PER_EPOCH - 1, period).sum(axis=0)
     sums = window_sums(folded, weights.pattern)
     if n_frames > full:
         sums += window_sums(frames[full:], weights.pattern[:, : n_frames - full])
@@ -244,12 +243,8 @@ class TrialStats:
         pad = np.zeros((n - 1, width))
         # s_a / sqrt(K), zero past the last offset
         sums = np.concatenate([self.epoch_sum.reshape(n, width) / np.sqrt(k), pad])
-
-        def by_lag(rows):
-            """[f, l, q] = rows[f + l, q]"""
-            return sliding_window_view(rows, n, axis=0).transpose(0, 2, 1)
-
-        y_lag, sums_lag = by_lag(np.concatenate([y, pad])), by_lag(sums)
+        # [f, l] = rows[f + l]
+        y_lag, sums_lag = _runs(np.concatenate([y, pad]), len(y), n), _runs(sums, n, n)
         grams = np.empty((n, width, n, width))
         grams[0] = window_sums(y, y[:k].T).reshape(width, n, width)
         grams[0] -= sums[0][:, np.newaxis, np.newaxis] * sums[:n]
@@ -277,7 +272,7 @@ class TrialStats:
         cross = y @ means.T                       # [f, a] = y[f] . m_a
         sq_norms = (
             sliding_window_view(np.einsum("ij,ij->i", y, y), n).sum(axis=1)
-            - 2.0 * np.einsum("aak->k", sliding_window_view(cross, k, axis=0))
+            - 2.0 * np.einsum("aka->k", _runs(cross, n, k))
             + np.vdot(means, means)
         )
         return grams, float(sq_norms @ sq_norms)
@@ -370,7 +365,7 @@ def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
     The code's length is the train's period.
     """
     if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
+        raise ConfigError("n_cycles must be >= 1")
     tiled = np.tile(code.array, n_cycles)
     starts, lengths = _flash_runs(tiled)
     events = np.zeros((N_EVENTS, len(tiled) * SAMPLES_PER_FRAME), dtype=np.int8)

@@ -76,12 +76,12 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.kind not in ("notch", "bandpass"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+            raise ConfigError(f"unknown filter kind {self.kind!r}")
         if self.kind == "notch" and (self.center_hz is None or self.q <= 0):
-            raise ValueError("notch needs center_hz and positive Q")
+            raise ConfigError("notch needs center_hz and positive Q")
         if self.kind == "bandpass":
             if self.highpass_hz is None or self.lowpass_hz is None:
-                raise ValueError("bandpass needs both cutoffs")
+                raise InvalidCutoff("bandpass needs both cutoffs")
             if not 0 < self.highpass_hz < self.lowpass_hz:
                 raise InvalidCutoff(
                     f"need 0 < highpass < lowpass, got "

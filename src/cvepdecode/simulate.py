@@ -60,9 +60,9 @@ class ForwardModel:
         self.responses = np.asarray(self.responses, dtype=np.float64)
         self.mixing = np.asarray(self.mixing, dtype=np.float64)
         if not np.any(self.mixing):
-            raise ValueError("mixing pattern must be non-zero")
+            raise ConfigError("mixing pattern must be non-zero")
         if self.noise not in ("white", "pink"):
-            raise ValueError(f"unknown noise kind {self.noise!r}")
+            raise ConfigError(f"unknown noise kind {self.noise!r}")
         if not self.snr >= 0:
             raise InvalidSnr(f"snr must be >= 0, got {self.snr}")
 

@@ -117,10 +117,6 @@ class CovModel:
     blocks: NDArray[np.floating]      # (RESPONSE_LEN, C, C)
     shrinkage_gamma: float
 
-    def solve(self, v: NDArray) -> NDArray:
-        """Sigma^{-1} v by a Cholesky solve of the dense covariance."""
-        return block_levinson_solve(self.blocks, np.asarray(v, dtype=float))
-
 
 def _lag_triples() -> tuple[NDArray, NDArray, NDArray, NDArray]:
     """(s, l, s2, starts): the (frame lag l, phase s, phase s2) triples of

@@ -122,9 +122,25 @@ class TestArchiveHeaderChecks:
             ("frame_rate_hz", 50.0),  # frames not at 60 Hz
             ("n_trials", math.inf),   # written as Infinity, read back as a float
             ("seed", [1, 2]),         # would be written into curve CSV rows
+            # falsy labels that are neither a list nor null, once read as no labels
+            ("labels", []),
+            ("labels", 0),
+            ("labels", False),
+            ("labels", ""),
+            ("labels", {}),
+            # counts and the version must be JSON integers, not numbers int() accepts
+            ("channels", "8"),
+            ("channels", 8.9),
+            ("trial_len_samples", 378.5),
+            ("n_trials", 3.0),
+            ("version", True),
+            ("version", 1.0),
         ],
         ids=["labels-short", "label-too-large", "label-negative", "no-codes", "repeated-codes",
-             "sample-rate", "frame-rate", "count-infinite", "seed-not-an-int"],
+             "sample-rate", "frame-rate", "count-infinite", "seed-not-an-int",
+             "labels-empty-list", "labels-zero", "labels-false", "labels-empty-string",
+             "labels-empty-object", "channels-string", "channels-float", "trial-len-float",
+             "n-trials-float", "version-bool", "version-float"],
     )
     def test_inconsistent_header(self, tmp_path, key, value):
         path = tmp_path / "s.cvep"

@@ -1,0 +1,45 @@
+"""The names benchmarks/ uses still exist and work: one traced round of
+each workload runner, on sessions small enough for the suite."""
+import sys
+from pathlib import Path
+
+from cvepdecode import evaluate
+from cvepdecode.codegen import default_code_set
+from cvepdecode.errors import DataError, NumericalError
+from cvepdecode.simulate import ForwardModel, synthesize_session
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+CODES = default_code_set(3)
+
+
+def _session(dur_s):
+    return synthesize_session(1, ForwardModel(snr=1.0), seed=0, codes=CODES, dur_s=dur_s)
+
+
+def test_traced_workload_rounds_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave benchmarks/ as checked out
+    # worker.record_decode_session replaces decode_session for good
+    monkeypatch.setattr(evaluate, "decode_session", evaluate.decode_session)
+    import tracing
+    import worker
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    patched = list(tracer._patches)
+    errors = (DataError, NumericalError)
+    try:
+        online_bank = evaluate.DecoderBank(CODES, max_dur_s=4.2)
+        runs = [worker.run_online(_session(4.2), online_bank, 0.0, 1, tracer, errors)]
+        long_session = _session(31.5)
+        for runner in (worker.run_curve, worker.run_sweep):
+            runs.append(runner(long_session, None, 0.0, 1, tracer, errors))
+    finally:
+        tracer.unpatch()
+
+    for run in runs:
+        assert run.failed == 0
+        assert run.problems == []
+        assert all(run.method_n[tag] > 0 for tag in worker.METHODS)
+    assert tracing.layer_metrics(tracer.spans, 1)["encoding.bank_mb"] > 0
+    assert patched and all(getattr(owner, attr) is original for owner, attr, original in patched)

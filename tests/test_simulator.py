@@ -45,11 +45,11 @@ class TestForwardModel:
             ForwardModel(snr=math.nan)
 
     def test_zero_mixing_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ForwardModel(mixing=np.zeros(8))
 
     def test_unknown_noise_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ForwardModel(noise="brown")
 
 
