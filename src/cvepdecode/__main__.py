@@ -1,0 +1,8 @@
+"""``python -m cvepdecode``: the command-line front end, runnable from a
+checkout with ``src`` on PYTHONPATH and no install."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

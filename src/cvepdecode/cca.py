@@ -41,8 +41,8 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import StructureMatrix, TiledWeights, TrialStats, common_period, lagged
-from .encoding import tiled_window_sums
+from .encoding import StructureMatrix, TiledWeights, TrialStats, check_reach, common_period
+from .encoding import lagged, tiled_window_sums
 from .errors import DegenerateCovariance, NumericalFailure, ShapeError, TrialTooShort
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
 from .outcome import decided, pooled
@@ -159,10 +159,11 @@ class CcaDecoder:
     the gram entry of lags 3a + p and 3a' + p, the sum over the frames g of
     weights[e, g - a] weights[e', g - a']: the gram of the
     :func:`.encoding.lagged` weights. A cumulative decision adds its
-    state's grams and refactors. Every structure must hold at least
-    n_samples samples (ShapeError otherwise), and all must tile codes of
-    one length (InvalidCodeSet otherwise). A trial, or its TrialStats,
-    must hold n_samples samples: TrialTooShort if fewer, ShapeError if more.
+    state's grams and refactors. Every structure must reach n_samples
+    samples (ShapeError otherwise, :func:`.encoding.check_reach`), and all
+    must tile codes of one length (InvalidCodeSet otherwise). A trial, or
+    its TrialStats, must hold n_samples samples: TrialTooShort if fewer,
+    ShapeError if more.
     """
 
     def __init__(self, structures: list[StructureMatrix], n_samples: int):
@@ -172,11 +173,7 @@ class CcaDecoder:
                 f"trial of {n_samples} samples is shorter than one response "
                 f"({RESPONSE_LEN} samples)"
             )
-        reach = min(s.events.shape[1] for s in structures)
-        if reach < n_samples:
-            raise ShapeError(
-                f"event trains reach {reach} samples, trials of {n_samples} asked for"
-            )
+        check_reach(n_samples, min(s.events.shape[1] for s in structures))
         self.n_samples = n_samples
         whole = n_samples // SAMPLES_PER_FRAME * SAMPLES_PER_FRAME
         events = np.concatenate([s.truncated(whole).events for s in structures])

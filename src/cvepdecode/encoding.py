@@ -289,6 +289,14 @@ def common_period(periods) -> int:
     return distinct[0]
 
 
+def check_reach(n_samples: int, reach: int) -> None:
+    """ShapeError if a trial of n_samples samples runs past reach, the
+    samples of stimulation a decoder's codes were tiled over: no stimulus
+    was built past it, so neither decoder decides a trial there."""
+    if n_samples > reach:
+        raise ShapeError(f"codes reach {reach} samples, a trial of {n_samples} asked for")
+
+
 def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
     """(R * n_lags, T) copies of the rows (R, T) delayed by 0..n_lags - 1
     steps: row r * n_lags + lag at column t is rows[r, t - lag], zero for
@@ -304,20 +312,14 @@ def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
 class StructureMatrix:
     """A code's event train: events (n_events, n_samples), 0/1 int8 at 180 Hz.
 
-    ``period`` is the length in frames of the code the events tile; by
-    default the events are one cycle, whole frames of it. ``mat`` is the
-    reconvolution design those events stand for, built on each access:
-    callers that need the dense matrix (grams, the simulator, oracles)
-    build it, use it and let it go.
+    ``period`` is the length in frames of the code the events tile. ``mat``
+    is the reconvolution design those events stand for, built on each
+    access: callers that need the dense matrix (grams, the simulator,
+    oracles) build it, use it and let it go.
     """
 
     events: NDArray[np.int8]
-    period: int | None = None
-
-    def __post_init__(self):
-        if self.period is None:
-            n_frames = -(-self.events.shape[1] // SAMPLES_PER_FRAME)
-            object.__setattr__(self, "period", n_frames)
+    period: int
 
     @property
     def mat(self) -> NDArray[np.float64]:

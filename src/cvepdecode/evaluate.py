@@ -51,10 +51,9 @@ class DecoderBank:
     decoder for the trial length asked for last (its structure grams are
     the expensive part; a new length replaces it).
 
-    The codes are tiled to reach max_dur_s seconds, and the bank serves
-    trials up to that length: the CCA decoder raises ShapeError on a
-    longer one, the UMM decoder only on one whose epochs start past the
-    reach. A default bank reaches the session's longest trial, the
+    The codes are tiled over the whole cycles that reach max_dur_s
+    seconds, and both decoders raise ShapeError on a trial longer than
+    those cycles. A default bank reaches the session's longest trial, the
     stimulation it was recorded under, at any decoded duration."""
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):

@@ -69,8 +69,10 @@ def pooled(state, shapes: dict[str, tuple[int, ...]]):
 
 def check_update(state, label: int, n_hypotheses: int) -> None:
     """ConfigError unless the state is cumulative, LabelOutOfRange unless the
-    label names one of the n_hypotheses."""
+    label is an integer, a Python or numpy one but not a bool, that names
+    one of the n_hypotheses."""
     if state.mode != MODE_CUMULATIVE:
         raise ConfigError("update_cumulative requires a cumulative-mode state")
-    if not 0 <= label < n_hypotheses:
+    is_integer = isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+    if not (is_integer and 0 <= label < n_hypotheses):
         raise LabelOutOfRange(f"label {label} is not one of the {n_hypotheses} hypotheses")

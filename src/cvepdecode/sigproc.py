@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DataError, InvalidCutoff, NumericalFailure, TruncatedTrial
+from .errors import ConfigError, DataError, InvalidCutoff, NumericalFailure, ShapeError
+from .errors import TruncatedTrial
 
 TARGET_FS = 180.0
 
@@ -36,6 +37,20 @@ def duration_samples(seconds: float) -> int:
     return int(round(seconds * TARGET_FS))
 
 
+def channel_samples(samples) -> NDArray[np.float64]:
+    """The samples as a float64 (channels, samples) array, a 1-D array as
+    one channel. ShapeError unless they are real numbers laid out in at
+    most two dimensions with at least one channel: complex, text or object
+    samples would lose their meaning on conversion, and 3-D or channel-less
+    ones fail deep inside a decoder."""
+    x = np.atleast_2d(np.asarray(samples))
+    if x.dtype.kind not in "iuf":
+        raise ShapeError(f"samples must be real numbers, got dtype {x.dtype}")
+    if x.ndim != 2 or len(x) == 0:
+        raise ShapeError(f"samples must be (channels, samples) with a channel, got {x.shape}")
+    return x.astype(np.float64, copy=False)
+
+
 @dataclass
 class ContinuousRecording:
     """Multichannel recording with trial-onset markers.
@@ -44,7 +59,8 @@ class ContinuousRecording:
     markers: sample indices of trial onsets.
 
     A non-finite or non-positive rate raises ConfigError, a marker outside
-    the recording TruncatedTrial.
+    the recording TruncatedTrial, samples that are not real numbers in
+    (channels, samples) ShapeError (:func:`channel_samples`).
     """
 
     samples: NDArray[np.floating]
@@ -52,7 +68,7 @@ class ContinuousRecording:
     markers: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+        self.samples = channel_samples(self.samples)
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ConfigError(f"a sampling rate must be finite and positive, got {self.fs} Hz")
         n = self.samples.shape[1]
@@ -111,13 +127,14 @@ class FilterSpec:
 
 @dataclass
 class Trial:
-    """One segmented trial at TARGET_FS (180 Hz). samples: (n_channels, n_samples)."""
+    """One segmented trial at TARGET_FS (180 Hz). samples: (n_channels,
+    n_samples), real numbers (ShapeError otherwise, :func:`channel_samples`)."""
 
     samples: NDArray[np.floating]
     code_index_true: int | None = None
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+        self.samples = channel_samples(self.samples)
 
     @property
     def n_channels(self) -> int:

@@ -48,7 +48,10 @@ def default_responses(seed: int = 0) -> NDArray:
 @dataclass
 class ForwardModel:
     """Generative model: responses (E, L), spatial mixing (C,), noise kind
-    and SNR (signal power / noise power; 0 = noise only, inf = clean)."""
+    and SNR (signal power / noise power; 0 = noise only, inf = clean).
+    Responses not (N_EVENTS, RESPONSE_LEN), a mixing that is not one
+    non-zero weight per channel, a non-finite response, weight or drift
+    slope, or an unknown noise kind raise ConfigError."""
 
     responses: NDArray = field(default_factory=default_responses)
     mixing: NDArray = field(default_factory=lambda: DEFAULT_MIXING.copy())
@@ -59,6 +62,16 @@ class ForwardModel:
     def __post_init__(self):
         self.responses = np.asarray(self.responses, dtype=np.float64)
         self.mixing = np.asarray(self.mixing, dtype=np.float64)
+        if self.responses.shape != (N_EVENTS, RESPONSE_LEN):
+            raise ConfigError(
+                f"responses must be ({N_EVENTS}, {RESPONSE_LEN}), got {self.responses.shape}"
+            )
+        if self.mixing.ndim != 1:
+            raise ConfigError(f"mixing must be one weight per channel, got {self.mixing.shape}")
+        if not (np.isfinite(self.responses).all() and np.isfinite(self.mixing).all()):
+            raise ConfigError("responses and mixing must be finite")
+        if not math.isfinite(self.drift_slope):
+            raise ConfigError(f"drift_slope must be finite, got {self.drift_slope}")
         if not np.any(self.mixing):
             raise ConfigError("mixing pattern must be non-zero")
         if self.noise not in ("white", "pink"):
@@ -94,15 +107,20 @@ def synthesize_trial(
     the decoder scores) applied to the responses, so at snr=inf the model
     identity is exact. Noise power is scaled
     against the clean signal's power measured over the whole (C, T) array.
-    A duration that holds no sample or exceeds FULL_TRIAL_S raises
-    ConfigError.
+    A duration that holds no sample or exceeds FULL_TRIAL_S, or a negative
+    seed, raises ConfigError.
     """
     n_samples = duration_samples(dur_s)
     if not (n_samples > 0 and dur_s <= FULL_TRIAL_S):
         raise ConfigError(
             f"a trial holds at least one sample and at most {FULL_TRIAL_S} s, got {dur_s} s"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    elif seed < 0:
+        raise ConfigError(f"a trial seed must be non-negative, got {seed}")
+    else:
+        rng = np.random.default_rng(seed)
     n_cycles = n_cycles_to_cover(code, n_samples)
     struct = structure_for_code(code, n_cycles).truncated(n_samples)
     r = model.responses.reshape(-1)

@@ -18,7 +18,8 @@ scatter is formed) and the flash sums, over the frames folded by the code
 period on a trial of two full cycles or more. :func:`_cov_model` reads
 the lag blocks, the trace and the Ledoit-Wolf intensity from pooled grams,
 and :class:`UmmDecoder` keeps one cycle of the code bits. The decoder
-decides every sample it is handed: ``Trial.prefix`` is the one cut.
+decides every sample it is handed, up to its reach: ``Trial.prefix`` is
+the one cut.
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from scipy.linalg import lapack
 
 from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import TiledWeights, TrialStats, common_period
+from .encoding import TiledWeights, TrialStats, check_reach, common_period
 from .errors import ConfidenceOutOfRange, DegenerateCovariance, DegenerateHypothesis
-from .errors import InsufficientEpochs, ShapeError, TrialTooShort
+from .errors import InsufficientEpochs, TrialTooShort
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
 from .outcome import decided, pooled
 from .sigproc import Trial
@@ -256,28 +257,26 @@ def _sum_shapes(ep: TrialStats) -> dict[str, tuple[int, ...]]:
 class UmmDecoder:
     """UMM decoding against a fixed code set.
 
-    It keeps one cycle of the codes, ``bits`` (N, P) 0/1, tiled over
-    n_cycles: an epoch's label under each hypothesis is the bit at its
-    onset frame, frames beyond n_cycles * P raise ShapeError. The codes must
-    be of one length, P: InvalidCodeSet otherwise.
+    It keeps one cycle of the codes, ``bits`` (N, P) 0/1: an epoch's label
+    under each hypothesis is the bit at its onset frame. The codes are
+    tiled over n_cycles, so its ``reach`` is n_cycles * P frames in
+    samples, and a trial that holds more samples raises ShapeError
+    (:func:`.encoding.check_reach`). The codes must be of one length, P:
+    InvalidCodeSet otherwise.
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):
         period = common_period(len(c) for c in codes)
         self.bits = np.array([c.array for c in codes], dtype=np.float64)
-        self.n_frames = n_cycles * period
+        self.reach = n_cycles * period * SAMPLES_PER_FRAME
 
     def _deltas(self, ep: TrialStats, rows) -> NDArray:
         """Flash-minus-non-flash means of the epochs, (len(rows), D), under
         the hypotheses ``rows``: flash sums weight the centred epochs by the
         code bits, non-flash sums are the epoch total less them. The
         centring shifts both means alike, so it cancels in the difference."""
+        check_reach(ep.n_samples, self.reach)
         k = ep.n_epochs
-        if k > self.n_frames:
-            raise ShapeError(
-                f"codes tiled to {self.n_frames} frames, "
-                f"epochs extend to frame {k - 1}"
-            )
         rows = np.asarray(rows)
         bits = self.bits[rows]
         # the flashes of the full cycles and of the partial one, exact integers

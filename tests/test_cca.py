@@ -88,7 +88,7 @@ def test_events_off_the_frame_grid_rejected():
     events = np.zeros((3, 378), dtype=np.int8)
     events[0, 4] = 1  # sample 4 is inside frame 1, not at its start
     with pytest.raises(ShapeError, match="frame starts"):
-        CcaDecoder([StructureMatrix(events=events)], 378)
+        CcaDecoder([StructureMatrix(events=events, period=126)], 378)
 
 
 def test_mixing_invariance():

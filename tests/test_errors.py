@@ -1,11 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
-from cvepdecode.codegen import BitSequence
+from cvepdecode.cca import CcaDecoder, CcaState
+from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.encoding import structure_for_code, window_sums
-from cvepdecode.errors import ConfigError, DataError, InvalidCodeSet, InvalidCutoff, ShapeError
-from cvepdecode.sigproc import FilterSpec
-from cvepdecode.simulate import ForwardModel
+from cvepdecode.errors import ConfigError, DataError, InvalidCodeSet, InvalidCutoff
+from cvepdecode.errors import LabelOutOfRange, ShapeError
+from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
+from cvepdecode.sigproc import ContinuousRecording, FilterSpec, Trial
+from cvepdecode.simulate import ForwardModel, synthesize_trial
+from cvepdecode.umm import UmmDecoder, UmmState
+
+CODES = default_code_set(4)
+
+
+def _cca_update(label):
+    """A cumulative CCA update of a one-cycle trial under ``label``."""
+    decoder = CcaDecoder([structure_for_code(c, 1) for c in CODES], 378)
+    trial = Trial(samples=np.ones((2, 378)))
+    return decoder.update_cumulative(CcaState(mode=MODE_CUMULATIVE), trial, label)
+
+
+def _umm_update(label):
+    """A cumulative UMM update of a one-cycle trial decided as ``label``."""
+    decided = DecodeOutcome(label=label, scores=np.zeros(len(CODES)), confidence=0.5)
+    trial = Trial(samples=np.ones((2, 378)))
+    return UmmDecoder(CODES, 1).update_cumulative(UmmState(mode=MODE_CUMULATIVE), trial, decided)
+
 
 #: malformed arguments to constructors and kernels, each with the typed
 #: error it must raise: a bare ValueError escapes the command line's
@@ -21,6 +44,25 @@ MALFORMED = {
     "bits": (lambda: BitSequence((0, 2)), InvalidCodeSet),
     "code-line": (lambda: BitSequence.from_line("01x0"), InvalidCodeSet),
     "window-frames": (lambda: window_sums(np.zeros((20, 3)), np.ones((1, 4))), ShapeError),
+    "trial-3d": (lambda: Trial(samples=np.zeros((2, 3, 60))), ShapeError),
+    "trial-no-channel": (lambda: Trial(samples=np.zeros((0, 60))), ShapeError),
+    "trial-complex": (lambda: Trial(samples=np.ones((2, 60), dtype=complex)), ShapeError),
+    "trial-text": (lambda: Trial(samples=[["a"]]), ShapeError),
+    "recording-3d": (lambda: ContinuousRecording(np.zeros((2, 3, 60)), fs=180.0), ShapeError),
+    "recording-no-channel": (lambda: ContinuousRecording(np.zeros((0, 60)), fs=180.0), ShapeError),
+    "recording-complex": (
+        lambda: ContinuousRecording(np.ones((2, 60), dtype=complex), fs=180.0), ShapeError
+    ),
+    "responses-shape": (lambda: ForwardModel(responses=np.ones((3, 50))), ConfigError),
+    "responses-nan": (lambda: ForwardModel(responses=np.full((3, 54), math.nan)), ConfigError),
+    "mixing-2d": (lambda: ForwardModel(mixing=np.ones((2, 4))), ConfigError),
+    "mixing-nan": (lambda: ForwardModel(mixing=np.full(8, math.nan)), ConfigError),
+    "drift-nan": (lambda: ForwardModel(drift_slope=math.nan), ConfigError),
+    "trial-seed": (lambda: synthesize_trial(CODES[0], ForwardModel(), 1.05, seed=-1), ConfigError),
+    "cca-label-float": (lambda: _cca_update(2.5), LabelOutOfRange),
+    "cca-label-bool": (lambda: _cca_update(True), LabelOutOfRange),
+    "umm-label-float": (lambda: _umm_update(2.5), LabelOutOfRange),
+    "umm-label-bool": (lambda: _umm_update(True), LabelOutOfRange),
 }
 
 

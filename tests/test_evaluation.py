@@ -147,6 +147,14 @@ class TestDecodeSession:
             with pytest.raises(ShapeError):
                 decode_session(session, tag, 4.2, bank)
 
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_bank_refuses_a_trial_past_its_reach(self, tag):
+        # 4.3 s runs past the two code cycles, 756 samples, a 4.2 s bank tiles
+        session = _session(snr=0.05, seed=5, dur_s=4.3, n_codes=20)
+        bank = DecoderBank(session.codes, max_dur_s=4.2)
+        with pytest.raises(ShapeError, match="^codes reach 756 samples, a trial of 774 asked for$"):
+            decode_session(session, tag, 4.3, bank)
+
     def test_session_without_bank_builds_one_reaching_the_duration(self, monkeypatch):
         reaches = []
         original = DecoderBank.__init__

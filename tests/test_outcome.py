@@ -54,6 +54,22 @@ def test_check_update():
             check_update(CcaState(mode=MODE_CUMULATIVE), label, 4)
 
 
+@pytest.mark.parametrize("label", [np.int64(3), np.int32(0), np.uint8(2)])
+def test_check_update_accepts_numpy_integers(label):
+    check_update(CcaState(mode=MODE_CUMULATIVE), label, 4)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [2.5, 1.0, np.float64(1.0), True, False, np.bool_(True), "1"],
+    ids=["float", "whole-float", "numpy-float", "true", "false", "numpy-bool", "text"],
+)
+def test_check_update_refuses_a_label_that_is_not_an_integer(label):
+    # a bool or a float indexes no hypothesis, even where its value would
+    with pytest.raises(LabelOutOfRange):
+        check_update(UmmState(mode=MODE_CUMULATIVE), label, 4)
+
+
 def test_top2_confidence():
     assert top2_confidence(np.array([3.0])) == 1.0
     assert top2_confidence(np.array([0.0, -1.0])) == 0.0

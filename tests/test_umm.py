@@ -6,6 +6,7 @@ from scipy import linalg
 
 from cvepdecode import errors, umm
 from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.encoding import n_cycles_to_cover
 from cvepdecode.errors import (
     DegenerateCovariance,
     DegenerateHypothesis,
@@ -175,7 +176,8 @@ class TestTrialStatistics:
                 UmmDecoder(CODES[:1], 1)._deltas(ep, [0])
             return
         codes = _random_codes(rng, n_epochs)
-        deltas = UmmDecoder(codes, 1)._deltas(ep, np.arange(len(codes)))
+        dec = UmmDecoder(codes, n_cycles_to_cover(codes[0], ep.n_samples))
+        deltas = dec._deltas(ep, np.arange(len(codes)))
         for i, code in enumerate(codes):
             bits = code.array == 1
             want = epochs[bits].mean(axis=0) - epochs[~bits].mean(axis=0)
@@ -184,7 +186,7 @@ class TestTrialStatistics:
     def test_cumulative_state_sums_dense_quantities(self):
         rng = np.random.default_rng(12)
         codes = _random_codes(rng, 235)
-        dec = UmmDecoder(codes, 1)
+        dec = UmmDecoder(codes, 2)
         state = UmmState(mode=umm.MODE_CUMULATIVE)
         scatter, sq_norms4, delta_sum = 0.0, 0.0, 0.0
         updates = [(0, 0.5, 0.0), (2, 1.0, 50.0), (1, 0.0, -3.0), (2, 0.25, 1e4)]
@@ -232,7 +234,7 @@ class TestMeanDifference:
         code = BitSequence(bits=(1,) * 4)
         ep = slice_epochs(_trial_from_array(np.zeros((1, 60))))
         with pytest.raises(DegenerateHypothesis):
-            UmmDecoder([code], 1)._deltas(ep, [0])
+            UmmDecoder([code], 5)._deltas(ep, [0])
 
 
 class TestCovariance:
