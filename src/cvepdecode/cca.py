@@ -19,17 +19,25 @@ hypothesis' design are one call of the frame window-sum kernel of
 :mod:`.encoding`, laid out (event, frame lag) by (phase, channel). The
 frame weights repeat with the code's period, so on a trial of two full
 code cycles or more the kernel works on the frames folded by the period
-(:func:`.encoding.tiled_window_sums`), not on every frame. An
-instantaneous decision whitens them by one batched product with the
-inverse factors; a cumulative one adds its state's sums, refactors its
-grams and solves per hypothesis, but a fresh state, all zero sums, takes
-the instantaneous route. Both then apply the inverse spatial factor by one
-product. Each hypothesis scores the square root of the largest eigenvalue
-of its C x C matrix K^T K, K its whitened cross-covariance: all hypotheses
-in one batched symmetric eigenvalue call. The frames and x x^T come from
-the trial's :class:`.encoding.TrialStats`, which a decision and its
-cumulative update share. The decoder decides the trials of exactly the
-length it is built for: ``Trial.prefix`` is the one cut.
+(:func:`.encoding.tiled_window_sums`), not on every frame. The phase
+grams fold the same way (:func:`_phase_grams`): one cycle's lagged
+weights, each column counted as often as it recurs, plus the few columns
+that read the first frame or a corrected one, so no design wider than one
+cycle is built. An instantaneous decision whitens the cross-covariances by
+one batched product with the inverse factors; a cumulative one adds its
+state's sums, refactors its grams and solves per hypothesis, but a fresh
+state, all zero sums, takes the instantaneous route. LAPACK factors,
+inverts and solves every block in place: a symmetric block goes to it
+transposed, the same matrix in Fortran order, so f2py copies nothing, and a
+cumulative decision lays its pooled cross-covariances out hypothesis-major,
+so each solve overwrites its own block. Both then apply the inverse spatial
+factor by one product. Each hypothesis scores the square root of the
+largest eigenvalue of its C x C matrix K^T K, K its whitened
+cross-covariance: all hypotheses in one batched symmetric eigenvalue call.
+The frames and x x^T come from the trial's :class:`.encoding.TrialStats`,
+which a decision and its cumulative update share. The decoder decides the
+trials of exactly the length it is built for: ``Trial.prefix`` is the one
+cut.
 """
 from __future__ import annotations
 
@@ -86,30 +94,34 @@ def _sum_shapes(n_channels: int) -> dict[str, tuple[int, int]]:
 
 
 def _ridged_cholesky(blocks: NDArray, what: str) -> NDArray:
-    """Lower Cholesky factors of the float stack blocks (..., n, n), in
-    place: callers pass scratch. Each matrix is ridged by RIDGE_REL times
-    its mean diagonal, which a phase gram shares with the block-diagonal
-    gram of its three phases. LAPACK's potrf factors one matrix a call; its
-    clean=1 zeroes the upper triangles."""
+    """Lower Cholesky factors of the symmetric float64 stack blocks (...,
+    n, n), in place: callers pass C-contiguous scratch. Each matrix is
+    ridged by RIDGE_REL times its mean diagonal, which a phase gram shares
+    with the block-diagonal gram of its three phases. LAPACK's potrf
+    factors one matrix a call, handed the block's transpose: the same
+    symmetric matrix in Fortran order, which it overwrites with no copy.
+    The factors are returned as those views, Fortran-ordered blocks whose
+    upper triangles clean=1 zeroes."""
     tr = np.trace(blocks, axis1=-2, axis2=-1)
     if not np.all(np.isfinite(tr) & (tr > 0)):
         bad = "non-positive" if np.all(np.isfinite(tr)) else "non-finite"
         raise DegenerateCovariance(f"{what} covariance has a {bad} trace")
     ridge = RIDGE_REL * tr / blocks.shape[-1]
     np.einsum("...ii->...i", blocks)[...] += ridge[..., np.newaxis]
+    factors = blocks.swapaxes(-1, -2)
     for i in np.ndindex(blocks.shape[:-2]):
-        blocks[i], info = lapack.dpotrf(blocks[i], lower=1, clean=1)
-        if info:
+        if lapack.dpotrf(factors[i], lower=1, clean=1, overwrite_a=1)[1]:
             raise DegenerateCovariance(f"{what} covariance is not positive definite")
-    return blocks
+    return factors
 
 
 def _inverted(factors: NDArray) -> NDArray:
     """The inverses of the lower triangular stack factors (..., n, n), in
-    place, one LAPACK trtri call per block; the upper triangles stay zero."""
+    place: Fortran-ordered blocks, as :func:`_ridged_cholesky` returns
+    them, which LAPACK's trtri, one call per block, overwrites with no
+    copy; the upper triangles stay zero."""
     for i in np.ndindex(factors.shape[:-2]):
-        factors[i], info = lapack.dtrtri(factors[i], lower=1)
-        if info:
+        if lapack.dtrtri(factors[i], lower=1, overwrite_c=1)[1]:
             raise DegenerateCovariance("temporal covariance factor is singular")
     return factors
 
@@ -146,6 +158,42 @@ def fit_filters(
     return w, r, rho
 
 
+def _phase_grams(weights: TiledWeights) -> NDArray:
+    """The phase gram sum_g v_g v_g^T of each code, (N, PHASE_DIM,
+    PHASE_DIM), over the frames g < K = weights.n_frames, v_g[(e, a)] =
+    w_e[g - a] (zero for g < a): the gram of the :func:`.encoding.lagged`
+    weights, rows N_EVENTS per code, without the K-wide design.
+
+    Column g reads frames g - 17 .. g. Where it reads no frame before 0
+    and no corrected frame, it is column g mod P of the (N, PHASE_DIM, P)
+    lagged one-cycle pattern U, with P the tiling's period, so those
+    columns sum to U diag(c) U^T, with c their count per residue. The
+    columns apart from the cycle, the first 17 and the 18 from each
+    corrected frame on, are lagged from their dense weights, one run at a
+    time, and added. The weights count events, so every sum is of small
+    integers and exact.
+    """
+    period, n_frames, lags = weights.period, weights.n_frames, FRAMES_PER_EPOCH
+    apart = np.zeros(n_frames + lags, dtype=bool)
+    apart[: lags - 1] = True
+    for position in weights.positions:
+        apart[position : position + lags] = True
+    apart = apart[:n_frames]
+    counts = np.bincount(np.flatnonzero(~apart) % period, minlength=period)
+    # the cycle led by its last 17 frames, lagged; column r of U holds w_e[(r - a) mod P]
+    cycle = lagged(weights.pattern[:, np.arange(1 - lags, period) % period], lags)[:, lags - 1 :]
+    cycle = cycle.reshape(-1, PHASE_DIM, period)
+    grams = (cycle * counts) @ cycle.transpose(0, 2, 1)
+    # the runs [start, stop) of columns apart, each lagged from frame start - 17 on
+    edges = np.flatnonzero(np.diff(apart, prepend=False, append=False)).reshape(-1, 2)
+    for start, stop in edges:
+        first = max(0, start - lags + 1)
+        design = lagged(weights.dense(first, stop), lags)[:, start - first :]
+        design = design.reshape(-1, PHASE_DIM, stop - start)
+        grams += design @ design.transpose(0, 2, 1)
+    return grams
+
+
 class CcaDecoder:
     """Scores every code hypothesis on trials of one length.
 
@@ -158,8 +206,11 @@ class CcaDecoder:
     batched product with them. Phase p's gram entry ((e, a), (e', a')) is
     the gram entry of lags 3a + p and 3a' + p, the sum over the frames g of
     weights[e, g - a] weights[e', g - a']: the gram of the
-    :func:`.encoding.lagged` weights. A cumulative decision adds its
-    state's grams and refactors. Every structure must reach n_samples
+    :func:`.encoding.lagged` weights, formed without them by the
+    code-period fold of :func:`_phase_grams`, in exact integers as the
+    dense gram is. The factors are made and inverted in place and kept as
+    Fortran-ordered blocks. A cumulative decision adds its state's grams
+    and refactors in place. Every structure must reach n_samples
     samples (ShapeError otherwise, :func:`.encoding.check_reach`), and all
     must tile codes of one length (InvalidCodeSet otherwise). A trial, or
     its TrialStats, must hold n_samples samples: TrialTooShort if fewer,
@@ -180,10 +231,8 @@ class CcaDecoder:
         weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
         if np.count_nonzero(weights) != np.count_nonzero(events):
             raise ShapeError("events must fire at frame starts")
-        per_code = weights.reshape(len(structures), N_EVENTS, -1)
-        designs = (lagged(w, FRAMES_PER_EPOCH) for w in per_code)     # (PHASE_DIM, K) each
-        self.grams = np.stack([d @ d.T for d in designs])
         self.weights = TiledWeights.of(weights, period)
+        self.grams = _phase_grams(self.weights)
         self.gram_inverse_factors = _inverted(_ridged_cholesky(self.grams.copy(), "temporal"))
 
     def _stats(self, trial: Trial | TrialStats) -> TrialStats:
@@ -211,15 +260,21 @@ class CcaDecoder:
         if state is not None and state.n_trials_seen:
             sxx += state.sxx
             lm = _ridged_cholesky(self.grams + state.smm, "temporal")
-            smx = smx + state.sxm
-            k = np.stack([lapack.dtrtrs(l, s, lower=1)[0] for l, s in zip(lm, smx)])
+            # hypothesis-major (3C, PHASE_DIM) blocks, whose transposes,
+            # the pooled cross-covariances in Fortran order, trtrs solves
+            # in place
+            blocks = np.empty((len(smx), smx.shape[2], PHASE_DIM))
+            np.add(smx.transpose(0, 2, 1), state.sxm.T, out=blocks)
+            for l, b in zip(lm, blocks):
+                lapack.dtrtrs(l, b.T, lower=1, overwrite_b=1)
+            k = blocks.transpose(0, 2, 1)
         else:
             k = self.gram_inverse_factors @ smx
         lx = _ridged_cholesky(sxx, "spatial")
         # lx^-1 by one solve against the identity: at 8 channels, a product
         # with it is ten times faster than a triangular solve over the
         # 3 * PHASE_DIM * N columns
-        lx_inv = lapack.dtrtrs(lx, np.eye(c), lower=1)[0]
+        lx_inv = lapack.dtrtrs(lx, np.eye(c, order="F"), lower=1, overwrite_b=1)[0]
         k = (k.reshape(-1, c) @ lx_inv.T).reshape(len(k), -1, c)
         # the largest singular value of each K, from its C x C gram
         top = np.linalg.eigvalsh(k.transpose(0, 2, 1) @ k)[:, -1]

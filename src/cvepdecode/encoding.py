@@ -123,10 +123,13 @@ class TiledWeights:
         """The weights of the rows ``index`` (a slice or an index array)."""
         return replace(self, pattern=self.pattern[index], corrections=self.corrections[index])
 
-    def dense(self) -> NDArray:
-        """The (R, n_frames) weights."""
-        weights = self.pattern[:, np.arange(self.n_frames) % self.period]
-        weights[:, self.positions] += self.corrections
+    def dense(self, start: int = 0, stop: int | None = None) -> NDArray:
+        """The (R, stop - start) weights of frames start .. stop - 1, all
+        n_frames of them by default."""
+        stop = self.n_frames if stop is None else stop
+        weights = self.pattern[:, np.arange(start, stop) % self.period]
+        inside = (start <= self.positions) & (self.positions < stop)
+        weights[:, self.positions[inside] - start] += self.corrections[:, inside]
         return weights
 
 

@@ -27,6 +27,9 @@ TARGET_FS = 180.0
 # reflect padding applied around each channel before filtfilt, in seconds
 EDGE_PAD_S = 1.0
 
+# order of the Butterworth prototype of every bandpass
+BANDPASS_ORDER = 4
+
 
 def duration_samples(seconds: float) -> int:
     """The number of TARGET_FS samples in ``seconds`` of data, rounded to
@@ -58,9 +61,10 @@ class ContinuousRecording:
     samples: (n_channels, n_samples) in microvolts.
     markers: sample indices of trial onsets.
 
-    A non-finite or non-positive rate raises ConfigError, a marker outside
-    the recording TruncatedTrial, samples that are not real numbers in
-    (channels, samples) ShapeError (:func:`channel_samples`).
+    A non-finite or non-positive rate raises ConfigError, as does a marker
+    that is not a Python or numpy integer (a bool included); a marker
+    outside the recording raises TruncatedTrial, samples that are not real
+    numbers in (channels, samples) ShapeError (:func:`channel_samples`).
     """
 
     samples: NDArray[np.floating]
@@ -71,6 +75,9 @@ class ContinuousRecording:
         self.samples = channel_samples(self.samples)
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ConfigError(f"a sampling rate must be finite and positive, got {self.fs} Hz")
+        for m in self.markers:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise ConfigError(f"a marker must be an integer sample index, got {m!r}")
         n = self.samples.shape[1]
         outside = [m for m in self.markers if not 0 <= m < n]
         if outside:
@@ -81,20 +88,27 @@ class ContinuousRecording:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Either a notch (center_hz, q) or a bandpass (highpass_hz, lowpass_hz, order)."""
+    """Either a notch (center_hz, q) or a bandpass (highpass_hz, lowpass_hz),
+    a Butterworth of order BANDPASS_ORDER. A notch without a center or with
+    a Q that is not finite and positive raises ConfigError; a center that
+    is not finite and positive, or bandpass cutoffs that are not 0 <
+    highpass < lowpass, InvalidCutoff. A cutoff at or past Nyquist raises
+    InvalidCutoff when the filter is designed at a rate."""
 
     kind: str
     center_hz: float | None = None
     q: float = 30.0
     highpass_hz: float | None = None
     lowpass_hz: float | None = None
-    order: int = 4
 
     def __post_init__(self):
         if self.kind not in ("notch", "bandpass"):
             raise ConfigError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "notch" and (self.center_hz is None or self.q <= 0):
-            raise ConfigError("notch needs center_hz and positive Q")
+        if self.kind == "notch":
+            if self.center_hz is None or not (math.isfinite(self.q) and self.q > 0):
+                raise ConfigError("notch needs center_hz and a finite positive Q")
+            if not (math.isfinite(self.center_hz) and self.center_hz > 0):
+                raise InvalidCutoff(f"notch center {self.center_hz} Hz is not finite and positive")
         if self.kind == "bandpass":
             if self.highpass_hz is None or self.lowpass_hz is None:
                 raise InvalidCutoff("bandpass needs both cutoffs")
@@ -119,7 +133,7 @@ class FilterSpec:
             if self.lowpass_hz >= nyq:
                 raise InvalidCutoff(f"lowpass {self.lowpass_hz} Hz >= Nyquist {nyq} Hz")
             b, a = signal.butter(
-                self.order, [self.highpass_hz, self.lowpass_hz], btype="bandpass", fs=fs
+                BANDPASS_ORDER, [self.highpass_hz, self.lowpass_hz], btype="bandpass", fs=fs
             )
         b.flags.writeable = a.flags.writeable = False
         return b, a

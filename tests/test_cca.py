@@ -268,13 +268,16 @@ def test_whitening_routes_agree(n_samples):
 
 
 def _count_lapack_calls(monkeypatch, names):
+    """Records each call as (name, shape of its first matrix, whether every
+    matrix it is handed is Fortran-ordered, so f2py copies none)."""
     calls = []
 
     def counted(name):
         original = getattr(cca.lapack, name)
 
         def call(a, *args, **kwargs):
-            calls.append((name, a.shape))
+            matrices = [a, *(x for x in args if isinstance(x, np.ndarray))]
+            calls.append((name, a.shape, all(m.flags.f_contiguous for m in matrices)))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(cca.lapack, name, call)
@@ -289,7 +292,7 @@ def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
     trial = _clean_trial(6)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial).label == 6
-    assert sorted(calls) == [("dpotrf", (8, 8)), ("dtrtrs", (8, 8))]
+    assert sorted(calls) == [("dpotrf", (8, 8), True), ("dtrtrs", (8, 8), True)]
 
 
 @pytest.mark.parametrize("n_samples, n_calls", [(378, 21), (377, 21)])
@@ -302,8 +305,10 @@ def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_sam
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial, state).label == 2
-    names = [name for name, _ in calls]
+    names = [name for name, _, _ in calls]
     assert names.count("dpotrf") == names.count("dtrtrs") == n_calls
+    # each block reaches LAPACK in Fortran order, factored and solved in place
+    assert all(fortran for _, _, fortran in calls)
 
 
 def _dense_phase_grams(mat):
@@ -332,21 +337,39 @@ def test_phase_grams_are_the_dense_gram(n_samples):
     # dense gram is zero between lags of different phases; within a phase
     # its entries are event counts, which the phase gram holds exactly. A
     # trailing partial frame is not read: the dense gram is that of the
-    # whole frames
-    structs = [structure_for_code(c, 15) for c in CODES]
-    decoder = CcaDecoder(structs, n_samples)
+    # whole frames. The grams fold the frames by the code period: a
+    # 5670-sample trial of 15 cycles ends on the tiling's corrected last
+    # frame, one of 16 cycles holds no correction but the onset's
     lags = np.arange(N_EVENTS * RESPONSE_LEN) % RESPONSE_LEN
     off_phase = lags[:, np.newaxis] % 3 != lags % 3
-    assert decoder.grams.shape == (20, 54, 54)
-    for struct, gram in zip(structs, decoder.grams):
-        mat = struct.truncated(_whole(n_samples)).mat
-        dense = mat @ mat.T
-        assert np.all(dense[off_phase] == 0)
-        # dense index e * 54 + 3a + p, phase-gram index e * 18 + a
-        rebuilt = np.zeros((N_EVENTS, 18, 3, N_EVENTS, 18, 3))
-        for p in range(3):
-            rebuilt[:, :, p, :, :, p] = gram.reshape(N_EVENTS, 18, N_EVENTS, 18)
-        assert np.array_equal(rebuilt.reshape(dense.shape), dense)
+    for n_cycles, codes in [(15, CODES), (16, CODES), (16, CODES[3:4])]:
+        structs = [structure_for_code(c, n_cycles) for c in codes]
+        decoder = CcaDecoder(structs, n_samples)
+        assert decoder.grams.shape == (len(codes), 54, 54)
+        for struct, gram in zip(structs, decoder.grams):
+            mat = struct.truncated(_whole(n_samples)).mat
+            dense = mat @ mat.T
+            assert np.all(dense[off_phase] == 0)
+            # dense index e * 54 + 3a + p, phase-gram index e * 18 + a
+            rebuilt = np.zeros((N_EVENTS, 18, 3, N_EVENTS, 18, 3))
+            for p in range(3):
+                rebuilt[:, :, p, :, :, p] = gram.reshape(N_EVENTS, 18, N_EVENTS, 18)
+            assert np.array_equal(rebuilt.reshape(dense.shape), dense)
+
+
+def test_phase_grams_lag_no_more_than_one_code_cycle(monkeypatch):
+    # the grams of a 31.5 s decoder fold its 1890 frames by the 126-frame
+    # code period: no lagged weights wider than one cycle and the 17 frames
+    # its windows reach back
+    lagged = cca.lagged
+
+    def one_cycle_at_most(rows, n_lags):
+        out = lagged(rows, n_lags)
+        assert out.shape[1] <= 126 + 17, f"lagged design {out.shape} wider than a code cycle"
+        return out
+
+    monkeypatch.setattr(cca, "lagged", one_cycle_at_most, raising=False)
+    CcaDecoder([structure_for_code(c, 15) for c in CODES], 5670)
 
 
 def test_decoder_never_builds_the_dense_design(monkeypatch):

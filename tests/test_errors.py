@@ -39,6 +39,8 @@ MALFORMED = {
     "filter-kind": (lambda: FilterSpec("lowpass"), ConfigError),
     "notch-no-center": (lambda: FilterSpec("notch"), ConfigError),
     "notch-q": (lambda: FilterSpec("notch", center_hz=50.0, q=0.0), ConfigError),
+    "notch-q-nan": (lambda: FilterSpec("notch", center_hz=50.0, q=math.nan), ConfigError),
+    "notch-negative-center": (lambda: FilterSpec("notch", center_hz=-50.0), InvalidCutoff),
     "bandpass-no-lowpass": (lambda: FilterSpec("bandpass", highpass_hz=6.0), InvalidCutoff),
     "zero-cycles": (lambda: structure_for_code(BitSequence((0, 1)), 0), ConfigError),
     "bits": (lambda: BitSequence((0, 2)), InvalidCodeSet),
@@ -53,6 +55,9 @@ MALFORMED = {
     "recording-complex": (
         lambda: ContinuousRecording(np.ones((2, 60), dtype=complex), fs=180.0), ShapeError
     ),
+    "marker-float": (lambda: ContinuousRecording(np.zeros((2, 1000)), 180.0, [200.5]), ConfigError),
+    "marker-text": (lambda: ContinuousRecording(np.zeros((2, 1000)), 180.0, ["200"]), ConfigError),
+    "marker-bool": (lambda: ContinuousRecording(np.zeros((2, 1000)), 180.0, [True]), ConfigError),
     "responses-shape": (lambda: ForwardModel(responses=np.ones((3, 50))), ConfigError),
     "responses-nan": (lambda: ForwardModel(responses=np.full((3, 54), math.nan)), ConfigError),
     "mixing-2d": (lambda: ForwardModel(mixing=np.ones((2, 4))), ConfigError),

@@ -6,6 +6,7 @@ from scipy import signal
 
 from cvepdecode.errors import ConfigError, DataError, InvalidCutoff, TruncatedTrial
 from cvepdecode.sigproc import (
+    TARGET_FS,
     ContinuousRecording,
     FilterSpec,
     Trial,
@@ -196,3 +197,12 @@ def test_recording_rejects_a_malformed_rate(fs):
 def test_recording_rejects_a_marker_outside_it(marker):
     with pytest.raises(TruncatedTrial):
         ContinuousRecording(samples=np.zeros((2, 1000)), fs=FS, markers=[10, marker])
+
+
+def test_recording_takes_numpy_integer_markers():
+    # a numpy integer marks a sample as a Python int does; a float, a bool
+    # or a string is refused (tests/test_errors.py)
+    x = np.arange(2000.0).reshape(2, 1000)
+    rec = ContinuousRecording(samples=x, fs=TARGET_FS, markers=np.array([200, 400]))
+    trials = segment_trials(rec, pre_s=0.0, dur_s=1.0)
+    assert [t.samples[0, 0] for t in trials] == [200.0, 400.0]
