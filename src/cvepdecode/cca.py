@@ -6,21 +6,22 @@ sequence-specific spatial (per-channel) and temporal (per-event-lag)
 filters. The cumulative variant accumulates spatial covariance plus the
 cross/temporal terms of previously decoded trials under naive labeling.
 
-The decoder stores no design matrix. A decision reads a trial's whole
-frames, its first 3 floor(T / 3) samples; up to two trailing samples are
-read by neither decoder. Every event fires at a frame start, so design row
-(event e, lag 3a + p) is nonzero only at samples of phase p (t % 3 == p):
-the temporal gram M_i M_i^T is zero between lags of different phases, and
-as every whole frame holds all three phases it is three copies of one
-PHASE_DIM x PHASE_DIM phase gram, rows ordered (event, frame lag a). A code
-keeps that one gram, built from its frame weights, factored once, and the
-factor inverted once. The cross-covariances of a trial with every
-hypothesis' design are one call of the frame window-sum kernel of
-:mod:`.encoding`, laid out (event, frame lag) by (phase, channel). The
-frame weights repeat with the code's period, so on a trial of two full
-code cycles or more the kernel works on the frames folded by the period
-(:func:`.encoding.tiled_window_sums`), not on every frame. The phase
-grams fold the same way (:func:`_phase_grams`): one cycle's lagged
+A decoder keeps its codes' :func:`.encoding.frame_events`, derived from
+the code bits as UMM's flash bits are, and no design matrix. A decision
+reads a trial's whole frames, its first 3 floor(T / 3) samples; up to two
+trailing samples are read by neither decoder. Every event fires at a frame
+start, so design row (event e, lag 3a + p) is nonzero only at samples of
+phase p (t % 3 == p): the temporal gram M_i M_i^T is zero between lags of
+different phases, and as every whole frame holds all three phases it is
+three copies of one PHASE_DIM x PHASE_DIM phase gram, rows ordered (event,
+frame lag a). A code keeps that one gram, built from its frame weights,
+factored once, and the factor inverted once. The cross-covariances of a
+trial with every hypothesis' design are one call of the frame window-sum
+kernel of :mod:`.encoding`, laid out (event, frame lag) by (phase,
+channel). The frame weights repeat with the code's period, so on a trial
+of two full code cycles or more the kernel works on the frames folded by
+the period (:func:`.encoding.tiled_window_sums`), not on every frame. The
+phase grams fold the same way (:func:`_phase_grams`): one cycle's lagged
 weights, each column counted as often as it recurs, plus the few columns
 that read the first frame or a corrected one, so no design wider than one
 cycle is built. An instantaneous decision whitens the cross-covariances by
@@ -48,9 +49,10 @@ from numpy.typing import NDArray
 from scipy import linalg
 from scipy.linalg import lapack
 
+from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import StructureMatrix, TiledWeights, TrialStats, check_reach, common_period
-from .encoding import lagged, tiled_window_sums
+from .encoding import TiledWeights, TrialStats, check_reach, code_bits, frame_events
+from .encoding import lagged, tiled_window_sums, tiling_reach
 from .errors import DegenerateCovariance, NumericalFailure, ShapeError, TrialTooShort
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
 from .outcome import decided, pooled
@@ -167,11 +169,11 @@ def _phase_grams(weights: TiledWeights) -> NDArray:
     Column g reads frames g - 17 .. g. Where it reads no frame before 0
     and no corrected frame, it is column g mod P of the (N, PHASE_DIM, P)
     lagged one-cycle pattern U, with P the tiling's period, so those
-    columns sum to U diag(c) U^T, with c their count per residue. The
-    columns apart from the cycle, the first 17 and the 18 from each
-    corrected frame on, are lagged from their dense weights, one run at a
-    time, and added. The weights count events, so every sum is of small
-    integers and exact.
+    columns sum to U diag(c) U^T, with c their count per residue, over the
+    residues that occur. The columns apart from the cycle, the first 17
+    and the 18 from each corrected frame on, are lagged from their dense
+    weights, one run at a time, and added. The weights count events, so
+    every sum is of small integers and exact.
     """
     period, n_frames, lags = weights.period, weights.n_frames, FRAMES_PER_EPOCH
     apart = np.zeros(n_frames + lags, dtype=bool)
@@ -180,10 +182,11 @@ def _phase_grams(weights: TiledWeights) -> NDArray:
         apart[position : position + lags] = True
     apart = apart[:n_frames]
     counts = np.bincount(np.flatnonzero(~apart) % period, minlength=period)
+    recur = np.flatnonzero(counts)      # all residues, unless the trial is short of a cycle
     # the cycle led by its last 17 frames, lagged; column r of U holds w_e[(r - a) mod P]
-    cycle = lagged(weights.pattern[:, np.arange(1 - lags, period) % period], lags)[:, lags - 1 :]
-    cycle = cycle.reshape(-1, PHASE_DIM, period)
-    grams = (cycle * counts) @ cycle.transpose(0, 2, 1)
+    cycle = lagged(weights.pattern[:, np.arange(1 - lags, period) % period], lags)
+    cycle = cycle[:, lags - 1 + recur].reshape(len(cycle) // PHASE_DIM, PHASE_DIM, len(recur))
+    grams = (cycle * counts[recur]) @ cycle.transpose(0, 2, 1)
     # the runs [start, stop) of columns apart, each lagged from frame start - 17 on
     edges = np.flatnonzero(np.diff(apart, prepend=False, append=False)).reshape(-1, 2)
     for start, stop in edges:
@@ -197,41 +200,35 @@ def _phase_grams(weights: TiledWeights) -> NDArray:
 class CcaDecoder:
     """Scores every code hypothesis on trials of one length.
 
-    It keeps ``weights``, the (N * N_EVENTS, floor(n_samples / 3)) frame
-    weights of the whole frames, event e of hypothesis i at each frame
-    start in row i * N_EVENTS + e, as :class:`.encoding.TiledWeights` of
-    the code length; and as (N, PHASE_DIM, PHASE_DIM) stacks the phase gram
-    of every M_i M_i^T and the inverses of their ridged lower Cholesky
-    factors: the temporal whitening of an instantaneous decision is one
-    batched product with them. Phase p's gram entry ((e, a), (e', a')) is
-    the gram entry of lags 3a + p and 3a' + p, the sum over the frames g of
-    weights[e, g - a] weights[e', g - a']: the gram of the
-    :func:`.encoding.lagged` weights, formed without them by the
-    code-period fold of :func:`_phase_grams`, in exact integers as the
-    dense gram is. The factors are made and inverted in place and kept as
-    Fortran-ordered blocks. A cumulative decision adds its state's grams
-    and refactors in place. Every structure must reach n_samples
-    samples (ShapeError otherwise, :func:`.encoding.check_reach`), and all
-    must tile codes of one length (InvalidCodeSet otherwise). A trial, or
-    its TrialStats, must hold n_samples samples: TrialTooShort if fewer,
-    ShapeError if more.
+    It keeps ``weights``, the :func:`.encoding.frame_events` of the codes
+    tiled over n_cycles at the floor(n_samples / 3) whole frames, event e
+    of hypothesis i in row i * N_EVENTS + e; and as (N, PHASE_DIM,
+    PHASE_DIM) stacks the phase gram of every M_i M_i^T and the inverses
+    of their ridged lower Cholesky factors: the temporal whitening of an
+    instantaneous decision is one batched product with them. Phase p's
+    gram entry ((e, a), (e', a')) is the gram entry of lags 3a + p and
+    3a' + p, the sum over the frames g of weights[e, g - a]
+    weights[e', g - a']: the gram of the :func:`.encoding.lagged` weights,
+    formed without them by the code-period fold of :func:`_phase_grams`,
+    in exact integers as the dense gram is. The factors are made and
+    inverted in place and kept as Fortran-ordered blocks. A cumulative
+    decision adds its state's grams and refactors in place. The code set
+    must pass :func:`.encoding.code_bits` (InvalidCodeSet), and its tiling
+    must reach n_samples samples (ShapeError otherwise,
+    :func:`.encoding.check_reach`). A trial, or its TrialStats, must hold
+    n_samples samples: TrialTooShort if fewer, ShapeError if more.
     """
 
-    def __init__(self, structures: list[StructureMatrix], n_samples: int):
-        period = common_period(s.period for s in structures)
+    def __init__(self, codes: list[BitSequence], n_cycles: int, n_samples: int):
+        bits = code_bits(codes)
         if n_samples < RESPONSE_LEN:
             raise TrialTooShort(
                 f"trial of {n_samples} samples is shorter than one response "
                 f"({RESPONSE_LEN} samples)"
             )
-        check_reach(n_samples, min(s.events.shape[1] for s in structures))
+        check_reach(n_samples, tiling_reach(n_cycles, bits.shape[1]))
         self.n_samples = n_samples
-        whole = n_samples // SAMPLES_PER_FRAME * SAMPLES_PER_FRAME
-        events = np.concatenate([s.truncated(whole).events for s in structures])
-        weights = events[:, ::SAMPLES_PER_FRAME].astype(np.float64)
-        if np.count_nonzero(weights) != np.count_nonzero(events):
-            raise ShapeError("events must fire at frame starts")
-        self.weights = TiledWeights.of(weights, period)
+        self.weights = frame_events(bits, n_cycles, n_samples // SAMPLES_PER_FRAME)
         self.grams = _phase_grams(self.weights)
         self.gram_inverse_factors = _inverted(_ridged_cholesky(self.grams.copy(), "temporal"))
 

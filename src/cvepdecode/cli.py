@@ -253,13 +253,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_curve_csv(path) -> dict:
-    """(duration_s, seed) -> accuracy. DataError for an unreadable file, an
-    accuracy that is not a number in [0, 1], or a repeated point, as when
-    two methods' curves are concatenated."""
+    """(duration_s, seed) -> accuracy. DataError for an unreadable file, a
+    row of more or fewer fields than the header, an accuracy that is not a
+    number in [0, 1], or a repeated point, as when two methods' curves are
+    concatenated."""
     points = {}
     try:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
+                # DictReader files a short row's missing fields as None, a
+                # long row's extra fields under the key None
+                if None in row or None in row.values():
+                    raise DataError(f"curve CSV {path} has a row unlike its header")
                 key = (row["duration_s"], row.get("seed", ""))
                 if key in points:
                     raise DataError(

@@ -26,7 +26,6 @@ from .errors import (
 
 DEGREE = 6
 RAW_LENGTH = 2 ** DEGREE - 1           # 63
-MODULATED_LENGTH = 2 * RAW_LENGTH      # 126
 PRESENTATION_RATE_HZ = 60.0
 
 #: Default preferred pair of primitive polynomials for degree 6
@@ -132,13 +131,6 @@ def modulate(code: BitSequence) -> BitSequence:
     for b in code.bits:
         out.extend((b, 1 - b))
     return BitSequence(bits=tuple(out))
-
-
-def demodulate(code: BitSequence) -> BitSequence:
-    """Invert :func:`modulate` by keeping the even-indexed bits."""
-    if len(code) != MODULATED_LENGTH:
-        raise LengthMismatch(f"expected {MODULATED_LENGTH} bits, got {len(code)}")
-    return BitSequence(bits=code.bits[0::2])
 
 
 def _circular_xcorr(px: NDArray, py: NDArray) -> NDArray[np.int_]:

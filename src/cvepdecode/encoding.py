@@ -1,8 +1,8 @@
-"""Event trains and the frame window-sum kernel shared by both decoders.
+"""Code events and the frame window-sum kernel shared by both decoders.
 
-A modulated code tiled over whole cycles becomes an event train with three
-rows (short-flash onsets, long-flash onsets, trial onset) on the 180 Hz
-sample grid, SAMPLES_PER_FRAME samples per 60 Hz stimulus frame. The
+The bits of a code set (:func:`code_bits`) give each code's per-frame
+events (:func:`frame_events`): short-flash onsets, long-flash onsets and
+the trial onset, SAMPLES_PER_FRAME samples per frame at 180 Hz. The
 reconvolution model predicts a trial as each event row convolved with its
 own RESPONSE_LEN-sample response; the dense lagged design that expresses
 this as one matrix product (:func:`lagged` events) is derived from the
@@ -96,24 +96,6 @@ class TiledWeights:
     def tiling(cls, pattern: NDArray, n_frames: int) -> "TiledWeights":
         """The pattern tiled over n_frames frames, with no corrections."""
         return cls(pattern, n_frames, np.empty(0, np.intp), np.empty((len(pattern), 0)))
-
-    @classmethod
-    def of(cls, weights: NDArray, period: int) -> "TiledWeights":
-        """The dense weights (R, K) as the tiling of their second cycle,
-        frames period .. 2 * period - 1, and their exact differences from
-        it. A tiled code's events leave the cycle only at frame 0, where the
-        onset fires and a flash run may start instead of continuing one that
-        wraps the cycle, and at the tiling's last frame, where such a run is
-        cut; so the differences sit at two frames at most. Weights of fewer
-        than two cycles are kept whole, one cycle of their own length:
-        folding them would save nothing."""
-        n_frames = weights.shape[1]
-        if n_frames < 2 * period:
-            return cls.tiling(weights, n_frames)
-        pattern = weights[:, period : 2 * period]
-        differences = weights - cls.tiling(pattern, n_frames).dense()
-        positions = np.flatnonzero(np.any(differences != 0, axis=0))
-        return cls(pattern, n_frames, positions, differences[:, positions])
 
     @property
     def period(self) -> int:
@@ -281,15 +263,26 @@ class TrialStats:
         return grams, float(sq_norms @ sq_norms)
 
 
-def common_period(periods) -> int:
-    """The one code length, in frames, of a code set: the period every
-    decoder folds its trials by. InvalidCodeSet if the lengths differ."""
-    distinct = sorted(set(periods))
-    if not distinct:
+def code_bits(codes: list[BitSequence]) -> NDArray[np.float64]:
+    """The (N, P) 0/1 bits of a code set, one cycle of each code: the one
+    check both decoders read their codes through. InvalidCodeSet for no
+    code, codes of unequal lengths, or codes of no bits."""
+    lengths = sorted({len(c) for c in codes})
+    if not lengths:
         raise InvalidCodeSet("a code set needs at least one code")
-    if len(distinct) != 1:
-        raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {distinct}")
-    return distinct[0]
+    if len(lengths) != 1:
+        raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {lengths}")
+    if lengths[0] == 0:
+        raise InvalidCodeSet("a code needs at least one bit")
+    return np.array([c.bits for c in codes], dtype=np.float64)
+
+
+def tiling_reach(n_cycles: int, period: int) -> int:
+    """The samples of stimulation that codes of period frames tiled over
+    n_cycles cover. ConfigError if n_cycles < 1."""
+    if n_cycles < 1:
+        raise ConfigError("n_cycles must be >= 1")
+    return n_cycles * period * SAMPLES_PER_FRAME
 
 
 def check_reach(n_samples: int, reach: int) -> None:
@@ -298,6 +291,35 @@ def check_reach(n_samples: int, reach: int) -> None:
     was built past it, so neither decoder decides a trial there."""
     if n_samples > reach:
         raise ShapeError(f"codes reach {reach} samples, a trial of {n_samples} asked for")
+
+
+def frame_events(bits: NDArray, n_cycles: int, n_frames: int) -> TiledWeights:
+    """The events of the codes' bits (N, P) tiled over n_cycles, at their
+    first n_frames <= n_cycles * P frames: row i * N_EVENTS + e is 1 where
+    code i fires event e. In one cycle, a flash run starts at a 1 whose bit
+    before it, read cyclically, is 0, and is long if the bit after its
+    start is 1; a run of three or more raises UnmodulatedCode. A run that
+    wraps the cycle is short at frame 0, where the onset fires, and at the
+    tiling's last frame, n_cycles * P - 1, if that is below n_frames."""
+    on = bits == 1
+    n_codes, period = on.shape
+    after = np.roll(on, -1, axis=1)
+    too_long = np.argwhere(on & after & np.roll(on, -2, axis=1))
+    if too_long.size:
+        i, k = too_long[0]
+        raise UnmodulatedCode(f"code {i} has a run of over 2 ones from frame {k}, cyclically")
+    starts = on & ~np.roll(on, 1, axis=1)
+    # rows EVENT_SHORT, EVENT_LONG, EVENT_ONSET
+    pattern = np.stack([starts & ~after, starts & after, np.zeros_like(on)], axis=1, dtype=float)
+    wraps = on[:, -1] & on[:, 0]
+    corrections = np.zeros((n_codes, N_EVENTS, 2))
+    corrections[:, EVENT_SHORT] = wraps[:, np.newaxis]
+    corrections[:, EVENT_LONG, 1] -= wraps
+    corrections[:, EVENT_ONSET, 0] = 1.0
+    last = n_cycles * period - 1     # frame 0 of a one-frame tiling, where no run wraps
+    positions = np.array([0, last] if 0 < last < n_frames else [0], dtype=np.intp)
+    corrections = corrections[..., : len(positions)].reshape(-1, len(positions))
+    return TiledWeights(pattern.reshape(-1, period), n_frames, positions, corrections)
 
 
 def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
@@ -338,22 +360,6 @@ class StructureMatrix:
         return replace(self, events=self.events[:, :n_samples])
 
 
-def _flash_runs(bits: NDArray) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """(start frames, lengths) of the maximal runs of ones; a run longer
-    than two frames raises UnmodulatedCode."""
-    edges = np.diff(np.concatenate([[0], bits, [0]]))
-    starts = np.flatnonzero(edges == 1)
-    lengths = np.flatnonzero(edges == -1) - starts
-    too_long = np.flatnonzero(lengths > 2)
-    if too_long.size:
-        i = too_long[0]
-        raise UnmodulatedCode(
-            f"run of {lengths[i]} consecutive ones at frame {starts[i]}; "
-            "modulated codes allow at most 2"
-        )
-    return starts, lengths
-
-
 def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
     """Code cycles needed to cover n_samples samples at 180 Hz, counted in
     whole frames of the code's own length."""
@@ -362,18 +368,12 @@ def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
 
 
 def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
-    """Tile a modulated code over n_cycles and mark flash onsets at 180 Hz.
-
-    A run of a single 1 produces a short-flash event at the run's first
-    frame; a run of two 1s a long-flash event. Runs may span cycle
-    boundaries of the tiled sequence. The onset event fires at t=0 only.
-    The code's length is the train's period.
-    """
-    if n_cycles < 1:
-        raise ConfigError("n_cycles must be >= 1")
-    tiled = np.tile(code.array, n_cycles)
-    starts, lengths = _flash_runs(tiled)
-    events = np.zeros((N_EVENTS, len(tiled) * SAMPLES_PER_FRAME), dtype=np.int8)
-    events[np.where(lengths == 1, EVENT_SHORT, EVENT_LONG), starts * SAMPLES_PER_FRAME] = 1
-    events[EVENT_ONSET, 0] = 1
-    return StructureMatrix(events=events, period=len(code))
+    """The code tiled over n_cycles as an event train at 180 Hz: the
+    :func:`frame_events` of its bits at their frames' first samples. The
+    code's length is the train's period."""
+    bits = code_bits([code])
+    n_samples = tiling_reach(n_cycles, bits.shape[1])
+    weights = frame_events(bits, n_cycles, n_samples // SAMPLES_PER_FRAME)
+    events = np.zeros((N_EVENTS, n_samples), dtype=np.int8)
+    events[:, ::SAMPLES_PER_FRAME] = weights.dense()
+    return StructureMatrix(events=events, period=bits.shape[1])

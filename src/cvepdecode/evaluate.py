@@ -15,8 +15,8 @@ from numpy.typing import NDArray
 
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
-from .encoding import TrialStats, common_period, n_cycles_to_cover, structure_for_code
-from .errors import ConfigError, DegenerateSample, InvalidCutoff, LengthMismatch
+from .encoding import StructureMatrix, TrialStats, code_bits, n_cycles_to_cover, structure_for_code
+from .errors import ConfigError, DegenerateSample, InvalidCodeSet, InvalidCutoff, LengthMismatch
 from .errors import TruncatedTrial, UnlabeledTrial
 from .outcome import MODE_CUMULATIVE
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
@@ -47,9 +47,9 @@ def canonical_tag(tag: str) -> str:
 
 
 class DecoderBank:
-    """The event trains and the UMM decoder for one code set, and the CCA
-    decoder for the trial length asked for last (its structure grams are
-    the expensive part; a new length replaces it).
+    """The code set, the UMM decoder for it, and the CCA decoder for the
+    trial length asked for last (its phase grams are the expensive part;
+    a new length replaces it).
 
     The codes are tiled over the whole cycles that reach max_dur_s
     seconds, and both decoders raise ShapeError on a trial longer than
@@ -57,15 +57,20 @@ class DecoderBank:
     stimulation it was recorded under, at any decoded duration."""
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):
-        common_period(len(c) for c in codes)    # InvalidCodeSet before codes[0] is read
-        n_cycles = n_cycles_to_cover(codes[0], duration_samples(max_dur_s))
-        self.structures = [structure_for_code(c, n_cycles) for c in codes]
+        code_bits(codes)    # InvalidCodeSet before codes[0] is read
+        self.codes = list(codes)
+        self.n_cycles = n_cycles_to_cover(codes[0], duration_samples(max_dur_s))
         self._cca: CcaDecoder | None = None
-        self._umm = UmmDecoder(codes, n_cycles)
+        self._umm = UmmDecoder(codes, self.n_cycles)
+
+    @property
+    def structures(self) -> list[StructureMatrix]:
+        """The codes' event trains, built on access for benchmarks/tracing.py."""
+        return [structure_for_code(c, self.n_cycles) for c in self.codes]
 
     def cca(self, n_samples: int) -> CcaDecoder:
         if self._cca is None or self._cca.n_samples != n_samples:
-            self._cca = CcaDecoder(self.structures, n_samples)
+            self._cca = CcaDecoder(self.codes, self.n_cycles, n_samples)
         return self._cca
 
     def umm(self) -> UmmDecoder:
@@ -74,12 +79,16 @@ class DecoderBank:
 
 def _session_bank(session: Session, bank: DecoderBank | None) -> DecoderBank:
     """The given bank, or one reaching the session's longest trial.
-    ConfigError for a session with no trials."""
+    ConfigError for a session with no trials, InvalidCodeSet for a bank
+    built over other codes than the session's: its hypotheses would not
+    be the session's labels."""
     if not session.trials:
         raise ConfigError("a session with no trials has nothing to decode")
     if bank is None:
         longest = max(t.n_samples for t in session.trials)
         bank = DecoderBank(session.codes, max_dur_s=longest / TARGET_FS)
+    elif bank.codes != list(session.codes):
+        raise InvalidCodeSet("the decoder bank was built over other codes than the session's")
     return bank
 
 
@@ -96,8 +105,9 @@ def decode_session(
     Trial.prefix, which raises TruncatedTrial past the trial's end, through
     one TrialStats that the decision and its update share. Without a bank,
     one reaching the session's longest trial is built; a given bank must
-    reach duration_s, or the decoders raise ShapeError. ConfigError for a
-    session with no trials."""
+    reach duration_s, or the decoders raise ShapeError, and be built over
+    the session's codes, or InvalidCodeSet. ConfigError for a session with
+    no trials."""
     tag = canonical_tag(method_tag)
     trials = [trial.prefix(duration_s) for trial in session.trials]
     bank = _session_bank(session, bank)
@@ -298,8 +308,9 @@ def bandpass_sweep(
     The highpass axis keeps the lowpass fixed at 40 Hz; the lowpass axis
     keeps the highpass fixed at 6 Hz. ``session_source(highpass, lowpass)``
     must return the re-preprocessed session for those cutoffs, over one
-    code set: a single DecoderBank, built for the first cutoff, serves all;
-    a session with no trials raises ConfigError.
+    code set: a single DecoderBank, built for the first cutoff, serves all,
+    and a later session over other codes raises InvalidCodeSet; a session
+    with no trials raises ConfigError.
     Each cutoff's session is let go before the next is asked for, so two
     are never held at once. ConfigError, before any session is asked for,
     for no method or a method named twice: each method keeps one count

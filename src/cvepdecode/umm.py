@@ -32,7 +32,7 @@ from scipy.linalg import lapack
 
 from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import TiledWeights, TrialStats, check_reach, common_period
+from .encoding import TiledWeights, TrialStats, check_reach, code_bits, tiling_reach
 from .errors import ConfidenceOutOfRange, DegenerateCovariance, DegenerateHypothesis
 from .errors import InsufficientEpochs, TrialTooShort
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
@@ -257,18 +257,17 @@ def _sum_shapes(ep: TrialStats) -> dict[str, tuple[int, ...]]:
 class UmmDecoder:
     """UMM decoding against a fixed code set.
 
-    It keeps one cycle of the codes, ``bits`` (N, P) 0/1: an epoch's label
-    under each hypothesis is the bit at its onset frame. The codes are
-    tiled over n_cycles, so its ``reach`` is n_cycles * P frames in
-    samples, and a trial that holds more samples raises ShapeError
-    (:func:`.encoding.check_reach`). The codes must be of one length, P:
-    InvalidCodeSet otherwise.
+    It keeps one cycle of the codes, ``bits`` (N, P) 0/1, read through
+    :func:`.encoding.code_bits` (InvalidCodeSet), as CCA's are: an epoch's
+    label under each hypothesis is the bit at its onset frame. The codes
+    are tiled over n_cycles, so its ``reach`` is
+    :func:`.encoding.tiling_reach`, and a trial that holds more samples
+    raises ShapeError (:func:`.encoding.check_reach`).
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):
-        period = common_period(len(c) for c in codes)
-        self.bits = np.array([c.array for c in codes], dtype=np.float64)
-        self.reach = n_cycles * period * SAMPLES_PER_FRAME
+        self.bits = code_bits(codes)
+        self.reach = tiling_reach(n_cycles, self.bits.shape[1])
 
     def _deltas(self, ep: TrialStats, rows) -> NDArray:
         """Flash-minus-non-flash means of the epochs, (len(rows), D), under

@@ -339,8 +339,10 @@ class TestCli:
             # two methods' curves concatenated: each point twice
             ["cca_e1,1.05,0,20,10,0.5", "cca_e1,2.1,0,20,12,0.6",
              "umm_t11,1.05,0,20,19,0.95", "umm_t11,2.1,0,20,20,1.0"],
+            ["cca_e1,1.05", "cca_e1,2.1,0,20,12,0.6"],
+            ["cca_e1,1.05,0,20,10,0.5,7", "cca_e1,2.1,0,20,12,0.6"],
         ],
-        ids=["nan", "inf", "above_one", "repeated_point"],
+        ids=["nan", "inf", "above_one", "repeated_point", "short_row", "long_row"],
     )
     def test_stats_malformed_curve_exit_2(self, tmp_path, capsys, a_rows):
         header = "method,duration_s,seed,n_trials,n_correct,accuracy"

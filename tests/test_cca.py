@@ -13,7 +13,7 @@ from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_tri
 
 CODES = default_code_set(20)
 STRUCTS_1C = [structure_for_code(c, 1) for c in CODES]
-DECODER_2S = CcaDecoder(STRUCTS_1C, 378)  # 2.1 s trials
+DECODER_2S = CcaDecoder(CODES, 1, 378)  # 2.1 s trials
 
 
 def _clean_trial(idx, dur_s=2.1, seed=0):
@@ -73,22 +73,15 @@ def test_decode_noiseless():
 
 def test_decode_tie_breaks_to_lowest_index():
     trial = _clean_trial(3)
-    structs = [STRUCTS_1C[3], STRUCTS_1C[3], STRUCTS_1C[0]]
-    outcome = CcaDecoder(structs, trial.n_samples).decode(trial)
+    codes = [CODES[3], CODES[3], CODES[0]]
+    outcome = CcaDecoder(codes, 1, trial.n_samples).decode(trial)
     assert outcome.label == 0
 
 
 def test_decode_too_short():
     trial = Trial(samples=np.zeros((8, 30)))
     with pytest.raises(TrialTooShort):
-        CcaDecoder(STRUCTS_1C, trial.n_samples).decode(trial)
-
-
-def test_events_off_the_frame_grid_rejected():
-    events = np.zeros((3, 378), dtype=np.int8)
-    events[0, 4] = 1  # sample 4 is inside frame 1, not at its start
-    with pytest.raises(ShapeError, match="frame starts"):
-        CcaDecoder([StructureMatrix(events=events, period=126)], 378)
+        CcaDecoder(CODES, 1, trial.n_samples).decode(trial)
 
 
 def test_mixing_invariance():
@@ -208,7 +201,7 @@ def test_frame_kernel_matches_dense_design(n_samples):
     # 190 samples end in a frame of one sample, 191 and 5669 in one of two:
     # the decoder reads the whole frames, the dense oracle their samples
     structs = [structure_for_code(c, 15) for c in CODES]
-    decoder = CcaDecoder(structs, n_samples)
+    decoder = CcaDecoder(CODES, 15, n_samples)
     whole = _whole(n_samples)
     mats = [s.truncated(whole).mat for s in structs]
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=2, codes=CODES[:2], dur_s=31.5)
@@ -250,8 +243,7 @@ def test_whitening_routes_agree(n_samples):
     # solves per hypothesis; the instantaneous route applies the inverse factors.
     # Code 0's 54 x 54 phase grams have rank 18 at 54 samples and 51 at
     # 756 and 5670: the ridge holds them up.
-    structs = [structure_for_code(c, 15) for c in CODES]
-    decoder = CcaDecoder(structs, n_samples)
+    decoder = CcaDecoder(CODES, 15, n_samples)
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=4, codes=CODES[:1], dur_s=31.5)
     trial = Trial(samples=session.trials[0].samples[:, :n_samples])
     c = trial.n_channels
@@ -288,7 +280,7 @@ def _count_lapack_calls(monkeypatch, names):
 
 
 def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
-    decoder = CcaDecoder(STRUCTS_1C, 378)
+    decoder = CcaDecoder(CODES, 1, 378)
     trial = _clean_trial(6)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial).label == 6
@@ -300,7 +292,7 @@ def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_sam
     # one dpotrf and one dtrtrs per hypothesis' phase gram, and one each for
     # the spatial factor and its inverse: 378 samples end in a whole frame,
     # 377 in a frame of two samples, which is not read
-    decoder = CcaDecoder(STRUCTS_1C, n_samples)
+    decoder = CcaDecoder(CODES, 1, n_samples)
     past, trial = (Trial(samples=_clean_trial(i).samples[:, :n_samples]) for i in (1, 2))
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
@@ -323,7 +315,7 @@ def test_ridge_is_that_of_the_three_phase_stack(n_samples):
     # the ridge follows the mean diagonal of the whole 162 x 162 gram of
     # the whole frames, which each of its three equal phase grams shares
     structs = [structure_for_code(c, 15) for c in CODES]
-    decoder = CcaDecoder(structs, n_samples)
+    decoder = CcaDecoder(CODES, 15, n_samples)
     three = np.stack([_dense_phase_grams(s.truncated(_whole(n_samples)).mat) for s in structs])
     want = cca._inverted(cca._ridged_cholesky(three, "temporal"))
     got = np.repeat(decoder.gram_inverse_factors[:, np.newaxis], 3, axis=1)
@@ -344,7 +336,7 @@ def test_phase_grams_are_the_dense_gram(n_samples):
     off_phase = lags[:, np.newaxis] % 3 != lags % 3
     for n_cycles, codes in [(15, CODES), (16, CODES), (16, CODES[3:4])]:
         structs = [structure_for_code(c, n_cycles) for c in codes]
-        decoder = CcaDecoder(structs, n_samples)
+        decoder = CcaDecoder(codes, n_cycles, n_samples)
         assert decoder.grams.shape == (len(codes), 54, 54)
         for struct, gram in zip(structs, decoder.grams):
             mat = struct.truncated(_whole(n_samples)).mat
@@ -369,7 +361,7 @@ def test_phase_grams_lag_no_more_than_one_code_cycle(monkeypatch):
         return out
 
     monkeypatch.setattr(cca, "lagged", one_cycle_at_most, raising=False)
-    CcaDecoder([structure_for_code(c, 15) for c in CODES], 5670)
+    CcaDecoder(CODES, 15, 5670)
 
 
 def test_decoder_never_builds_the_dense_design(monkeypatch):
@@ -379,7 +371,7 @@ def test_decoder_never_builds_the_dense_design(monkeypatch):
         raise AssertionError("dense design built")
 
     monkeypatch.setattr(StructureMatrix, "mat", property(refuse))
-    decoder = CcaDecoder(STRUCTS_1C, 378)
+    decoder = CcaDecoder(CODES, 1, 378)
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     assert decoder.decode(trial, state).label == 2
 
@@ -387,7 +379,7 @@ def test_decoder_never_builds_the_dense_design(monkeypatch):
 @pytest.mark.parametrize("n_samples", [756, 5670], ids=["4.2s", "31.5s"])
 def test_fresh_cumulative_state_decides_as_none(n_samples):
     # a fresh state is zero sums: it adds nothing, bit for bit
-    decoder = CcaDecoder([structure_for_code(c, 15) for c in CODES], n_samples)
+    decoder = CcaDecoder(CODES, 15, n_samples)
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=6, codes=CODES[:1], dur_s=31.5)
     trial = Trial(samples=session.trials[0].samples[:, :n_samples])
     instant = decoder.decode(trial)

@@ -8,7 +8,6 @@ from cvepdecode.codegen import (
     DEFAULT_TAPS_B,
     BitSequence,
     default_code_set,
-    demodulate,
     generate_m_sequence,
     gold_set,
     load_codes,
@@ -107,9 +106,11 @@ def test_modulate_wrong_length():
 
 @given(st.lists(st.integers(0, 1), min_size=63, max_size=63))
 @settings(max_examples=50, deadline=None)
-def test_demodulate_inverts_modulate(bits):
-    code = BitSequence(bits=tuple(bits))
-    assert demodulate(modulate(code)).bits == code.bits
+def test_modulate_interleaves_code_and_complement(bits):
+    # even bits are the code, odd bits their complement
+    modulated = modulate(BitSequence(bits=tuple(bits))).array
+    assert list(modulated[0::2]) == bits
+    assert list(modulated[1::2]) == [1 - b for b in bits]
 
 
 def test_modulate_injective():

@@ -11,9 +11,12 @@ from cvepdecode.encoding import (
     EVENT_ONSET,
     EVENT_SHORT,
     FRAMES_PER_EPOCH,
+    N_EVENTS,
     RESPONSE_LEN,
     StructureMatrix,
     TiledWeights,
+    code_bits,
+    frame_events,
     n_cycles_to_cover,
     structure_for_code,
     tiled_window_sums,
@@ -54,6 +57,75 @@ def test_onset_event_only_at_zero():
 def test_run_longer_than_two_rejected():
     with pytest.raises(UnmodulatedCode):
         structure_for_code(_code([1, 1, 1, 0]), n_cycles=1)
+
+
+@pytest.mark.parametrize("n_cycles", [1, 2])
+def test_run_wrapping_the_cycle_rejected_at_any_cycle_count(n_cycles):
+    # frames 3, 0 and 1 are one run of three, read cyclically: the code is
+    # refused whether or not its tiling shows the run whole
+    code = _code([1, 1, 0, 1])
+    with pytest.raises(UnmodulatedCode):
+        structure_for_code(code, n_cycles)
+    with pytest.raises(UnmodulatedCode):
+        frame_events(code_bits([code]), n_cycles, 4)
+
+
+def _tiled_flash_runs(bits, n_cycles, n_frames):
+    """Oracle: the (N_EVENTS, n_frames) events of the bits tiled over
+    n_cycles, read from the maximal runs of ones of the tiled sequence;
+    None if a run is longer than two frames."""
+    tiled = np.tile(np.asarray(bits), n_cycles)
+    edges = np.diff(np.concatenate([[0], tiled, [0]]))
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    if np.any(lengths > 2):
+        return None
+    events = np.zeros((N_EVENTS, len(tiled)))
+    events[np.where(lengths == 1, EVENT_SHORT, EVENT_LONG), starts] = 1
+    events[EVENT_ONSET, 0] = 1
+    return events[:, :n_frames]
+
+
+#: a hand-made code whose run at frames 8 and 0 wraps the cycle
+WRAPPING = _code([1, 0, 0, 1, 0, 1, 1, 0, 1])
+
+
+@pytest.mark.parametrize("n_cycles", [1, 2, 3, 15])
+@pytest.mark.parametrize("codes", [default_code_set(20), [WRAPPING]], ids=["default", "wrapping"])
+def test_frame_events_are_the_flash_runs_of_the_tiled_bits(codes, n_cycles):
+    bits = code_bits(codes)
+    period = bits.shape[1]
+    assert np.any(bits[:, 0] * bits[:, -1])    # some code wraps the cycle
+    full = n_cycles * period
+    # below, at and between cycle multiples, the tiling's last frame included
+    counts = {18, period - 1, period, period + 1, full - period // 2, full - 1, full}
+    for n_frames in sorted(n for n in counts if 0 < n <= full):
+        weights = frame_events(bits, n_cycles, n_frames)
+        assert weights.n_frames == n_frames and weights.period == period
+        want = np.concatenate([_tiled_flash_runs(b, n_cycles, n_frames) for b in bits])
+        assert np.array_equal(weights.dense(), want), n_frames
+    for code, b in zip(codes, bits):
+        events = structure_for_code(code, n_cycles).events
+        assert events.shape == (N_EVENTS, 3 * full)
+        assert not np.any(events[:, np.arange(3 * full) % 3 != 0])
+        assert np.array_equal(events[:, ::3], _tiled_flash_runs(b, n_cycles, full))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+    n_cycles=st.integers(1, 4),
+    data=st.data(),
+)
+def test_frame_events_of_any_bits(bits, n_cycles, data):
+    # three cycles show every cyclic run whole, the wrapping ones too
+    n_frames = data.draw(st.integers(1, n_cycles * len(bits)))
+    if _tiled_flash_runs(bits, 3, 0) is None:
+        with pytest.raises(UnmodulatedCode):
+            frame_events(code_bits([_code(bits)]), n_cycles, n_frames)
+    else:
+        got = frame_events(code_bits([_code(bits)]), n_cycles, n_frames).dense()
+        assert np.array_equal(got, _tiled_flash_runs(bits, n_cycles, n_frames))
 
 
 def test_flash_budget_full_code():
@@ -166,17 +238,16 @@ def test_tiled_window_sums_are_the_dense_kernel(
     if zero_past:
         frames[n_frames:] = 0.0
     want = window_sums(frames, weights)
-    explicit = TiledWeights(
+    tiled = TiledWeights(
         pattern, n_frames, np.array(positions, dtype=np.intp),
         weights[:, positions] - np.tile(pattern, n_cycles + 1)[:, positions],
     )
-    for tiled in (explicit, TiledWeights.of(weights, period)):
-        assert np.array_equal(tiled.dense(), weights)
-        got = tiled_window_sums(frames, tiled)
-        # rounding follows the terms the fold adds, not the sums, which may
-        # cancel to zero
-        terms = np.abs(tiled.pattern).sum() * (n_cycles + 1) + np.abs(tiled.corrections).sum()
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(frames).max() * terms
+    assert np.array_equal(tiled.dense(), weights)
+    got = tiled_window_sums(frames, tiled)
+    # rounding follows the terms the fold adds, not the sums, which may
+    # cancel to zero
+    terms = np.abs(pattern).sum() * (n_cycles + 1) + np.abs(tiled.corrections).sum()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(frames).max() * terms
 
 
 def _record_window_sum_frames(monkeypatch):
@@ -198,7 +269,7 @@ def test_decisions_fold_trials_of_two_code_cycles(monkeypatch, n_samples, most_f
     # and the 17 frames the last window runs past it. 4.0 s (240 frames)
     # holds one full cycle, so the kernel sees the whole trial.
     codes = default_code_set(20)
-    decoder = CcaDecoder([structure_for_code(c, 15) for c in codes], n_samples)
+    decoder = CcaDecoder(codes, 15, n_samples)
     trial = synthesize_trial(codes[0], ForwardModel(snr=0.05), 31.5, 4, 0)
     trial = Trial(samples=trial.samples[:, :n_samples])
     seen = _record_window_sum_frames(monkeypatch)

@@ -6,6 +6,7 @@ import pytest
 from cvepdecode.cca import CcaDecoder, CcaState
 from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.encoding import structure_for_code, window_sums
+from cvepdecode.evaluate import DecoderBank
 from cvepdecode.errors import ConfigError, DataError, InvalidCodeSet, InvalidCutoff
 from cvepdecode.errors import LabelOutOfRange, ShapeError
 from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
@@ -18,7 +19,7 @@ CODES = default_code_set(4)
 
 def _cca_update(label):
     """A cumulative CCA update of a one-cycle trial under ``label``."""
-    decoder = CcaDecoder([structure_for_code(c, 1) for c in CODES], 378)
+    decoder = CcaDecoder(CODES, 1, 378)
     trial = Trial(samples=np.ones((2, 378)))
     return decoder.update_cumulative(CcaState(mode=MODE_CUMULATIVE), trial, label)
 
@@ -43,6 +44,12 @@ MALFORMED = {
     "notch-negative-center": (lambda: FilterSpec("notch", center_hz=-50.0), InvalidCutoff),
     "bandpass-no-lowpass": (lambda: FilterSpec("bandpass", highpass_hz=6.0), InvalidCutoff),
     "zero-cycles": (lambda: structure_for_code(BitSequence((0, 1)), 0), ConfigError),
+    "zero-cycles-umm": (lambda: UmmDecoder(CODES, 0), ConfigError),
+    "zero-cycles-cca": (lambda: CcaDecoder(CODES, 0, 378), ConfigError),
+    "no-bits-bank": (lambda: DecoderBank([BitSequence(())], 4.2), InvalidCodeSet),
+    "no-bits-structure": (lambda: structure_for_code(BitSequence(()), 1), InvalidCodeSet),
+    "no-bits-umm": (lambda: UmmDecoder([BitSequence(())], 1), InvalidCodeSet),
+    "no-bits-cca": (lambda: CcaDecoder([BitSequence(())], 1, 378), InvalidCodeSet),
     "bits": (lambda: BitSequence((0, 2)), InvalidCodeSet),
     "code-line": (lambda: BitSequence.from_line("01x0"), InvalidCodeSet),
     "window-frames": (lambda: window_sums(np.zeros((20, 3)), np.ones((1, 4))), ShapeError),

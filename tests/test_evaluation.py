@@ -9,7 +9,6 @@ from scipy import signal, stats
 from cvepdecode import cca, encoding, sigproc, umm
 from cvepdecode.cca import CcaDecoder
 from cvepdecode.codegen import BitSequence, default_code_set
-from cvepdecode.encoding import structure_for_code
 from cvepdecode.errors import (
     ConfigError,
     DegenerateCovariance,
@@ -120,7 +119,26 @@ class TestDecodeSession:
         with pytest.raises(InvalidCodeSet):
             DecoderBank(codes, max_dur_s=4.2)
         with pytest.raises(InvalidCodeSet):
-            CcaDecoder([structure_for_code(c, 2) for c in codes], 756)
+            CcaDecoder(codes, 2, 756)
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_bank_over_other_codes_refused(self, tag):
+        # a bank over the session's codes reversed scores every trial under
+        # another code's hypothesis: its accuracy would be silently wrong
+        session = _session()
+        bank = DecoderBank(session.codes[::-1], max_dur_s=4.2)
+        for run in (
+            lambda: decode_session(session, tag, 4.2, bank),
+            lambda: decoding_curve(session, tag, (4.2,), bank),
+        ):
+            with pytest.raises(InvalidCodeSet, match="other codes"):
+                run()
+
+    def test_sweep_over_sessions_of_other_codes_refused(self):
+        # one bank, built for the first cutoff, serves every cutoff
+        sessions = iter([_session(), _session(n_codes=4)])
+        with pytest.raises(InvalidCodeSet, match="other codes"):
+            bandpass_sweep(lambda hp, lp: next(sessions), ["umm_t11"], "lowpass", (20.0, 40.0), 4.2)
 
     def test_empty_code_set_refused(self):
         with pytest.raises(InvalidCodeSet):
