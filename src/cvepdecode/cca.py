@@ -36,9 +36,9 @@ factor by one product. Each hypothesis scores the square root of the
 largest eigenvalue of its C x C matrix K^T K, K its whitened
 cross-covariance: all hypotheses in one batched symmetric eigenvalue call.
 The frames and x x^T come from the trial's :class:`.encoding.TrialStats`,
-which a decision and its cumulative update share. The decoder decides the
-trials of exactly the length it is built for: ``Trial.prefix`` is the one
-cut.
+which a decision and its cumulative update share. One decoder decides
+every length up to its reach: only the frame weights and phase grams
+depend on it. ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
@@ -50,10 +50,10 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from .codegen import BitSequence
-from .encoding import FRAMES_PER_EPOCH, N_EVENTS, RESPONSE_LEN, SAMPLES_PER_FRAME
+from .encoding import FRAMES_PER_EPOCH, N_EVENTS, SAMPLES_PER_FRAME
 from .encoding import TiledWeights, TrialStats, check_reach, code_bits, frame_events
 from .encoding import lagged, tiled_window_sums, tiling_reach
-from .errors import DegenerateCovariance, NumericalFailure, ShapeError, TrialTooShort
+from .errors import DegenerateCovariance, NumericalFailure
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
 from .outcome import decided, pooled
 from .sigproc import Trial
@@ -198,10 +198,12 @@ def _phase_grams(weights: TiledWeights) -> NDArray:
 
 
 class CcaDecoder:
-    """Scores every code hypothesis on trials of one length.
+    """Scores every code hypothesis on trials of any length up to its reach.
 
-    It keeps ``weights``, the :func:`.encoding.frame_events` of the codes
-    tiled over n_cycles at the floor(n_samples / 3) whole frames, event e
+    It keeps ``bits``, ``n_cycles`` and ``reach`` as :class:`.umm.UmmDecoder`
+    does. The rest is built from a trial's whole-frame count when that
+    count is decided and the last one was another: ``weights``, the
+    :func:`.encoding.frame_events` of the codes at those frames, event e
     of hypothesis i in row i * N_EVENTS + e; and as (N, PHASE_DIM,
     PHASE_DIM) stacks the phase gram of every M_i M_i^T and the inverses
     of their ridged lower Cholesky factors: the temporal whitening of an
@@ -212,31 +214,23 @@ class CcaDecoder:
     formed without them by the code-period fold of :func:`_phase_grams`,
     in exact integers as the dense gram is. The factors are made and
     inverted in place and kept as Fortran-ordered blocks. A cumulative
-    decision adds its state's grams and refactors in place. The code set
-    must pass :func:`.encoding.code_bits` (InvalidCodeSet), and its tiling
-    must reach n_samples samples (ShapeError otherwise,
-    :func:`.encoding.check_reach`). A trial, or its TrialStats, must hold
-    n_samples samples: TrialTooShort if fewer, ShapeError if more.
+    decision adds its state's grams and refactors in place.
     """
 
-    def __init__(self, codes: list[BitSequence], n_cycles: int, n_samples: int):
-        bits = code_bits(codes)
-        if n_samples < RESPONSE_LEN:
-            raise TrialTooShort(
-                f"trial of {n_samples} samples is shorter than one response "
-                f"({RESPONSE_LEN} samples)"
-            )
-        check_reach(n_samples, tiling_reach(n_cycles, bits.shape[1]))
-        self.n_samples = n_samples
-        self.weights = frame_events(bits, n_cycles, n_samples // SAMPLES_PER_FRAME)
-        self.grams = _phase_grams(self.weights)
-        self.gram_inverse_factors = _inverted(_ridged_cholesky(self.grams.copy(), "temporal"))
+    def __init__(self, codes: list[BitSequence], n_cycles: int):
+        self.bits = code_bits(codes)
+        self.n_cycles = n_cycles
+        self.reach = tiling_reach(n_cycles, self.bits.shape[1])
+        # the parts of the last whole-frame count decided, built by _stats
+        self.weights = self.grams = self.gram_inverse_factors = None
 
     def _stats(self, trial: Trial | TrialStats) -> TrialStats:
         stats = TrialStats.of(trial)
-        if stats.n_samples != self.n_samples:
-            error = TrialTooShort if stats.n_samples < self.n_samples else ShapeError
-            raise error(f"trial holds {stats.n_samples} samples, decoder expects {self.n_samples}")
+        check_reach(stats.n_samples, self.reach)
+        if self.weights is None or self.weights.n_frames != stats.n_frames:
+            self.weights = frame_events(self.bits, self.n_cycles, stats.n_frames)
+            self.grams = _phase_grams(self.weights)
+            self.gram_inverse_factors = _inverted(_ridged_cholesky(self.grams.copy(), "temporal"))
         return stats
 
     def _smx(self, stats: TrialStats, weights: TiledWeights) -> NDArray:
@@ -282,7 +276,7 @@ class CcaDecoder:
     ) -> CcaState:
         """Fold the finished trial into the accumulators, pairing its data
         with the design of its own predicted label (naive labeling)."""
-        check_update(state, predicted, len(self.grams))
+        check_update(state, predicted, len(self.bits))
         stats = self._stats(trial)
         pooled(state, _sum_shapes(len(stats.samples)))
         rows = slice(N_EVENTS * predicted, N_EVENTS * (predicted + 1))

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 
 from .codegen import PRESENTATION_RATE_HZ, BitSequence
-from .errors import ConfigError, InvalidCodeSet, ShapeError, UnmodulatedCode
+from .errors import ConfigError, InvalidCodeSet, ShapeError, TrialTooShort, UnmodulatedCode
 from .sigproc import TARGET_FS, Trial, finite_samples
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
@@ -162,9 +162,13 @@ class TrialStats:
 
     @classmethod
     def of(cls, trial: Trial | TrialStats) -> TrialStats:
-        """The trial's statistics; a TrialStats is returned as it is."""
+        """The trial's statistics; a TrialStats is returned as it is.
+        TrialTooShort for a trial of fewer than RESPONSE_LEN samples: it
+        holds no whole response, and neither decoder decides it."""
         if isinstance(trial, TrialStats):
             return trial
+        if trial.n_samples < RESPONSE_LEN:
+            raise TrialTooShort(f"{trial.n_samples} samples hold no {RESPONSE_LEN}-sample response")
         x = finite_samples(trial.samples)
         n_frames = x.shape[1] // SAMPLES_PER_FRAME
         whole = x[:, : SAMPLES_PER_FRAME * n_frames]
@@ -266,7 +270,9 @@ class TrialStats:
 def code_bits(codes: list[BitSequence]) -> NDArray[np.float64]:
     """The (N, P) 0/1 bits of a code set, one cycle of each code: the one
     check both decoders read their codes through. InvalidCodeSet for no
-    code, codes of unequal lengths, or codes of no bits."""
+    code, codes of unequal lengths, codes of no bits, or a repeated code:
+    its copies would score alike and every trial of the later one would be
+    labelled the first."""
     lengths = sorted({len(c) for c in codes})
     if not lengths:
         raise InvalidCodeSet("a code set needs at least one code")
@@ -274,6 +280,10 @@ def code_bits(codes: list[BitSequence]) -> NDArray[np.float64]:
         raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {lengths}")
     if lengths[0] == 0:
         raise InvalidCodeSet("a code needs at least one bit")
+    first_seen: dict[tuple[int, ...], int] = {}
+    for i, code in enumerate(codes):
+        if first_seen.setdefault(tuple(code.bits), i) != i:
+            raise InvalidCodeSet(f"code {i} repeats code {first_seen[tuple(code.bits)]}")
     return np.array([c.bits for c in codes], dtype=np.float64)
 
 
@@ -337,14 +347,12 @@ def lagged(rows: NDArray, n_lags: int) -> NDArray[np.float64]:
 class StructureMatrix:
     """A code's event train: events (n_events, n_samples), 0/1 int8 at 180 Hz.
 
-    ``period`` is the length in frames of the code the events tile. ``mat``
-    is the reconvolution design those events stand for, built on each
-    access: callers that need the dense matrix (grams, the simulator,
+    ``mat`` is the reconvolution design those events stand for, built on
+    each access: callers that need the dense matrix (grams, the simulator,
     oracles) build it, use it and let it go.
     """
 
     events: NDArray[np.int8]
-    period: int
 
     @property
     def mat(self) -> NDArray[np.float64]:
@@ -369,11 +377,10 @@ def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
 
 def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:
     """The code tiled over n_cycles as an event train at 180 Hz: the
-    :func:`frame_events` of its bits at their frames' first samples. The
-    code's length is the train's period."""
+    :func:`frame_events` of its bits at their frames' first samples."""
     bits = code_bits([code])
     n_samples = tiling_reach(n_cycles, bits.shape[1])
     weights = frame_events(bits, n_cycles, n_samples // SAMPLES_PER_FRAME)
     events = np.zeros((N_EVENTS, n_samples), dtype=np.int8)
     events[:, ::SAMPLES_PER_FRAME] = weights.dense()
-    return StructureMatrix(events=events, period=bits.shape[1])
+    return StructureMatrix(events=events)

@@ -15,7 +15,8 @@ from numpy.typing import NDArray
 
 from .cca import CcaDecoder, CcaState
 from .codegen import BitSequence
-from .encoding import StructureMatrix, TrialStats, code_bits, n_cycles_to_cover, structure_for_code
+from .encoding import StructureMatrix, TrialStats, check_reach, code_bits, n_cycles_to_cover
+from .encoding import structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCodeSet, InvalidCutoff, LengthMismatch
 from .errors import TruncatedTrial, UnlabeledTrial
 from .outcome import MODE_CUMULATIVE
@@ -47,20 +48,19 @@ def canonical_tag(tag: str) -> str:
 
 
 class DecoderBank:
-    """The code set, the UMM decoder for it, and the CCA decoder for the
-    trial length asked for last (its phase grams are the expensive part;
-    a new length replaces it).
+    """The code set and the one CCA and one UMM decoder for it.
 
     The codes are tiled over the whole cycles that reach max_dur_s
-    seconds, and both decoders raise ShapeError on a trial longer than
-    those cycles. A default bank reaches the session's longest trial, the
-    stimulation it was recorded under, at any decoded duration."""
+    seconds, and both decoders decide any trial from RESPONSE_LEN samples
+    (TrialTooShort below) up to those cycles (ShapeError past them). A
+    default bank reaches the session's longest trial, the stimulation it
+    was recorded under, at any decoded duration."""
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):
         code_bits(codes)    # InvalidCodeSet before codes[0] is read
         self.codes = list(codes)
         self.n_cycles = n_cycles_to_cover(codes[0], duration_samples(max_dur_s))
-        self._cca: CcaDecoder | None = None
+        self._cca = CcaDecoder(codes, self.n_cycles)
         self._umm = UmmDecoder(codes, self.n_cycles)
 
     @property
@@ -69,8 +69,8 @@ class DecoderBank:
         return [structure_for_code(c, self.n_cycles) for c in self.codes]
 
     def cca(self, n_samples: int) -> CcaDecoder:
-        if self._cca is None or self._cca.n_samples != n_samples:
-            self._cca = CcaDecoder(self.codes, self.n_cycles, n_samples)
+        """The bank's one CCA decoder; ShapeError if n_samples pass its reach."""
+        check_reach(n_samples, self._cca.reach)
         return self._cca
 
     def umm(self) -> UmmDecoder:
@@ -314,7 +314,8 @@ def bandpass_sweep(
     Each cutoff's session is let go before the next is asked for, so two
     are never held at once. ConfigError, before any session is asked for,
     for no method or a method named twice: each method keeps one count
-    per cutoff.
+    per cutoff; and for a session of another trial count than the first
+    cutoff's: every accuracy is a count over the grid's one trial count.
     """
     if axis not in ("highpass", "lowpass"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -332,8 +333,13 @@ def bandpass_sweep(
             session = session_source(cutoff, SWEEP_FIXED_LOWPASS)
         else:
             session = session_source(SWEEP_FIXED_HIGHPASS, cutoff)
-        grid.n_trials = session.n_trials
         bank = _session_bank(session, bank)
+        if grid.n_trials and session.n_trials != grid.n_trials:
+            raise ConfigError(
+                f"the session at {cutoff:g} Hz holds {session.n_trials} trials, "
+                f"the first cutoff's {grid.n_trials}"
+            )
+        grid.n_trials = session.n_trials
         for tag in tags:
             outcomes = decode_session(session, tag, duration_s, bank)
             n_correct, _ = accuracy_of(outcomes, session.trials)

@@ -17,9 +17,9 @@ its frames, once, among them the scatter as frame-block grams (no (D, D)
 scatter is formed) and the flash sums, over the frames folded by the code
 period on a trial of two full cycles or more. :func:`_cov_model` reads
 the lag blocks, the trace and the Ledoit-Wolf intensity from pooled grams,
-and :class:`UmmDecoder` keeps one cycle of the code bits. The decoder
-decides every sample it is handed, up to its reach: ``Trial.prefix`` is
-the one cut.
+and :class:`UmmDecoder` keeps one cycle of the code bits. Like CCA's, the
+decoder decides any trial from RESPONSE_LEN samples up to its reach:
+``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .codegen import BitSequence
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
 from .encoding import TiledWeights, TrialStats, check_reach, code_bits, tiling_reach
 from .errors import ConfidenceOutOfRange, DegenerateCovariance, DegenerateHypothesis
-from .errors import InsufficientEpochs, TrialTooShort
+from .errors import InsufficientEpochs
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
 from .outcome import decided, pooled
 from .sigproc import Trial
@@ -42,12 +42,8 @@ from .sigproc import Trial
 
 def slice_epochs(trial: Trial | TrialStats) -> TrialStats:
     """The trial's statistics, whose epochs are one RESPONSE_LEN-sample
-    window per 60 Hz frame that fits inside the trial. TrialTooShort if not
-    one fits."""
-    if trial.n_samples < RESPONSE_LEN:
-        raise TrialTooShort(
-            f"trial of {trial.n_samples} samples cannot hold a {RESPONSE_LEN}-sample epoch"
-        )
+    window per 60 Hz frame that fits inside the trial: TrialTooShort from
+    :meth:`.encoding.TrialStats.of` if not one fits."""
     return TrialStats.of(trial)
 
 
@@ -262,7 +258,8 @@ class UmmDecoder:
     label under each hypothesis is the bit at its onset frame. The codes
     are tiled over n_cycles, so its ``reach`` is
     :func:`.encoding.tiling_reach`, and a trial that holds more samples
-    raises ShapeError (:func:`.encoding.check_reach`).
+    raises ShapeError (:func:`.encoding.check_reach`), one of fewer than
+    RESPONSE_LEN TrialTooShort (:meth:`.encoding.TrialStats.of`).
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):

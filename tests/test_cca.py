@@ -5,7 +5,7 @@ import pytest
 
 from cvepdecode import cca, errors
 from cvepdecode.cca import CcaDecoder, CcaState, fit_filters
-from cvepdecode.codegen import default_code_set
+from cvepdecode.codegen import BitSequence, default_code_set
 from cvepdecode.encoding import N_EVENTS, RESPONSE_LEN, StructureMatrix, structure_for_code
 from cvepdecode.errors import DegenerateCovariance, ShapeError, TrialTooShort
 from cvepdecode.sigproc import Trial
@@ -13,11 +13,19 @@ from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_tri
 
 CODES = default_code_set(20)
 STRUCTS_1C = [structure_for_code(c, 1) for c in CODES]
-DECODER_2S = CcaDecoder(CODES, 1, 378)  # 2.1 s trials
+DECODER_2S = CcaDecoder(CODES, 1)  # 2.1 s trials, one code cycle
 
 
 def _clean_trial(idx, dur_s=2.1, seed=0):
     return synthesize_trial(CODES[idx], ForwardModel(snr=math.inf), dur_s, seed, idx)
+
+
+def _decided_once(decoder, n_samples):
+    """The decoder, having decided a noise trial of n_samples samples: it
+    holds the weights and grams of that trial's whole frames."""
+    noise = np.random.default_rng(n_samples).normal(size=(2, n_samples))
+    decoder.decode(Trial(samples=noise))
+    return decoder
 
 
 def test_fit_filters_identity_whitening_reduces_to_svd():
@@ -72,16 +80,22 @@ def test_decode_noiseless():
 
 
 def test_decode_tie_breaks_to_lowest_index():
-    trial = _clean_trial(3)
-    codes = [CODES[3], CODES[3], CODES[0]]
-    outcome = CcaDecoder(codes, 1, trial.n_samples).decode(trial)
+    # code 3 with a late flash dropped has code 3's events over the first
+    # 63 frames, so on a 1.05 s trial the two score exactly alike
+    bits = list(CODES[3].bits)
+    late = bits.index(1, 100)
+    bits[late] = 0
+    codes = [BitSequence(tuple(bits)), CODES[3], CODES[0]]
+    trial = Trial(samples=_clean_trial(3).samples[:, :189])
+    outcome = CcaDecoder(codes, 1).decode(trial)
+    assert outcome.scores[0] == outcome.scores[1] > outcome.scores[2]
     assert outcome.label == 0
 
 
 def test_decode_too_short():
     trial = Trial(samples=np.zeros((8, 30)))
     with pytest.raises(TrialTooShort):
-        CcaDecoder(CODES, 1, trial.n_samples).decode(trial)
+        CcaDecoder(CODES, 1).decode(trial)
 
 
 def test_mixing_invariance():
@@ -149,8 +163,8 @@ def test_update_refuses_label_out_of_range(label):
 
 
 def test_longer_trial_refused():
-    # the decoder decides trials of exactly its length: Trial.prefix is the
-    # one cut, a longer trial is an error, not cut to the decoder
+    # one code cycle reaches 378 samples: Trial.prefix is the one cut, a
+    # longer trial is an error, not cut to the decoder
     trial = _clean_trial(4)
     longer = Trial(samples=np.concatenate([trial.samples, trial.samples[:, -1:]], axis=1))
     assert (trial.n_samples, longer.n_samples) == (378, 379)
@@ -201,7 +215,7 @@ def test_frame_kernel_matches_dense_design(n_samples):
     # 190 samples end in a frame of one sample, 191 and 5669 in one of two:
     # the decoder reads the whole frames, the dense oracle their samples
     structs = [structure_for_code(c, 15) for c in CODES]
-    decoder = CcaDecoder(CODES, 15, n_samples)
+    decoder = CcaDecoder(CODES, 15)
     whole = _whole(n_samples)
     mats = [s.truncated(whole).mat for s in structs]
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=2, codes=CODES[:2], dur_s=31.5)
@@ -228,13 +242,37 @@ def test_bank_stores_no_dense_design():
     # a decoder keeps per-frame event weights as one code cycle and the
     # corrections at the tiling's first and last frames, and grams and their
     # inverse factors, whose size does not grow with the trial
-    decoder = bank.cca(5670)
-    assert set(vars(decoder)) == {"n_samples", "weights", "grams", "gram_inverse_factors"}
+    decoder = _decided_once(bank.cca(5670), 5670)
+    assert set(vars(decoder)) == {
+        "bits", "n_cycles", "reach", "weights", "grams", "gram_inverse_factors"
+    }
     assert decoder.weights.pattern.shape == (60, 126)
     assert decoder.weights.n_frames == 1890
     assert list(decoder.weights.positions) == [0, 1889]
     # every whole frame holds the three phases: their grams are one
     assert decoder.grams.shape == decoder.gram_inverse_factors.shape == (20, 54, 54)
+
+
+def test_one_decoder_decides_every_length_as_a_fresh_one():
+    # the bank's one decoder keeps the parts of the last whole-frame count
+    # it decided: the lengths alternate, so it rebuilds them for all but 758
+    # (252 frames, as 756), and decides as a decoder fresh at each length
+    from cvepdecode.evaluate import DecoderBank
+
+    bank = DecoderBank(CODES, max_dur_s=31.5)
+    session = synthesize_session(1, ForwardModel(snr=0.05), seed=3, codes=CODES[:2], dur_s=31.5)
+    for n_samples in (5670, 54, 757, 189, 5669, 190, 756, 758):
+        past, trial = (Trial(samples=t.samples[:, :n_samples]) for t in session.trials)
+        decisions = []
+        for decoder in (bank.cca(n_samples), CcaDecoder(CODES, bank.n_cycles)):
+            label = decoder.decode(past).label
+            state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, label)
+            decisions.append([decoder.decode(trial), decoder.decode(trial, state)])
+        for shared, fresh in zip(*decisions):
+            assert shared.label == fresh.label
+            assert np.array_equal(shared.scores, fresh.scores)
+            assert shared.confidence == fresh.confidence
+        assert bank.cca(n_samples).weights.n_frames == n_samples // 3
 
 
 @pytest.mark.parametrize("n_samples", [54, 756, 5670])
@@ -243,7 +281,7 @@ def test_whitening_routes_agree(n_samples):
     # solves per hypothesis; the instantaneous route applies the inverse factors.
     # Code 0's 54 x 54 phase grams have rank 18 at 54 samples and 51 at
     # 756 and 5670: the ridge holds them up.
-    decoder = CcaDecoder(CODES, 15, n_samples)
+    decoder = CcaDecoder(CODES, 15)
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=4, codes=CODES[:1], dur_s=31.5)
     trial = Trial(samples=session.trials[0].samples[:, :n_samples])
     c = trial.n_channels
@@ -280,7 +318,7 @@ def _count_lapack_calls(monkeypatch, names):
 
 
 def test_instantaneous_decision_makes_only_spatial_lapack_calls(monkeypatch):
-    decoder = CcaDecoder(CODES, 1, 378)
+    decoder = _decided_once(CcaDecoder(CODES, 1), 378)
     trial = _clean_trial(6)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial).label == 6
@@ -292,7 +330,7 @@ def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_sam
     # one dpotrf and one dtrtrs per hypothesis' phase gram, and one each for
     # the spatial factor and its inverse: 378 samples end in a whole frame,
     # 377 in a frame of two samples, which is not read
-    decoder = CcaDecoder(CODES, 1, n_samples)
+    decoder = CcaDecoder(CODES, 1)
     past, trial = (Trial(samples=_clean_trial(i).samples[:, :n_samples]) for i in (1, 2))
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
@@ -315,7 +353,7 @@ def test_ridge_is_that_of_the_three_phase_stack(n_samples):
     # the ridge follows the mean diagonal of the whole 162 x 162 gram of
     # the whole frames, which each of its three equal phase grams shares
     structs = [structure_for_code(c, 15) for c in CODES]
-    decoder = CcaDecoder(CODES, 15, n_samples)
+    decoder = _decided_once(CcaDecoder(CODES, 15), n_samples)
     three = np.stack([_dense_phase_grams(s.truncated(_whole(n_samples)).mat) for s in structs])
     want = cca._inverted(cca._ridged_cholesky(three, "temporal"))
     got = np.repeat(decoder.gram_inverse_factors[:, np.newaxis], 3, axis=1)
@@ -336,7 +374,7 @@ def test_phase_grams_are_the_dense_gram(n_samples):
     off_phase = lags[:, np.newaxis] % 3 != lags % 3
     for n_cycles, codes in [(15, CODES), (16, CODES), (16, CODES[3:4])]:
         structs = [structure_for_code(c, n_cycles) for c in codes]
-        decoder = CcaDecoder(codes, n_cycles, n_samples)
+        decoder = _decided_once(CcaDecoder(codes, n_cycles), n_samples)
         assert decoder.grams.shape == (len(codes), 54, 54)
         for struct, gram in zip(structs, decoder.grams):
             mat = struct.truncated(_whole(n_samples)).mat
@@ -361,7 +399,7 @@ def test_phase_grams_lag_no_more_than_one_code_cycle(monkeypatch):
         return out
 
     monkeypatch.setattr(cca, "lagged", one_cycle_at_most, raising=False)
-    CcaDecoder(CODES, 15, 5670)
+    _decided_once(CcaDecoder(CODES, 15), 5670)
 
 
 def test_decoder_never_builds_the_dense_design(monkeypatch):
@@ -371,7 +409,7 @@ def test_decoder_never_builds_the_dense_design(monkeypatch):
         raise AssertionError("dense design built")
 
     monkeypatch.setattr(StructureMatrix, "mat", property(refuse))
-    decoder = CcaDecoder(CODES, 1, 378)
+    decoder = CcaDecoder(CODES, 1)
     state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
     assert decoder.decode(trial, state).label == 2
 
@@ -379,7 +417,7 @@ def test_decoder_never_builds_the_dense_design(monkeypatch):
 @pytest.mark.parametrize("n_samples", [756, 5670], ids=["4.2s", "31.5s"])
 def test_fresh_cumulative_state_decides_as_none(n_samples):
     # a fresh state is zero sums: it adds nothing, bit for bit
-    decoder = CcaDecoder(CODES, 15, n_samples)
+    decoder = CcaDecoder(CODES, 15)
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=6, codes=CODES[:1], dur_s=31.5)
     trial = Trial(samples=session.trials[0].samples[:, :n_samples])
     instant = decoder.decode(trial)

@@ -139,7 +139,7 @@ def test_flash_budget_full_code():
 def test_structure_matrix_shifted_identity():
     events = np.zeros((1, RESPONSE_LEN + 6), dtype=np.int8)
     events[0, 0] = 1
-    mat = StructureMatrix(events=events, period=20).mat
+    mat = StructureMatrix(events=events).mat
     assert np.array_equal(mat, np.eye(RESPONSE_LEN, RESPONSE_LEN + 6))
 
 
@@ -170,7 +170,7 @@ def test_no_wraparound():
     # an event near the trial end must not leak to the start
     events = np.zeros((1, RESPONSE_LEN + 6), dtype=np.int8)
     events[0, -1] = 1
-    mat = StructureMatrix(events=events, period=20).mat
+    mat = StructureMatrix(events=events).mat
     assert mat[:, 0].sum() == 0
     assert mat[0, -1] == 1 and mat.sum() == 1
 
@@ -194,12 +194,6 @@ def test_cycle_count_follows_code_length():
     assert [n_cycles_to_cover(code, n) for n in (54, 378, 379, 756, 5670)] == [1, 1, 2, 2, 15]
     short = BitSequence(bits=code.bits[:64])  # 192 samples per cycle
     assert [n_cycles_to_cover(short, n) for n in (192, 193, 756)] == [1, 2, 4]
-
-
-def test_structure_records_the_code_length():
-    code = default_code_set(1)[0]
-    assert structure_for_code(code, 15).period == 126
-    assert structure_for_code(code, 15).truncated(378).period == 126
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,7 +263,7 @@ def test_decisions_fold_trials_of_two_code_cycles(monkeypatch, n_samples, most_f
     # and the 17 frames the last window runs past it. 4.0 s (240 frames)
     # holds one full cycle, so the kernel sees the whole trial.
     codes = default_code_set(20)
-    decoder = CcaDecoder(codes, 15, n_samples)
+    decoder = CcaDecoder(codes, 15)
     trial = synthesize_trial(codes[0], ForwardModel(snr=0.05), 31.5, 4, 0)
     trial = Trial(samples=trial.samples[:, :n_samples])
     seen = _record_window_sum_frames(monkeypatch)

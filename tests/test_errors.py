@@ -19,7 +19,7 @@ CODES = default_code_set(4)
 
 def _cca_update(label):
     """A cumulative CCA update of a one-cycle trial under ``label``."""
-    decoder = CcaDecoder(CODES, 1, 378)
+    decoder = CcaDecoder(CODES, 1)
     trial = Trial(samples=np.ones((2, 378)))
     return decoder.update_cumulative(CcaState(mode=MODE_CUMULATIVE), trial, label)
 
@@ -45,11 +45,14 @@ MALFORMED = {
     "bandpass-no-lowpass": (lambda: FilterSpec("bandpass", highpass_hz=6.0), InvalidCutoff),
     "zero-cycles": (lambda: structure_for_code(BitSequence((0, 1)), 0), ConfigError),
     "zero-cycles-umm": (lambda: UmmDecoder(CODES, 0), ConfigError),
-    "zero-cycles-cca": (lambda: CcaDecoder(CODES, 0, 378), ConfigError),
+    "zero-cycles-cca": (lambda: CcaDecoder(CODES, 0), ConfigError),
     "no-bits-bank": (lambda: DecoderBank([BitSequence(())], 4.2), InvalidCodeSet),
     "no-bits-structure": (lambda: structure_for_code(BitSequence(()), 1), InvalidCodeSet),
     "no-bits-umm": (lambda: UmmDecoder([BitSequence(())], 1), InvalidCodeSet),
-    "no-bits-cca": (lambda: CcaDecoder([BitSequence(())], 1, 378), InvalidCodeSet),
+    "no-bits-cca": (lambda: CcaDecoder([BitSequence(())], 1), InvalidCodeSet),
+    "repeated-code-bank": (lambda: DecoderBank([*CODES, CODES[1]], 4.2), InvalidCodeSet),
+    "repeated-code-cca": (lambda: CcaDecoder([CODES[0], *CODES], 1), InvalidCodeSet),
+    "repeated-code-umm": (lambda: UmmDecoder([CODES[2], CODES[3], CODES[2]], 1), InvalidCodeSet),
     "bits": (lambda: BitSequence((0, 2)), InvalidCodeSet),
     "code-line": (lambda: BitSequence.from_line("01x0"), InvalidCodeSet),
     "window-frames": (lambda: window_sums(np.zeros((20, 3)), np.ones((1, 4))), ShapeError),

@@ -7,8 +7,9 @@ import pytest
 from scipy import signal, stats
 
 from cvepdecode import cca, encoding, sigproc, umm
-from cvepdecode.cca import CcaDecoder
+from cvepdecode.cca import CcaDecoder, CcaState
 from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.encoding import TrialStats
 from cvepdecode.errors import (
     ConfigError,
     DegenerateCovariance,
@@ -18,6 +19,7 @@ from cvepdecode.errors import (
     LengthMismatch,
     NumericalError,
     ShapeError,
+    TrialTooShort,
     TruncatedTrial,
 )
 from cvepdecode.evaluate import (
@@ -38,8 +40,10 @@ from cvepdecode.evaluate import (
     sweep_csv_rows,
     wilcoxon_one_sided,
 )
-from cvepdecode.sigproc import TARGET_FS, FilterSpec
+from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
+from cvepdecode.sigproc import TARGET_FS, FilterSpec, Trial
 from cvepdecode.simulate import ForwardModel, Session, synthesize_session
+from cvepdecode.umm import UmmState
 
 CODES = default_code_set(20)
 
@@ -119,7 +123,7 @@ class TestDecodeSession:
         with pytest.raises(InvalidCodeSet):
             DecoderBank(codes, max_dur_s=4.2)
         with pytest.raises(InvalidCodeSet):
-            CcaDecoder(codes, 2, 756)
+            CcaDecoder(codes, 2)
 
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_bank_over_other_codes_refused(self, tag):
@@ -145,14 +149,51 @@ class TestDecodeSession:
             DecoderBank([], max_dur_s=4.2)
 
     def test_bank_keeps_one_cca_decoder(self):
+        # one decoder serves every length; it holds the grams of the one
+        # whole-frame count it decided last and lets the others go
         bank = DecoderBank(CODES[:2], max_dur_s=31.5)
-        built = []
+        decoder = bank.cca(54)
+        noise = np.random.default_rng(0).normal(size=(2, 5670))
+        held = []
         for dur in DEFAULT_DURATIONS_S:
             n_samples = int(round(dur * TARGET_FS))
-            built.append(weakref.ref(bank.cca(n_samples)))
-            assert bank.cca(n_samples) is built[-1]()
+            assert bank.cca(n_samples) is decoder
+            decoder.decode(Trial(samples=noise[:, :n_samples]))
+            assert decoder.weights.n_frames == n_samples // 3
+            held.append(weakref.ref(decoder.grams))
         gc.collect()
-        assert [ref() is not None for ref in built] == [False] * (len(built) - 1) + [True]
+        assert [ref() is not None for ref in held] == [False] * (len(held) - 1) + [True]
+
+    @pytest.mark.parametrize(
+        "n_samples, error", [(30, TrialTooShort), (53, TrialTooShort), (757, ShapeError)]
+    )
+    def test_one_length_rule_for_both_decoders(self, n_samples, error):
+        # a trial shorter than one response, or past the 756 samples a 4.2 s
+        # bank reaches, is refused alike by every entry of both decoders
+        bank = DecoderBank(CODES, max_dur_s=4.2)
+        trial = Trial(samples=np.random.default_rng(1).normal(size=(8, n_samples)))
+        decided = DecodeOutcome(label=0, scores=np.zeros(len(CODES)), confidence=0.5)
+        cca_decoder, umm_decoder = bank.cca(54), bank.umm()
+        for call in (
+            lambda: cca_decoder.decode(trial),
+            lambda: cca_decoder.decode(trial, CcaState(mode=MODE_CUMULATIVE)),
+            lambda: cca_decoder.update_cumulative(CcaState(mode=MODE_CUMULATIVE), trial, 0),
+            lambda: umm_decoder.decode(trial),
+            lambda: umm_decoder.decode_epochs(TrialStats.of(trial)),
+            lambda: umm_decoder.update_cumulative(
+                UmmState(mode=MODE_CUMULATIVE), TrialStats.of(trial), decided
+            ),
+        ):
+            with pytest.raises(error):
+                call()
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_code_set_with_a_repeated_code_refused(self, tag):
+        # the copy's trials would all be labelled as the first copy's
+        codes = [CODES[0], CODES[0], CODES[1], CODES[2]]
+        session = synthesize_session(2, ForwardModel(snr=1.0), seed=1, codes=codes, dur_s=4.2)
+        with pytest.raises(InvalidCodeSet, match="code 1 repeats code 0"):
+            decode_session(session, tag, 4.2)
 
     def test_full_length_bank_reaches_31_5_s(self):
         bank = DecoderBank(CODES[:1], max_dur_s=31.5)
@@ -388,6 +429,16 @@ class TestSweep:
         assert all(hp == 6.0 for hp, _ in calls)
         assert [lp for _, lp in calls] == list(DEFAULT_LOWPASS_GRID)
         assert len(grid.n_correct["cca_e1"]) == 9
+
+    def test_sessions_of_another_trial_count_refused(self):
+        # every cutoff's accuracy is a count over the grid's one trial count:
+        # 8 right of 8 trials at 40 Hz over the first cutoff's 4 would read 2.0
+        sessions = {
+            20.0: _session(dur_s=2.1, n_codes=4),
+            40.0: _session(n_runs=2, dur_s=2.1, n_codes=4),
+        }
+        with pytest.raises(ConfigError, match="40 Hz holds 8 trials, the first cutoff's 4"):
+            bandpass_sweep(lambda hp, lp: sessions[lp], ["cca_e1"], "lowpass", (20.0, 40.0), 2.1)
 
     def test_sweep_holds_one_session_at_a_time(self):
         base = _session(dur_s=2.1, n_codes=3)

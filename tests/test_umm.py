@@ -131,10 +131,13 @@ def _within(got, want, floor, rel=1e-12):
 
 
 def _random_codes(rng, n_epochs, n_codes=4):
-    """Codes one bit per epoch with at least one flash and one non-flash."""
+    """Distinct codes, one bit per epoch, with at least one flash and one
+    non-flash: of n_codes drawn, a repeat is dropped (two epochs leave one
+    code)."""
     bits = rng.integers(0, 2, size=(n_codes, n_epochs))
     bits[:, 0], bits[:, -1] = 1, 0
-    return [BitSequence(bits=tuple(int(b) for b in row)) for row in bits]
+    _, first = np.unique(bits, axis=0, return_index=True)
+    return [BitSequence(bits=tuple(int(b) for b in row)) for row in bits[np.sort(first)]]
 
 
 class TestTrialStatistics:
