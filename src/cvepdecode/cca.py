@@ -49,9 +49,9 @@ from numpy.typing import NDArray
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .codegen import BitSequence
+from .codegen import BitSequence, code_bits
 from .encoding import FRAMES_PER_EPOCH, N_EVENTS, SAMPLES_PER_FRAME
-from .encoding import TiledWeights, TrialStats, check_reach, code_bits, frame_events
+from .encoding import TiledWeights, TrialStats, check_reach, frame_events
 from .encoding import lagged, tiled_window_sums, tiling_reach
 from .errors import DegenerateCovariance, NumericalFailure
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update

@@ -24,9 +24,9 @@ from .errors import DataError, DegenerateSample, NumericalError
 from .evaluate import (
     ALPHA,
     CURVE_CSV_HEADER,
+    METHOD_TAGS,
     SWEEP_CSV_HEADER,
     bandpass_sweep,
-    canonical_tag,
     curve_csv_rows,
     decode_session,
     decoding_curve,
@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decode", help="per-trial predictions for one method")
     p.add_argument("--method", required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--duration", type=float, default=31.5)
+    p.add_argument("--duration", type=float, help="seconds decided (default: the trial length)")
     p.add_argument("--out", help="predictions CSV (default: stdout)")
 
     p = sub.add_parser("curve", help="decoding curve over trial durations")
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="bandpass cutoff sweep")
     p.add_argument("--axis", choices=["highpass", "lowpass"], required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--methods", default="cca_e1,cca_ec,umm_t11,umm_tcw")
+    p.add_argument("--methods", default=",".join(METHOD_TAGS))
     p.add_argument("--out", help="sweep CSV (default: stdout)")
 
     p = sub.add_parser("stats", help="one-sided paired Wilcoxon between two curves")
@@ -216,6 +216,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decode(args) -> int:
     session = read_archive(args.infile)
+    if args.duration is None:
+        # the archive's one trial length, as sweep decides; .meta.json records it
+        args.duration = session.trials[0].n_samples / TARGET_FS
     outcomes = decode_session(session, args.method, args.duration)
     lines = ["trial,true_label,predicted,correct,confidence"]
     for i, (trial, outcome) in enumerate(zip(session.trials, outcomes)):
@@ -229,8 +232,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_curve(args) -> int:
     session = read_archive(args.infile)
-    tag = canonical_tag(args.method)
-    curve = decoding_curve(session, tag)
+    curve = decoding_curve(session, args.method)
     seed = session.seed if session.seed is not None else ""
     text = CURVE_CSV_HEADER + "\n" + "\n".join(curve_csv_rows(curve, seed)) + "\n"
     _emit(text, args.out, args)
@@ -239,7 +241,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     session = read_archive(args.infile)
-    tags = [canonical_tag(t) for t in args.methods.split(",") if t.strip()]
+    tags = [t for t in args.methods.split(",") if t.strip()]
     duration = session.trials[0].n_samples / TARGET_FS
     grid = bandpass_sweep(
         lambda hp, lp: filtered_session(session, hp, lp),

@@ -62,6 +62,26 @@ class BitSequence:
         return cls(bits=tuple(int(c) for c in stripped))
 
 
+def code_bits(codes: list[BitSequence]) -> NDArray[np.float64]:
+    """The (N, P) 0/1 bits of a code set, one cycle of each code: the one
+    check every code set is read through. InvalidCodeSet for no code,
+    codes of unequal lengths, codes of no bits, or a repeated code: its
+    copies would score alike and every trial of the later one would be
+    labelled the first."""
+    lengths = sorted({len(c) for c in codes})
+    if not lengths:
+        raise InvalidCodeSet("a code set needs at least one code")
+    if len(lengths) != 1:
+        raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {lengths}")
+    if lengths[0] == 0:
+        raise InvalidCodeSet("a code needs at least one bit")
+    first_seen: dict[tuple[int, ...], int] = {}
+    for i, code in enumerate(codes):
+        if first_seen.setdefault(tuple(code.bits), i) != i:
+            raise InvalidCodeSet(f"code {i} repeats code {first_seen[tuple(code.bits)]}")
+    return np.array([c.bits for c in codes], dtype=np.float64)
+
+
 def generate_m_sequence(taps=DEFAULT_TAPS_A, init=None) -> BitSequence:
     """Generate a degree-6 maximal-length sequence from a Fibonacci LFSR.
 
@@ -154,17 +174,16 @@ def select_subset(codes: list[BitSequence], n: int = 20) -> list[BitSequence]:
 
     The peak |cross-correlation| of every pair of the pool is computed once,
     as one batched FFT; each greedy step then adds the candidate whose worst
-    peak against the codes chosen so far is smallest.
+    peak against the codes chosen so far is smallest. InvalidCodeSet for
+    a pool :func:`code_bits` refuses.
     """
     if n < 1:
         raise ConfigError(f"asked for {n} codes; a code set holds at least one")
     if n > len(codes):
         raise InsufficientCodes(f"asked for {n} codes from a pool of {len(codes)}")
+    pm = 1 - 2 * code_bits(codes)
     if n == len(codes):
         return list(codes)
-    if len({len(c) for c in codes}) > 1:
-        raise LengthMismatch("sequences differ in length")
-    pm = 1 - 2 * np.array([c.bits for c in codes], dtype=float)
     # peak[i, j] = max over shifts of |xcorr(codes[i], codes[j])|
     peak = np.abs(_circular_xcorr(pm[:, np.newaxis], pm[np.newaxis])).max(axis=-1)
     selected = [0]
@@ -200,25 +219,16 @@ def save_codes(codes: list[BitSequence], path) -> None:
 
 
 def parse_code_set(lines) -> list[BitSequence]:
-    """The code set given one code per line: a non-empty list of strings of
-    '0'/'1' characters (surrounding whitespace ignored), all of one length,
-    none repeated. Raises InvalidCodeSet otherwise; the archive reader and
-    load_codes both check their codes here."""
+    """The code set given one code per line: a list of strings of '0'/'1'
+    characters (surrounding whitespace ignored), each read by
+    :meth:`BitSequence.from_line` and the set checked by :func:`code_bits`.
+    Raises InvalidCodeSet otherwise; the archive reader and load_codes both
+    read their codes here."""
     if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
         raise InvalidCodeSet("codes are not a list of strings")
-    if not lines:
-        raise InvalidCodeSet("no codes")
-    first_seen: dict[str, int] = {}
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped or set(stripped) - {"0", "1"}:
-            raise InvalidCodeSet(f"code {i} is not a line of 0/1 characters: {line!r}")
-        if stripped in first_seen:
-            raise InvalidCodeSet(f"code {i} repeats code {first_seen[stripped]}")
-        first_seen[stripped] = i
-    if len({len(code) for code in first_seen}) > 1:
-        raise InvalidCodeSet("codes have unequal lengths")
-    return [BitSequence.from_line(code) for code in first_seen]
+    codes = [BitSequence.from_line(line) for line in lines]
+    code_bits(codes)
+    return codes
 
 
 def load_codes(path) -> list[BitSequence]:

@@ -1,6 +1,6 @@
 """Code events and the frame window-sum kernel shared by both decoders.
 
-The bits of a code set (:func:`code_bits`) give each code's per-frame
+A code set's bits (:func:`.codegen.code_bits`) give each code's per-frame
 events (:func:`frame_events`): short-flash onsets, long-flash onsets and
 the trial onset, SAMPLES_PER_FRAME samples per frame at 180 Hz. The
 reconvolution model predicts a trial as each event row convolved with its
@@ -33,8 +33,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.typing import NDArray
 
-from .codegen import PRESENTATION_RATE_HZ, BitSequence
-from .errors import ConfigError, InvalidCodeSet, ShapeError, TrialTooShort, UnmodulatedCode
+from .codegen import PRESENTATION_RATE_HZ, BitSequence, code_bits
+from .errors import ConfigError, ShapeError, TrialTooShort, UnmodulatedCode
 from .sigproc import TARGET_FS, Trial, finite_samples
 
 N_EVENTS = 3          # short flash, long flash, stimulation onset
@@ -265,26 +265,6 @@ class TrialStats:
             + np.vdot(means, means)
         )
         return grams, float(sq_norms @ sq_norms)
-
-
-def code_bits(codes: list[BitSequence]) -> NDArray[np.float64]:
-    """The (N, P) 0/1 bits of a code set, one cycle of each code: the one
-    check both decoders read their codes through. InvalidCodeSet for no
-    code, codes of unequal lengths, codes of no bits, or a repeated code:
-    its copies would score alike and every trial of the later one would be
-    labelled the first."""
-    lengths = sorted({len(c) for c in codes})
-    if not lengths:
-        raise InvalidCodeSet("a code set needs at least one code")
-    if len(lengths) != 1:
-        raise InvalidCodeSet(f"a code set needs codes of one length, got lengths {lengths}")
-    if lengths[0] == 0:
-        raise InvalidCodeSet("a code needs at least one bit")
-    first_seen: dict[tuple[int, ...], int] = {}
-    for i, code in enumerate(codes):
-        if first_seen.setdefault(tuple(code.bits), i) != i:
-            raise InvalidCodeSet(f"code {i} repeats code {first_seen[tuple(code.bits)]}")
-    return np.array([c.bits for c in codes], dtype=np.float64)
 
 
 def tiling_reach(n_cycles: int, period: int) -> int:

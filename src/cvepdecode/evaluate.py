@@ -14,8 +14,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cca import CcaDecoder, CcaState
-from .codegen import BitSequence
-from .encoding import StructureMatrix, TrialStats, check_reach, code_bits, n_cycles_to_cover
+from .codegen import BitSequence, code_bits
+from .encoding import StructureMatrix, TrialStats, check_reach, n_cycles_to_cover
 from .encoding import structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCodeSet, InvalidCutoff, LengthMismatch
 from .errors import TruncatedTrial, UnlabeledTrial
@@ -51,10 +51,11 @@ class DecoderBank:
     """The code set and the one CCA and one UMM decoder for it.
 
     The codes are tiled over the whole cycles that reach max_dur_s
-    seconds, and both decoders decide any trial from RESPONSE_LEN samples
-    (TrialTooShort below) up to those cycles (ShapeError past them). A
-    default bank reaches the session's longest trial, the stimulation it
-    was recorded under, at any decoded duration."""
+    seconds. Both decoders refuse a trial of fewer than RESPONSE_LEN
+    samples (TrialTooShort) or past those cycles (ShapeError); CCA decides
+    every length between, UMM from two epochs, 57 samples (see
+    :mod:`.umm`). A default bank reaches the session's longest trial, the
+    stimulation it was recorded under, at any decoded duration."""
 
     def __init__(self, codes: list[BitSequence], max_dur_s: float):
         code_bits(codes)    # InvalidCodeSet before codes[0] is read

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .codegen import BitSequence, default_code_set
+from .codegen import BitSequence, code_bits, default_code_set
 from .encoding import N_EVENTS, RESPONSE_LEN, n_cycles_to_cover, structure_for_code
 from .errors import ConfigError, InvalidSnr
 from .sigproc import TARGET_FS, Trial, duration_samples
@@ -169,7 +169,8 @@ def synthesize_session(
 
     Per-trial noise streams are spawned deterministically from the session
     seed, so identical seeds give byte-identical sessions. No runs or a
-    negative seed raises ConfigError.
+    negative seed raises ConfigError, a code set :func:`.codegen.code_bits`
+    refuses InvalidCodeSet, before any trial is synthesized.
     """
     if n_runs < 1:
         raise ConfigError(f"a session needs at least one run, got {n_runs}")
@@ -177,6 +178,7 @@ def synthesize_session(
         raise ConfigError(f"a session seed must be non-negative, got {seed}")
     if codes is None:
         codes = default_code_set()
+    code_bits(codes)
     n_codes = len(codes)
     trials = []
     for run in range(n_runs):

@@ -18,8 +18,12 @@ scatter is formed) and the flash sums, over the frames folded by the code
 period on a trial of two full cycles or more. :func:`_cov_model` reads
 the lag blocks, the trace and the Ledoit-Wolf intensity from pooled grams,
 and :class:`UmmDecoder` keeps one cycle of the code bits. Like CCA's, the
-decoder decides any trial from RESPONSE_LEN samples up to its reach:
-``Trial.prefix`` is the one cut.
+decoder refuses a trial of fewer than RESPONSE_LEN samples or past its
+reach, but its floor is higher: the covariance pools at least two epochs,
+19 whole frames (57 samples), so a trial of 54-56 samples, one epoch,
+raises InsufficientEpochs, and on two epochs (57-59 samples) the
+covariance can be singular: noise trials raised DegenerateCovariance.
+CCA decides all of these. ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
@@ -30,9 +34,9 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.typing import NDArray
 from scipy.linalg import lapack
 
-from .codegen import BitSequence
+from .codegen import BitSequence, code_bits
 from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
-from .encoding import TiledWeights, TrialStats, check_reach, code_bits, tiling_reach
+from .encoding import TiledWeights, TrialStats, check_reach, tiling_reach
 from .errors import ConfidenceOutOfRange, DegenerateCovariance, DegenerateHypothesis
 from .errors import InsufficientEpochs
 from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
@@ -254,24 +258,30 @@ class UmmDecoder:
     """UMM decoding against a fixed code set.
 
     It keeps one cycle of the codes, ``bits`` (N, P) 0/1, read through
-    :func:`.encoding.code_bits` (InvalidCodeSet), as CCA's are: an epoch's
+    :func:`.codegen.code_bits` (InvalidCodeSet), as CCA's are: an epoch's
     label under each hypothesis is the bit at its onset frame. The codes
     are tiled over n_cycles, so its ``reach`` is
-    :func:`.encoding.tiling_reach`, and a trial that holds more samples
-    raises ShapeError (:func:`.encoding.check_reach`), one of fewer than
-    RESPONSE_LEN TrialTooShort (:meth:`.encoding.TrialStats.of`).
+    :func:`.encoding.tiling_reach`. Every entry takes a Trial or its
+    TrialStats and, before any statistic, refuses a trial that holds more
+    samples with ShapeError (:func:`.encoding.check_reach`), one of fewer
+    than RESPONSE_LEN with TrialTooShort (:meth:`.encoding.TrialStats.of`);
+    fewer than two epochs raise InsufficientEpochs.
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):
         self.bits = code_bits(codes)
         self.reach = tiling_reach(n_cycles, self.bits.shape[1])
 
+    def _stats(self, trial: Trial | TrialStats) -> TrialStats:
+        stats = TrialStats.of(trial)
+        check_reach(stats.n_samples, self.reach)
+        return stats
+
     def _deltas(self, ep: TrialStats, rows) -> NDArray:
         """Flash-minus-non-flash means of the epochs, (len(rows), D), under
         the hypotheses ``rows``: flash sums weight the centred epochs by the
         code bits, non-flash sums are the epoch total less them. The
         centring shifts both means alike, so it cancels in the difference."""
-        check_reach(ep.n_samples, self.reach)
         k = ep.n_epochs
         rows = np.asarray(rows)
         bits = self.bits[rows]
@@ -289,9 +299,13 @@ class UmmDecoder:
     def decode(self, trial: Trial | TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         return self.decode_epochs(slice_epochs(trial), state)
 
-    def decode_epochs(self, ep: TrialStats, state: UmmState | None = None) -> DecodeOutcome:
-        """Score every hypothesis on the epochs, pooling a cumulative
-        state's covariance statistics and its sum of mean differences."""
+    def decode_epochs(
+        self, trial: Trial | TrialStats, state: UmmState | None = None
+    ) -> DecodeOutcome:
+        """Score every hypothesis on the trial's epochs, pooling a
+        cumulative state's covariance statistics and its sum of mean
+        differences."""
+        ep = self._stats(trial)
         state = pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
         n = ep.n_epochs
@@ -306,7 +320,7 @@ class UmmDecoder:
         return score_hypotheses(deltas, cov)
 
     def update_cumulative(
-        self, state: UmmState, ep: TrialStats, outcome: DecodeOutcome
+        self, state: UmmState, trial: Trial | TrialStats, outcome: DecodeOutcome
     ) -> UmmState:
         """Pool the trial's covariance statistics unconditionally; add its
         mean difference under the predicted hypothesis to the state's sum
@@ -315,6 +329,7 @@ class UmmDecoder:
         w = float(outcome.confidence)
         if not 0.0 <= w <= 1.0:
             raise ConfidenceOutOfRange(f"confidence {w} is not a weight in [0, 1]")
+        ep = self._stats(trial)
         pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
         return UmmState(

@@ -259,6 +259,16 @@ class TestCli:
             cells = line.split(",")
             assert cells[3] == "1"  # snr=0 dB -> ratio 1.0, clean enough
 
+    def test_decode_defaults_to_the_trial_length(self, tmp_path):
+        arc = _simulate(tmp_path, extra=("--duration", "4.2"))
+        given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+        argv = ["decode", "--method", "cca_e1", "--in", str(arc), "--out"]
+        assert main([*argv, str(given), "--duration", "4.2"]) == 0
+        assert main([*argv, str(default)]) == 0
+        assert default.read_bytes() == given.read_bytes()
+        meta = json.loads((tmp_path / "default.csv.meta.json").read_text())
+        assert meta["config"]["duration"] == 4.2
+
     def test_curve_caps_durations_to_trial_length(self, tmp_path, capsys):
         out = _simulate(tmp_path)
         assert main(["curve", "--method", "umm_t11", "--in", str(out)]) == 0

@@ -43,3 +43,21 @@ def test_traced_workload_rounds_run(monkeypatch):
         assert all(run.method_n[tag] > 0 for tag in worker.METHODS)
     assert tracing.layer_metrics(tracer.spans, 1)["encoding.bank_mb"] > 0
     assert patched and all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_generation_and_set_up_roles_run(monkeypatch, tmp_path):
+    # the code-set path: default_code_set -> select_subset, synthesize_session,
+    # write_archive and read_archive -> parse_code_set, and DecoderBank
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import worker
+
+    workload = worker.WORKLOADS["online"]
+    archive = tmp_path / "s.cvep"
+    gen = worker.generate(workload, 0, archive, None)
+    codes, session, bank = worker.setup(workload, archive)
+    assert len(codes) == worker.N_CODES and session.codes == codes and bank.codes == codes
+    assert [t.code_index_true for t in session.trials] == gen["labels"]
+    assert len(gen["labels"]) == workload.n_runs * worker.N_CODES
+    assert worker.samples_digest(session.trials) == gen["samples_sha256"]
+    assert archive.stat().st_size == gen["archive_bytes"]

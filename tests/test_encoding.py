@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cvepdecode import cca, encoding, umm
 from cvepdecode.cca import CcaDecoder, CcaState
-from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.codegen import BitSequence, code_bits, default_code_set
 from cvepdecode.encoding import (
     EVENT_LONG,
     EVENT_ONSET,
@@ -15,7 +15,6 @@ from cvepdecode.encoding import (
     RESPONSE_LEN,
     StructureMatrix,
     TiledWeights,
-    code_bits,
     frame_events,
     n_cycles_to_cover,
     structure_for_code,

@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 
 from cvepdecode.cca import CcaDecoder, CcaState
-from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.codegen import BitSequence, default_code_set, parse_code_set, select_subset
 from cvepdecode.encoding import structure_for_code, window_sums
 from cvepdecode.evaluate import DecoderBank
 from cvepdecode.errors import ConfigError, DataError, InvalidCodeSet, InvalidCutoff
 from cvepdecode.errors import LabelOutOfRange, ShapeError
 from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
 from cvepdecode.sigproc import ContinuousRecording, FilterSpec, Trial
-from cvepdecode.simulate import ForwardModel, synthesize_trial
+from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
 from cvepdecode.umm import UmmDecoder, UmmState
 
 CODES = default_code_set(4)
+
+
+#: a code one bit shorter than the others
+SHORT_CODE = BitSequence(CODES[0].bits[:-1])
+
+
+def _session(codes):
+    """A one-run session over the codes."""
+    return synthesize_session(1, ForwardModel(), codes=codes, dur_s=1.05)
 
 
 def _cca_update(label):
@@ -53,6 +62,12 @@ MALFORMED = {
     "repeated-code-bank": (lambda: DecoderBank([*CODES, CODES[1]], 4.2), InvalidCodeSet),
     "repeated-code-cca": (lambda: CcaDecoder([CODES[0], *CODES], 1), InvalidCodeSet),
     "repeated-code-umm": (lambda: UmmDecoder([CODES[2], CODES[3], CODES[2]], 1), InvalidCodeSet),
+    "no-codes-session": (lambda: _session([]), InvalidCodeSet),
+    "repeated-code-session": (lambda: _session([CODES[0], CODES[1], CODES[0]]), InvalidCodeSet),
+    "mixed-lengths-session": (lambda: _session([CODES[0], SHORT_CODE]), InvalidCodeSet),
+    "repeated-code-subset": (lambda: select_subset([*CODES, CODES[1]], 2), InvalidCodeSet),
+    "mixed-lengths-subset": (lambda: select_subset([*CODES, SHORT_CODE], 2), InvalidCodeSet),
+    "blank-code-line": (lambda: parse_code_set([CODES[0].to_line(), ""]), InvalidCodeSet),
     "bits": (lambda: BitSequence((0, 2)), InvalidCodeSet),
     "code-line": (lambda: BitSequence.from_line("01x0"), InvalidCodeSet),
     "window-frames": (lambda: window_sums(np.zeros((20, 3)), np.ones((1, 4))), ShapeError),

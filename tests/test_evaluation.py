@@ -14,6 +14,7 @@ from cvepdecode.errors import (
     ConfigError,
     DegenerateCovariance,
     DegenerateSample,
+    InsufficientEpochs,
     InvalidCodeSet,
     InvalidCutoff,
     LengthMismatch,
@@ -42,7 +43,7 @@ from cvepdecode.evaluate import (
 )
 from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
 from cvepdecode.sigproc import TARGET_FS, FilterSpec, Trial
-from cvepdecode.simulate import ForwardModel, Session, synthesize_session
+from cvepdecode.simulate import ForwardModel, Session, synthesize_session, synthesize_trial
 from cvepdecode.umm import UmmState
 
 CODES = default_code_set(20)
@@ -183,15 +184,53 @@ class TestDecodeSession:
             lambda: umm_decoder.update_cumulative(
                 UmmState(mode=MODE_CUMULATIVE), TrialStats.of(trial), decided
             ),
+            lambda: umm_decoder.update_cumulative(UmmState(mode=MODE_CUMULATIVE), trial, decided),
         ):
             with pytest.raises(error):
                 call()
 
+    def test_umm_refuses_a_trial_past_its_reach_before_any_statistic(self):
+        umm_decoder = DecoderBank(CODES, max_dur_s=4.2).umm()
+        decided = DecodeOutcome(label=0, scores=np.zeros(len(CODES)), confidence=0.5)
+        for call in (
+            lambda ep: umm_decoder.decode_epochs(ep),
+            lambda ep: umm_decoder.update_cumulative(UmmState(mode=MODE_CUMULATIVE), ep, decided),
+        ):
+            ep = TrialStats.of(Trial(samples=np.random.default_rng(2).normal(size=(8, 757))))
+            with pytest.raises(ShapeError):
+                call(ep)
+            assert "centered_moments" not in ep.__dict__
+
+    def test_umm_update_takes_a_trial_as_its_statistics(self):
+        umm_decoder = DecoderBank(CODES, max_dur_s=4.2).umm()
+        trial = _session(snr=0.05, seed=3).trials[1]
+        decided = umm_decoder.decode(trial)
+        from_trial, from_stats = (
+            umm_decoder.update_cumulative(UmmState(mode=MODE_CUMULATIVE), t, decided)
+            for t in (trial, TrialStats.of(trial))
+        )
+        for name in ("scatter", "sq_norms4", "n_epochs", "delta_sum", "weight_total"):
+            assert np.array_equal(getattr(from_trial, name), getattr(from_stats, name))
+
+    def test_umm_needs_two_epochs_where_cca_decides(self):
+        # 54 samples hold one 18-frame epoch: CCA decides it, UMM's
+        # covariance has no second epoch to pool
+        bank = DecoderBank(CODES, max_dur_s=4.2)
+        trial = Trial(samples=np.random.default_rng(4).normal(size=(8, 54)))
+        assert 0 <= bank.cca(54).decode(trial).label < len(CODES)
+        with pytest.raises(InsufficientEpochs):
+            bank.umm().decode(trial)
+
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_code_set_with_a_repeated_code_refused(self, tag):
-        # the copy's trials would all be labelled as the first copy's
+        # the copy's trials would all be labelled as the first copy's;
+        # synthesize_session refuses such a set, so the session is built here
         codes = [CODES[0], CODES[0], CODES[1], CODES[2]]
-        session = synthesize_session(2, ForwardModel(snr=1.0), seed=1, codes=codes, dur_s=4.2)
+        trials = [
+            synthesize_trial(code, ForwardModel(snr=1.0), 4.2, seed=i, code_index_true=i)
+            for i, code in enumerate(codes)
+        ]
+        session = Session(trials=trials, codes=codes)
         with pytest.raises(InvalidCodeSet, match="code 1 repeats code 0"):
             decode_session(session, tag, 4.2)
 
