@@ -350,9 +350,10 @@ class StructureMatrix:
 
 def n_cycles_to_cover(code: BitSequence, n_samples: int) -> int:
     """Code cycles needed to cover n_samples samples at 180 Hz, counted in
-    whole frames of the code's own length."""
+    whole frames of the code's own length, read through
+    :func:`.codegen.code_bits` (InvalidCodeSet)."""
     n_frames = -(-n_samples // SAMPLES_PER_FRAME)
-    return max(1, -(-n_frames // len(code)))
+    return max(1, -(-n_frames // code_bits([code]).shape[1]))
 
 
 def structure_for_code(code: BitSequence, n_cycles: int) -> StructureMatrix:

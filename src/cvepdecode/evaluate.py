@@ -53,7 +53,7 @@ class DecoderBank:
     The codes are tiled over the whole cycles that reach max_dur_s
     seconds. Both decoders refuse a trial of fewer than RESPONSE_LEN
     samples (TrialTooShort) or past those cycles (ShapeError); CCA decides
-    every length between, UMM from two epochs, 57 samples (see
+    every length between, UMM from three epochs, 60 samples (see
     :mod:`.umm`). A default bank reaches the session's longest trial, the
     stimulation it was recorded under, at any decoded duration."""
 

@@ -108,7 +108,8 @@ def synthesize_trial(
     identity is exact. Noise power is scaled
     against the clean signal's power measured over the whole (C, T) array.
     A duration that holds no sample or exceeds FULL_TRIAL_S, or a negative
-    seed, raises ConfigError.
+    seed, raises ConfigError, a code :func:`.codegen.code_bits` refuses
+    InvalidCodeSet.
     """
     n_samples = duration_samples(dur_s)
     if not (n_samples > 0 and dur_s <= FULL_TRIAL_S):

@@ -5,25 +5,25 @@ frame. Each candidate code splits the epochs into flash and non-flash
 sets; the hypothesis whose flash-minus-non-flash mean difference has the
 largest Mahalanobis energy wins. The covariance is the block-Toeplitz
 projection of the epochs' sample covariance, tapered linearly over the
-lags and shrunk toward a scaled identity with a Ledoit-Wolf intensity.
-A decision factors the dense block-Toeplitz matrix, built from the lag
-blocks with one copy, by one in-place LAPACK Cholesky factorisation
-Sigma = L L^T, and scores every hypothesis by one forward triangular
-solve: delta^T Sigma^{-1} delta is the squared norm of L^{-1} delta.
+lags and shrunk toward the mean variance times the identity with a
+Ledoit-Wolf intensity: its lag blocks are the scatter's lag sums over
+54 n (n epochs), one scale for the average and the taper. A decision
+factors the dense block-Toeplitz matrix, built from the lag blocks with
+one copy, by one in-place LAPACK Cholesky factorisation Sigma = L L^T,
+and scores every hypothesis by one forward triangular solve:
+delta^T Sigma^{-1} delta is the squared norm of L^{-1} delta.
 
 An epoch is 18 consecutive frames, so no epoch matrix is copied: the
 trial's :class:`.encoding.TrialStats` computes every epoch statistic from
 its frames, once, among them the scatter as frame-block grams (no (D, D)
 scatter is formed) and the flash sums, over the frames folded by the code
 period on a trial of two full cycles or more. :func:`_cov_model` reads
-the lag blocks, the trace and the Ledoit-Wolf intensity from pooled grams,
+the lag sums, the trace and the Ledoit-Wolf intensity from pooled grams,
 and :class:`UmmDecoder` keeps one cycle of the code bits. Like CCA's, the
 decoder refuses a trial of fewer than RESPONSE_LEN samples or past its
-reach, but its floor is higher: the covariance pools at least two epochs,
-19 whole frames (57 samples), so a trial of 54-56 samples, one epoch,
-raises InsufficientEpochs, and on two epochs (57-59 samples) the
-covariance can be singular: noise trials raised DegenerateCovariance.
-CCA decides all of these. ``Trial.prefix`` is the one cut.
+reach, but its floor is higher: the covariance pools at least three
+epochs, 20 whole frames (60 samples), so a trial of 54-59 samples raises
+InsufficientEpochs, which CCA decides. ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
 
@@ -110,7 +110,8 @@ def block_levinson_solve(blocks: NDArray, y: NDArray) -> NDArray:
 class CovModel:
     """Regularized block-Toeplitz covariance.
 
-    blocks[l] is the tapered, shrunk C x C cross-channel block at lag l;
+    blocks[l] is the tapered, shrunk C x C cross-channel block at lag l
+    (see :func:`_cov_model`);
     the represented matrix has T[(t1, c1), (t2, c2)] = blocks[t1 - t2]
     under the time-major feature layout of :class:`.encoding.TrialStats`.
     """
@@ -140,72 +141,64 @@ def _lag_triples() -> tuple[NDArray, NDArray, NDArray, NDArray]:
 _LAG_TRIPLES = _lag_triples()
 
 
-def _lag_blocks(grams: NDArray, n: int) -> NDArray:
-    """Average the C x C block diagonals of the covariance grams / n (block
-    Toeplitz projection): the grams summed over frame offsets, one gather
-    of the C x C sub-blocks of every (l, s, s2) triple and one segmented
-    sum into sample lags. The sums are of blocks above the diagonal, the
-    transposes of the lag blocks."""
+def _lag_sums(grams: NDArray) -> NDArray:
+    """The sums of the C x C block diagonals of the scatter (block Toeplitz
+    projection), (RESPONSE_LEN, C, C): the grams summed over frame offsets,
+    one gather of the C x C sub-blocks of every (l, s, s2) triple and one
+    segmented sum into sample lags. The gathered blocks lie above the
+    diagonal, so their sums are the transposes of the lag sums."""
     s, l, s2, starts = _LAG_TRIPLES
     p, c = SAMPLES_PER_FRAME, grams.shape[1] // SAMPLES_PER_FRAME
     per_lag = grams.sum(axis=0).reshape(p, c, FRAMES_PER_EPOCH, p, c)
-    sums = np.add.reduceat(per_lag[s, :, l, s2, :], starts, axis=0)
-    sums /= (n * (RESPONSE_LEN - np.arange(RESPONSE_LEN)))[:, np.newaxis, np.newaxis]
-    blocks = sums.transpose(0, 2, 1)
-    blocks[0] = (blocks[0] + blocks[0].T) / 2.0
-    return blocks
+    return np.add.reduceat(per_lag[s, :, l, s2, :], starts, axis=0).transpose(0, 2, 1)
 
 
-def _lw_gamma(sq_norms4: float, grams: NDArray, n: int) -> float:
+def _lw_gamma(sq_norms4: float, grams: NDArray, n: int, mu: float) -> float:
     """Ledoit-Wolf shrinkage intensity toward mu*I of the covariance
-    grams / n from accumulated fourth moments; sq_norms4 = sum over epochs
-    of ||x_k - mean||^4. The Frobenius norm counts each block above the
-    diagonal twice and each lag-0 block once."""
+    S = grams / n of mean variance mu, from accumulated fourth moments;
+    sq_norms4 = sum over epochs of ||x_k - mean||^4. The Frobenius norm
+    counts each block above the diagonal twice and each lag-0 block once,
+    and ||S - mu I||^2 = ||S||^2 - d mu^2."""
     lag0 = grams[:, :, 0, :]
-    diag = np.einsum("aii->ai", lag0).ravel() / n
-    d = diag.size
-    mu = diag.mean()
+    d = grams.shape[0] * grams.shape[1]
     sum_sq = (2.0 * float(np.vdot(grams, grams)) - float(np.vdot(lag0, lag0))) / n**2
-    # ||cov - mu I||^2: the off-diagonal squares plus the diagonal's
-    # squared deviations from mu
-    delta2 = (sum_sq - diag @ diag + float(np.sum((diag - mu) ** 2))) / d
+    delta2 = sum_sq / d - mu**2
     if delta2 <= 0:
         return 0.0
     beta2 = (sq_norms4 / n**2 - sum_sq / n) / d
     return float(np.clip(beta2 / delta2, 0.0, 1.0))
 
 
-def _regularize(blocks: NDArray, gamma: float) -> NDArray:
-    """Taper the lag blocks linearly to zero past the last lag, then
-    shrink toward nu*I (nu = mean diagonal of the tapered lag-0 block)."""
-    n_lags, c, _ = blocks.shape
-    tapered = blocks * (1.0 - np.arange(n_lags) / n_lags)[:, np.newaxis, np.newaxis]
-    nu = float(np.trace(tapered[0]) / c)
-    out = (1.0 - gamma) * tapered
-    out[0] += gamma * nu * np.eye(c)
-    return out
-
-
 def _cov_model(grams: NDArray, sq_norms4: float, n: int, gamma: float | None) -> CovModel:
-    """Regularized block-Toeplitz model of the covariance grams / n,
+    """Regularized block-Toeplitz model of the covariance S = grams / n,
     the frame-block scatter grams (see :attr:`.encoding.TrialStats.centered_moments`)
     pooled over n epochs; ``gamma`` None selects the Ledoit-Wolf
-    intensity."""
-    if n < 2:
-        raise InsufficientEpochs(f"need at least 2 epochs, got {n}")
-    if not np.isfinite(np.einsum("aii->", grams[:, :, 0, :])):
+    intensity. Lag l's block of S averaged over its RESPONSE_LEN - l
+    occurrences and tapered by 1 - l / RESPONSE_LEN is its lag sum over
+    RESPONSE_LEN n, so the model is the lag sums times
+    (1 - gamma) / (RESPONSE_LEN n), plus gamma mu I at lag 0, mu the mean
+    variance trace(S) / D."""
+    # two centred epochs are opposite, so beta^2 = 0, gamma = 0 and their
+    # rank-1 scatter leaves the model singular
+    if n < 3:
+        raise InsufficientEpochs(f"need at least 3 epochs, got {n}")
+    d = grams.shape[0] * grams.shape[1]
+    mu = float(np.einsum("aii->", grams[:, :, 0, :])) / (d * n)
+    if not np.isfinite(mu):
         raise DegenerateCovariance("epoch covariance has a non-finite trace")
     if gamma is None:
-        gamma = _lw_gamma(sq_norms4, grams, n)
-    blocks = _lag_blocks(grams, n)
-    return CovModel(blocks=_regularize(blocks, gamma), shrinkage_gamma=gamma)
+        gamma = _lw_gamma(sq_norms4, grams, n, mu)
+    blocks = _lag_sums(grams) * ((1.0 - gamma) / (RESPONSE_LEN * n))
+    blocks[0] += gamma * mu * np.eye(blocks.shape[1])
+    return CovModel(blocks=blocks, shrinkage_gamma=gamma)
 
 
 def estimate_covariance(ep: TrialStats) -> CovModel:
     """Tapered block-Toeplitz covariance of the epochs with shrinkage
-    toward nu*I (nu = mean diagonal) by an analytic Ledoit-Wolf intensity:
+    toward mu*I (mu = mean variance) by an analytic Ledoit-Wolf intensity:
     the epoch count in a single trial is small against the feature
-    dimension, so the regularization is automatic.
+    dimension, so the regularization is automatic. InsufficientEpochs
+    below three epochs.
     """
     grams, sq_norms4 = ep.centered_moments
     return _cov_model(grams, sq_norms4, ep.n_epochs, None)
@@ -265,7 +258,7 @@ class UmmDecoder:
     TrialStats and, before any statistic, refuses a trial that holds more
     samples with ShapeError (:func:`.encoding.check_reach`), one of fewer
     than RESPONSE_LEN with TrialTooShort (:meth:`.encoding.TrialStats.of`);
-    fewer than two epochs raise InsufficientEpochs.
+    fewer than three pooled epochs raise InsufficientEpochs.
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):

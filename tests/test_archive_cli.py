@@ -282,6 +282,13 @@ class TestCli:
         assert main(["curve", "--method", "umm_t11", "--in", str(out)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
 
+    def test_umm_on_two_epochs_exit_2(self, tmp_path, capsys):
+        # 0.32 s is 57 samples, two epochs: too few for UMM's covariance
+        out = _simulate(tmp_path, extra=("--duration", "4.2"))
+        assert main(["decode", "--method", "umm_t11", "--in", str(out), "--duration", "0.32"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "need at least 3 epochs, got 2" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["curve", "--method", "cca_e1"], ["sweep", "--axis", "lowpass", "--methods", "umm_t11"]],

@@ -1,12 +1,15 @@
 """The names benchmarks/ uses still exist and work: one traced round of
-each workload runner, on sessions small enough for the suite."""
+each workload runner, on sessions small enough for the suite; and the
+decoders' scores meet the benchmark's own references."""
 import sys
 from pathlib import Path
 
-from cvepdecode import evaluate
+import numpy as np
+
+from cvepdecode import evaluate, umm
 from cvepdecode.codegen import default_code_set
 from cvepdecode.errors import DataError, NumericalError
-from cvepdecode.simulate import ForwardModel, synthesize_session
+from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 CODES = default_code_set(3)
@@ -61,3 +64,28 @@ def test_generation_and_set_up_roles_run(monkeypatch, tmp_path):
     assert len(gen["labels"]) == workload.n_runs * worker.N_CODES
     assert worker.samples_digest(session.trials) == gen["samples_sha256"]
     assert archive.stat().st_size == gen["archive_bytes"]
+
+
+def test_scores_within_the_benchmark_references(monkeypatch):
+    # the benchmark's correctness gate, on one trial: a change that moves
+    # the scores past the reference tolerances fails here first
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import reference
+
+    codes = default_code_set(20)
+    bits = [c.bits for c in codes]
+    trial = synthesize_trial(codes[3], ForwardModel(snr=0.05), 31.5, seed=4, code_index_true=3)
+    bank = evaluate.DecoderBank(codes, 31.5)
+    for dur_s in (4.2, 31.5):
+        prefix = trial.prefix(dur_s)
+        # not shrunk all the way to mu*I: the lag sums enter the scores
+        assert umm.estimate_covariance(umm.slice_epochs(prefix)).shrinkage_gamma < 0.99
+        got = bank.umm().decode(prefix).scores
+        want = reference.umm_scores(prefix.samples, bits)
+        assert np.allclose(got, want, rtol=reference.UMM_RTOL, atol=0.0)
+    # 4.2 s is two whole code cycles: no flash run is cut at the trial end
+    prefix = trial.prefix(4.2)
+    got = bank.cca(prefix.n_samples).decode(prefix).scores
+    want = [reference.cca_rho(prefix.samples, b, trial.n_samples) for b in bits]
+    assert np.abs(got - want).max() <= reference.RHO_ATOL

@@ -5,7 +5,7 @@ import pytest
 
 from cvepdecode.cca import CcaDecoder, CcaState
 from cvepdecode.codegen import BitSequence, default_code_set, parse_code_set, select_subset
-from cvepdecode.encoding import structure_for_code, window_sums
+from cvepdecode.encoding import n_cycles_to_cover, structure_for_code, window_sums
 from cvepdecode.evaluate import DecoderBank
 from cvepdecode.errors import ConfigError, DataError, InvalidCodeSet, InvalidCutoff
 from cvepdecode.errors import LabelOutOfRange, ShapeError
@@ -59,6 +59,10 @@ MALFORMED = {
     "no-bits-structure": (lambda: structure_for_code(BitSequence(()), 1), InvalidCodeSet),
     "no-bits-umm": (lambda: UmmDecoder([BitSequence(())], 1), InvalidCodeSet),
     "no-bits-cca": (lambda: CcaDecoder([BitSequence(())], 1), InvalidCodeSet),
+    "no-bits-trial": (
+        lambda: synthesize_trial(BitSequence(()), ForwardModel(), 1.05), InvalidCodeSet
+    ),
+    "no-bits-cycles": (lambda: n_cycles_to_cover(BitSequence(()), 189), InvalidCodeSet),
     "repeated-code-bank": (lambda: DecoderBank([*CODES, CODES[1]], 4.2), InvalidCodeSet),
     "repeated-code-cca": (lambda: CcaDecoder([CODES[0], *CODES], 1), InvalidCodeSet),
     "repeated-code-umm": (lambda: UmmDecoder([CODES[2], CODES[3], CODES[2]], 1), InvalidCodeSet),

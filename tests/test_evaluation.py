@@ -214,12 +214,33 @@ class TestDecodeSession:
 
     def test_umm_needs_two_epochs_where_cca_decides(self):
         # 54 samples hold one 18-frame epoch: CCA decides it, UMM's
-        # covariance has no second epoch to pool
+        # covariance pools at least three
         bank = DecoderBank(CODES, max_dur_s=4.2)
         trial = Trial(samples=np.random.default_rng(4).normal(size=(8, 54)))
         assert 0 <= bank.cca(54).decode(trial).label < len(CODES)
         with pytest.raises(InsufficientEpochs):
             bank.umm().decode(trial)
+
+    @pytest.mark.parametrize("n_samples", [57, 58, 59])
+    def test_umm_needs_three_epochs_where_cca_decides(self, n_samples):
+        # two epochs are a data error, not the DegenerateCovariance of the
+        # singular model their rank-1 scatter would give
+        bank = DecoderBank(CODES, max_dur_s=4.2)
+        trial = Trial(samples=np.random.default_rng(4).normal(size=(8, n_samples)))
+        assert 0 <= bank.cca(n_samples).decode(trial).label < len(CODES)
+        with pytest.raises(InsufficientEpochs, match="got 2"):
+            bank.umm().decode(trial)
+
+    def test_cumulative_umm_decides_two_epochs_over_a_pooled_state(self):
+        # a state of three 4.2 s trials pools enough epochs for a trial of two
+        session = _session(snr=0.05, seed=6)
+        umm_decoder = DecoderBank(session.codes, max_dur_s=4.2).umm()
+        state = UmmState(mode=MODE_CUMULATIVE)
+        for trial in session.trials[:3]:
+            state = umm_decoder.update_cumulative(state, trial, umm_decoder.decode(trial, state))
+        out = umm_decoder.decode(session.trials[3].prefix(57 / TARGET_FS), state)
+        assert 0 <= out.label < len(session.codes)
+        assert np.isfinite(out.scores).all() and 0.0 <= out.confidence <= 1.0
 
     @pytest.mark.parametrize("tag", METHOD_TAGS)
     def test_code_set_with_a_repeated_code_refused(self, tag):

@@ -275,8 +275,8 @@ class TestCovariance:
     @pytest.mark.parametrize(
         "n_channels, n_samples, offset",
         [(1, 3 * 235 + 51, 0.0), (3, 3 * 235 + 51, 0.0), (8, 3 * 235 + 51, 0.0),
-         (3, 3 * 2 + 51, 0.0), (3, 3 * 235 + 53, 0.0), (8, 3 * 235 + 52, 1e4)],
-        ids=["C1", "C3", "C8", "K2", "partial-frame", "dc-offset"],
+         (3, 3 * 3 + 51, 0.0), (3, 3 * 235 + 53, 0.0), (8, 3 * 235 + 52, 1e4)],
+        ids=["C1", "C3", "C8", "K3", "partial-frame", "dc-offset"],
     )
     def test_matches_dense_covariance(self, n_channels, n_samples, offset):
         rng = np.random.default_rng(n_channels + n_samples)
@@ -314,6 +314,26 @@ class TestCovariance:
         assert ep.n_epochs == 1
         with pytest.raises(InsufficientEpochs):
             estimate_covariance(ep)
+
+    def test_two_epochs_are_insufficient(self):
+        # two centred epochs are opposite: their rank-1 scatter would leave
+        # the model unshrunk and singular
+        ep = slice_epochs(_trial_from_array(np.random.default_rng(3).normal(size=(8, 57))))
+        assert ep.n_epochs == 2
+        with pytest.raises(InsufficientEpochs, match="need at least 3 epochs, got 2"):
+            estimate_covariance(ep)
+
+    @pytest.mark.parametrize("n_channels", [1, 8])
+    def test_lag_0_block_exactly_symmetric(self, n_channels):
+        # centered_moments makes the lag-0 grams exactly symmetric, and the
+        # lag sums keep that, one trial's or pooled
+        rng = np.random.default_rng(n_channels)
+        trials = [1e4 + rng.standard_normal((n_channels, 3 * 235 + 52)) for _ in range(3)]
+        moments = [slice_epochs(_trial_from_array(x)).centered_moments for x in trials]
+        pooled = (sum(g for g, _ in moments), sum(q for _, q in moments))
+        for (grams, sq_norms4), n in ((moments[0], 235), (pooled, 3 * 235)):
+            cov = umm._cov_model(grams, sq_norms4, n, None)
+            assert np.array_equal(cov.blocks[0], cov.blocks[0].T)
 
     def test_symmetric_and_positive_definite(self):
         trial = synthesize_trial(CODES[2], ForwardModel(snr=0.2), 2.1, 9, 2)
