@@ -155,7 +155,8 @@ class TrialStats:
     sample t. Every statistic is computed on first use and kept; UMM's are
     about the whole frames' column mean, so a large constant offset does
     not cancel in their products. UMM reads only scatters and mean
-    differences, which the shift does not move, so it is not kept."""
+    differences, zero-sum weighted sums of the epochs, which the shift does
+    not move, so it is not kept."""
 
     samples: NDArray[np.floating]
     frames: NDArray[np.floating]
@@ -203,12 +204,6 @@ class TrialStats:
         whole = self.frames[: self.n_frames]
         return whole - whole.mean(axis=0)
 
-    @cached_property
-    def epoch_sum(self) -> NDArray:
-        """Sum of the centred epochs, (D,), on the plain kernel: folding by
-        a one-frame period costs more than it saves."""
-        return window_sums(self._centred, np.ones((1, self.n_epochs)))[0]
-
     def weighted_sums(self, weights: TiledWeights) -> NDArray:
         """weights @ (centred epochs), (R, D), for tiled weights."""
         return tiled_window_sums(self._centred, weights)
@@ -230,8 +225,11 @@ class TrialStats:
         y, k = self._centred, self.n_epochs
         n, width = FRAMES_PER_EPOCH, y.shape[1]
         pad = np.zeros((n - 1, width))
+        # s_a, on the plain kernel: folding by a one-frame period costs more
+        # than it saves
+        epoch_sum = window_sums(y, np.ones((1, k)))[0].reshape(n, width)
         # s_a / sqrt(K), zero past the last offset
-        sums = np.concatenate([self.epoch_sum.reshape(n, width) / np.sqrt(k), pad])
+        sums = np.concatenate([epoch_sum / np.sqrt(k), pad])
         # [f, l] = rows[f + l]
         y_lag, sums_lag = _runs(np.concatenate([y, pad]), len(y), n), _runs(sums, n, n)
         grams = np.empty((n, width, n, width))
@@ -257,7 +255,7 @@ class TrialStats:
 
         # ||x_k - m||^2 = sum_a ||y[k+a]||^2 - 2 sum_a y[k+a].m_a + sum_a ||m_a||^2
         # with m_a = s_a / K: an 18-frame sliding sum and a diagonal one
-        means = self.epoch_sum.reshape(n, width) / k
+        means = epoch_sum / k
         cross = y @ means.T                       # [f, a] = y[f] . m_a
         sq_norms = (
             sliding_window_view(np.einsum("ij,ij->i", y, y), n).sum(axis=1)

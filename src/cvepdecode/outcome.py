@@ -17,15 +17,15 @@ from .errors import ConfigError, LabelOutOfRange, NumericalFailure, ShapeError
 MODE_INSTANTANEOUS = "instantaneous"
 MODE_CUMULATIVE = "cumulative"
 
-#: Least best score a top-2 margin is divided by.
-CONFIDENCE_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class DecodeOutcome:
     """label: winning hypothesis index (0-based, ties to the lowest index);
     scores: one score per hypothesis; confidence: normalized top-2 margin
-    in [0, 1]."""
+    in [0, 1]. Hypotheses a trial cannot tell apart score bit-equal, so a
+    best score that several share is a tie: the lowest index wins, the
+    confidence is exactly 0.0, and the tied group is the hypotheses whose
+    score equals the label's."""
 
     label: int
     scores: NDArray[np.floating]
@@ -40,7 +40,7 @@ def top2_confidence(scores: NDArray) -> float:
         return 1.0
     if s[0] <= 0:
         return 0.0
-    return float(np.clip((s[0] - s[1]) / max(s[0], CONFIDENCE_FLOOR), 0.0, 1.0))
+    return float(np.clip((s[0] - s[1]) / s[0], 0.0, 1.0))
 
 
 def decided(scores: NDArray) -> DecodeOutcome:

@@ -3,21 +3,24 @@
 Trials are cut into overlapping 300 ms epochs, one per 60 Hz stimulus
 frame. Each candidate code splits the epochs into flash and non-flash
 sets; the hypothesis whose flash-minus-non-flash mean difference has the
-largest Mahalanobis energy wins. The covariance is the block-Toeplitz
-projection of the epochs' sample covariance, tapered linearly over the
-lags and shrunk toward the mean variance times the identity with a
-Ledoit-Wolf intensity: its lag blocks are the scatter's lag sums over
-54 n (n epochs), one scale for the average and the taper. A decision
-factors the dense block-Toeplitz matrix, built from the lag blocks with
-one copy, by one in-place LAPACK Cholesky factorisation Sigma = L L^T,
-and scores every hypothesis by one forward triangular solve:
-delta^T Sigma^{-1} delta is the squared norm of L^{-1} delta.
+largest Mahalanobis energy wins. Each difference is one sum of the epochs
+with zero-sum integer weights, so hypotheses whose epoch labels are equal
+or complementary score bit-equal and tie to the lowest index. The
+covariance is the block-Toeplitz projection of the epochs' sample
+covariance, tapered linearly over the lags and shrunk toward the mean
+variance times the identity with a Ledoit-Wolf intensity: its lag blocks
+are the scatter's lag sums over 54 n (n epochs), one scale for the
+average and the taper. A decision factors the dense block-Toeplitz
+matrix, built from the lag blocks with one copy, by one in-place LAPACK
+Cholesky factorisation Sigma = L L^T, and scores every hypothesis by one
+forward triangular solve: delta^T Sigma^{-1} delta is the squared norm
+of L^{-1} delta.
 
 An epoch is 18 consecutive frames, so no epoch matrix is copied: the
 trial's :class:`.encoding.TrialStats` computes every epoch statistic from
 its frames, once, among them the scatter as frame-block grams (no (D, D)
-scatter is formed) and the flash sums, over the frames folded by the code
-period on a trial of two full cycles or more. :func:`_cov_model` reads
+scatter is formed) and the weighted sums, over the frames folded by the
+code period on a trial of two full cycles or more. :func:`_cov_model` reads
 the lag sums, the trace and the Ledoit-Wolf intensity from pooled grams,
 and :class:`UmmDecoder` keeps one cycle of the code bits. Like CCA's, the
 decoder refuses a trial of fewer than RESPONSE_LEN samples or past its
@@ -272,9 +275,12 @@ class UmmDecoder:
 
     def _deltas(self, ep: TrialStats, rows) -> NDArray:
         """Flash-minus-non-flash means of the epochs, (len(rows), D), under
-        the hypotheses ``rows``: flash sums weight the centred epochs by the
-        code bits, non-flash sums are the epoch total less them. The
-        centring shifts both means alike, so it cancels in the difference."""
+        the hypotheses ``rows``, each one weighted sum of the centred epochs:
+        with n flashes among the K epochs, the weights K b_k - n over
+        n (K - n). The weights are exact integers that sum to zero, so the
+        centring cancels, and a complementary label row's are their exact
+        negation: its difference is the bitwise negation, and its score
+        bit-equal, as an equal row's is."""
         k = ep.n_epochs
         rows = np.asarray(rows)
         bits = self.bits[rows]
@@ -286,8 +292,8 @@ class UmmDecoder:
             raise DegenerateHypothesis(
                 f"hypothesis {rows[degenerate[0]]} yields an empty flash or non-flash set"
             )
-        sums = ep.weighted_sums(TiledWeights.tiling(bits, k))
-        return sums / n_flash - (ep.epoch_sum - sums) / (k - n_flash)
+        sums = ep.weighted_sums(TiledWeights.tiling(k * bits - n_flash, k))
+        return sums / (n_flash * (k - n_flash))
 
     def decode(self, trial: Trial | TrialStats, state: UmmState | None = None) -> DecodeOutcome:
         return self.decode_epochs(slice_epochs(trial), state)

@@ -74,3 +74,5 @@ def test_top2_confidence():
     assert top2_confidence(np.array([3.0])) == 1.0
     assert top2_confidence(np.array([0.0, -1.0])) == 0.0
     assert top2_confidence(np.array([1.0, 4.0, 3.0])) == 0.25
+    # the margin is divided by the best score itself, however small
+    assert top2_confidence(np.array([1e-13, 0.0])) == 1.0

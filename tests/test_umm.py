@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from cvepdecode import errors, umm
-from cvepdecode.codegen import BitSequence, default_code_set
+from cvepdecode.codegen import BitSequence, code_bits, default_code_set
 from cvepdecode.encoding import n_cycles_to_cover
 from cvepdecode.errors import (
     DegenerateCovariance,
@@ -238,6 +240,38 @@ class TestMeanDifference:
         ep = slice_epochs(_trial_from_array(np.zeros((1, 60))))
         with pytest.raises(DegenerateHypothesis):
             UmmDecoder([code], 5)._deltas(ep, [0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 1), min_size=2, max_size=38),
+        others=st.lists(st.lists(st.integers(0, 1), min_size=40, max_size=40), max_size=3),
+        order=st.permutations(range(5)),
+        n_cycles=st.integers(1, 6),
+        n_channels=st.sampled_from([1, 3, 8]),
+        offset=st.sampled_from([0.0, 1e4]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_complement_is_the_exact_negation(
+        self, bits, others, order, n_cycles, n_channels, offset, seed, data
+    ):
+        # a code and its complement weight the epochs by exactly negated
+        # integers, so their differences are bitwise negations, on the
+        # plain kernel and on the cycle fold, and far from the channels'
+        # zero. (Centred samples of a 1e4 offset sit on a 2^-39 grid, where
+        # every sum is exact; without the offset, rounding shows.)
+        code = (0, 1, *bits)
+        flip = tuple(1 - b for b in code)
+        rows = list(dict.fromkeys([code, flip] + [tuple(o[: len(code)]) for o in others]))
+        rows = [rows[i] for i in order if i < len(rows)]
+        i, j = rows.index(code), rows.index(flip)
+        n_cycles = max(n_cycles, -(-20 // len(code)))
+        dec = UmmDecoder([BitSequence(bits=r) for r in rows], n_cycles)
+        n_samples = data.draw(st.integers(60, dec.reach))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_channels, n_samples)) + offset
+        d = dec._deltas(slice_epochs(_trial_from_array(x)), [i, j])
+        assert np.array_equal(d[0], -d[1])
 
 
 class TestCovariance:
@@ -527,6 +561,48 @@ def test_decision_factors_once_and_solves_forward_only(monkeypatch, pooled):
     out = dec.decode_epochs(slice_epochs(_trial_4s()), state)
     assert out.scores.shape == (20,)
     assert sorted(calls) == [("dpotrf", (432, 432)), ("dtrtrs", (432, 432))]
+
+
+def _tied_groups(rows, complements):
+    """The indices of equal label rows, or of equal-or-complementary ones,
+    in groups, by brute-force comparison of the rows."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows.astype(int)):
+        key = min(tuple(row), tuple(1 - row)) if complements else tuple(row)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _check_ties(out, groups):
+    """Every group scores bit-equal; the label is its group's lowest index,
+    and a winning group of two or more has confidence exactly 0.0."""
+    for group in groups:
+        assert np.array_equal(out.scores[group], np.full(len(group), out.scores[group[0]]))
+    winners = next(g for g in groups if out.label in g)
+    assert out.label == winners[0]
+    if len(winners) > 1:
+        assert out.confidence == 0.0
+
+
+@pytest.mark.parametrize("n_samples", [60, 63, 66, 72, 90])
+@pytest.mark.parametrize("tag", ["umm_t11", "umm_tcw"])
+def test_tied_hypotheses_score_bit_equal(tag, n_samples):
+    # at 3-13 epochs the default codes' label rows repeat, up to complement,
+    # and noise cannot tell a group apart; a cumulative decision adds the
+    # pooled difference to every row, so there only equal rows tie
+    bits = code_bits(CODES)
+    n_epochs = n_samples // 3 - FRAMES_PER_EPOCH + 1
+    groups = _tied_groups(bits[:, np.arange(n_epochs) % bits.shape[1]], tag == "umm_t11")
+    assert max(map(len, groups)) > 1
+    dec = DecoderBank(CODES, 4.2).umm()
+    rng = np.random.default_rng(0)
+    state = UmmState(mode=umm.MODE_CUMULATIVE) if tag == "umm_tcw" else None
+    for _ in range(40):
+        ep = slice_epochs(_trial_from_array(rng.standard_normal((8, n_samples))))
+        out = dec.decode_epochs(ep, state)
+        _check_ties(out, groups)
+        if state is not None:
+            state = dec.update_cumulative(state, ep, out)
 
 
 class TestDecoding:
