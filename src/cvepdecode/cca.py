@@ -25,9 +25,9 @@ phase grams fold the same way (:func:`_phase_grams`): one cycle's lagged
 weights, each column counted as often as it recurs, plus the few columns
 that read the first frame or a corrected one, so no design wider than one
 cycle is built. An instantaneous decision whitens the cross-covariances by
-one batched product with the inverse factors; a cumulative one adds its
-state's sums, refactors its grams and solves per hypothesis, but a fresh
-state, all zero sums, takes the instantaneous route. LAPACK factors,
+one batched product with the inverse factors. A decision that pools a
+state, any but a fresh one of all-zero sums (:func:`.outcome.pooled`),
+adds its sums, refactors its grams and solves per hypothesis. LAPACK factors,
 inverts and solves every block in place: a symmetric block goes to it
 transposed, the same matrix in Fortran order, so f2py copies nothing, and a
 cumulative decision lays its pooled cross-covariances out hypothesis-major,
@@ -54,8 +54,7 @@ from .encoding import FRAMES_PER_EPOCH, N_EVENTS, SAMPLES_PER_FRAME
 from .encoding import TiledWeights, TrialStats, check_reach, frame_events
 from .encoding import lagged, tiled_window_sums, tiling_reach
 from .errors import DegenerateCovariance, NumericalFailure
-from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
-from .outcome import decided, pooled
+from .outcome import MODE_CUMULATIVE, DecodeOutcome, added, check_update, decided, pooled
 from .sigproc import Trial
 
 #: Relative ridge added to both covariance blocks before whitening; keeps
@@ -69,7 +68,10 @@ PHASE_DIM = N_EVENTS * FRAMES_PER_EPOCH
 @dataclass
 class CcaState:
     """Accumulated covariance terms for cumulative decoding, running sums
-    over the decided trials: a fresh state's are the scalar 0.0.
+    over the decided trials: a fresh state's, a default one's, are the
+    scalar 0.0, and it decides as no state. Each update returns the next
+    state through :func:`.outcome.added`; ``n_trials_seen`` counts the
+    trials, and neither it nor ``mode`` decides how a state is pooled.
 
     The spatial accumulator and the predicted-structure cross/temporal
     accumulators are shared across hypotheses: the spatial covariance does
@@ -79,7 +81,7 @@ class CcaState:
     channel) columns, the temporal one as the phase gram.
     """
 
-    mode: str = MODE_INSTANTANEOUS
+    mode: str = MODE_CUMULATIVE     # read by nothing
     sxx: NDArray | float = 0.0     # (C, C)
     sxm: NDArray | float = 0.0     # (PHASE_DIM, 3 * C): x M^T, transposed, phase-major columns
     smm: NDArray | float = 0.0     # (PHASE_DIM, PHASE_DIM): the phase gram
@@ -247,15 +249,14 @@ class CcaDecoder:
         state = pooled(state, _sum_shapes(c))
         sxx = stats.sxx.copy()      # scratch: its factor is made in place
         smx = self._smx(stats, self.weights)
-        # a fresh state's zero sums add nothing: the instantaneous route
-        if state is not None and state.n_trials_seen:
+        if state is not None:
             sxx += state.sxx
             lm = _ridged_cholesky(self.grams + state.smm, "temporal")
             # hypothesis-major (3C, PHASE_DIM) blocks, whose transposes,
             # the pooled cross-covariances in Fortran order, trtrs solves
             # in place
             blocks = np.empty((len(smx), smx.shape[2], PHASE_DIM))
-            np.add(smx.transpose(0, 2, 1), state.sxm.T, out=blocks)
+            np.add(smx.transpose(0, 2, 1), np.transpose(state.sxm), out=blocks)
             for l, b in zip(lm, blocks):
                 lapack.dtrtrs(l, b.T, lower=1, overwrite_b=1)
             k = blocks.transpose(0, 2, 1)
@@ -276,15 +277,9 @@ class CcaDecoder:
     ) -> CcaState:
         """Fold the finished trial into the accumulators, pairing its data
         with the design of its own predicted label (naive labeling)."""
-        check_update(state, predicted, len(self.bits))
+        check_update(predicted, len(self.bits))
         stats = self._stats(trial)
         pooled(state, _sum_shapes(len(stats.samples)))
         rows = slice(N_EVENTS * predicted, N_EVENTS * (predicted + 1))
         (smx,) = self._smx(stats, self.weights.rows(rows))
-        return CcaState(
-            mode=MODE_CUMULATIVE,
-            sxx=state.sxx + stats.sxx,
-            sxm=state.sxm + smx,
-            smm=state.smm + self.grams[predicted],
-            n_trials_seen=state.n_trials_seen + 1,
-        )
+        return added(state, sxx=stats.sxx, sxm=smx, smm=self.grams[predicted])

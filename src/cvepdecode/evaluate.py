@@ -19,7 +19,6 @@ from .encoding import StructureMatrix, TrialStats, check_reach, n_cycles_to_cove
 from .encoding import structure_for_code
 from .errors import ConfigError, DegenerateSample, InvalidCodeSet, InvalidCutoff, LengthMismatch
 from .errors import TruncatedTrial, UnlabeledTrial
-from .outcome import MODE_CUMULATIVE
 from .sigproc import TARGET_FS, ContinuousRecording, FilterSpec, apply_zero_phase
 from .sigproc import duration_samples
 from .simulate import Session
@@ -114,10 +113,10 @@ def decode_session(
     bank = _session_bank(session, bank)
     if tag.startswith("cca"):
         decoder = bank.cca(duration_samples(duration_s))
-        state = CcaState(mode=MODE_CUMULATIVE) if tag == "cca_ec" else None
+        state = CcaState() if tag == "cca_ec" else None
     else:
         decoder = bank.umm()
-        state = UmmState(mode=MODE_CUMULATIVE) if tag == "umm_tcw" else None
+        state = UmmState() if tag == "umm_tcw" else None
     outcomes = []
     for trial in trials:
         stats = TrialStats.of(trial)
@@ -268,16 +267,15 @@ class SweepGrid:
     n_trials: int
     n_correct: dict[str, list[int]] = field(default_factory=dict)
 
-    def accuracy(self, method_tag: str) -> NDArray:
-        return np.array(self.n_correct[method_tag]) / self.n_trials
-
 
 def filtered_session(session: Session, highpass_hz: float, lowpass_hz: float) -> Session:
     """Re-filter every trial of an archived session with a zero-phase
     bandpass at TARGET_FS (180 Hz).
 
-    A lowpass at the Nyquist frequency is a pass-through (the archived data
-    carry no content there); cutoffs beyond Nyquist are rejected.
+    A lowpass at the Nyquist frequency (90 Hz) is no pass-through: the
+    Butterworth bandpass keeps its order and takes its upper edge at 0.999
+    times Nyquist, 89.91 Hz, so it still lowpasses. InvalidCutoff for a
+    highpass at or past Nyquist or a lowpass past it.
     """
     nyq = TARGET_FS / 2.0
     if highpass_hz >= nyq or lowpass_hz > nyq:
@@ -285,7 +283,7 @@ def filtered_session(session: Session, highpass_hz: float, lowpass_hz: float) ->
             f"cutoffs ({highpass_hz}, {lowpass_hz}) Hz invalid at fs={TARGET_FS} Hz"
         )
     if lowpass_hz == nyq:
-        # nothing above Nyquist to remove; keep the highpass edge only
+        # a band edge must lie below Nyquist: a lowpass at 0.999 x Nyquist
         spec = FilterSpec(kind="bandpass", highpass_hz=highpass_hz, lowpass_hz=nyq * 0.999)
     else:
         spec = FilterSpec(kind="bandpass", highpass_hz=highpass_hz, lowpass_hz=lowpass_hz)

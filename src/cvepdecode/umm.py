@@ -42,8 +42,7 @@ from .encoding import FRAMES_PER_EPOCH, RESPONSE_LEN, SAMPLES_PER_FRAME
 from .encoding import TiledWeights, TrialStats, check_reach, tiling_reach
 from .errors import ConfidenceOutOfRange, DegenerateCovariance, DegenerateHypothesis
 from .errors import InsufficientEpochs
-from .outcome import MODE_CUMULATIVE, MODE_INSTANTANEOUS, DecodeOutcome, check_update
-from .outcome import decided, pooled
+from .outcome import MODE_CUMULATIVE, DecodeOutcome, added, check_update, decided, pooled
 from .sigproc import Trial
 
 
@@ -227,14 +226,17 @@ def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
 class UmmState:
     """Pooled covariance statistics (label-free) plus a confidence-weighted
     sum of mean differences under naive labeling, running sums over the
-    decided trials: a fresh state's are the scalar 0.0, which pool exactly.
+    decided trials: a fresh state's, a default one's, are the scalar 0.0,
+    and it decides as no state. Each update returns the next state through
+    :func:`.outcome.added`; neither ``n_trials_seen`` nor ``mode`` decides
+    how a state is pooled.
 
     The ERP estimate is global: each finished trial contributes its
     flash-minus-non-flash mean difference under its own predicted code,
     weighted by the decoder's confidence in that prediction.
     """
 
-    mode: str = MODE_INSTANTANEOUS
+    mode: str = MODE_CUMULATIVE             # read by nothing
     # sum of the trials' centred scatter grams, (18, 3C, 18, 3C) in the
     # layout of TrialStats.centered_moments: block (a, a + l) at [a, :, l, :]
     scatter: NDArray | float = 0.0
@@ -301,9 +303,9 @@ class UmmDecoder:
     def decode_epochs(
         self, trial: Trial | TrialStats, state: UmmState | None = None
     ) -> DecodeOutcome:
-        """Score every hypothesis on the trial's epochs, pooling a
-        cumulative state's covariance statistics and its sum of mean
-        differences."""
+        """Score every hypothesis on the trial's epochs, pooling the
+        covariance statistics and the sum of mean differences of any state
+        but a fresh one (:func:`.outcome.pooled`)."""
         ep = self._stats(trial)
         state = pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
@@ -324,19 +326,15 @@ class UmmDecoder:
         """Pool the trial's covariance statistics unconditionally; add its
         mean difference under the predicted hypothesis to the state's sum
         with the outcome's confidence as weight, which must lie in [0, 1]."""
-        check_update(state, outcome.label, len(self.bits))
+        check_update(outcome.label, len(self.bits))
         w = float(outcome.confidence)
         if not 0.0 <= w <= 1.0:
             raise ConfidenceOutOfRange(f"confidence {w} is not a weight in [0, 1]")
         ep = self._stats(trial)
         pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
-        return UmmState(
-            mode=MODE_CUMULATIVE,
-            scatter=state.scatter + grams,
-            sq_norms4=state.sq_norms4 + sq_norms4,
-            n_epochs=state.n_epochs + ep.n_epochs,
-            delta_sum=state.delta_sum + w * self._deltas(ep, [outcome.label])[0],
-            weight_total=state.weight_total + w,
-            n_trials_seen=state.n_trials_seen + 1,
+        delta = self._deltas(ep, [outcome.label])[0]
+        return added(
+            state, scatter=grams, sq_norms4=sq_norms4, n_epochs=ep.n_epochs,
+            delta_sum=w * delta, weight_total=w,
         )

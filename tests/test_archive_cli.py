@@ -358,13 +358,19 @@ class TestCli:
              "umm_t11,1.05,0,20,19,0.95", "umm_t11,2.1,0,20,20,1.0"],
             ["cca_e1,1.05", "cca_e1,2.1,0,20,12,0.6"],
             ["cca_e1,1.05,0,20,10,0.5,7", "cca_e1,2.1,0,20,12,0.6"],
+            [],
+            None,
+            # no (duration, seed) point in common with b's
+            ["cca_e1,3.15,0,20,10,0.5", "cca_e1,2.1,1,20,12,0.6"],
         ],
-        ids=["nan", "inf", "above_one", "repeated_point", "short_row", "long_row"],
+        ids=["nan", "inf", "above_one", "repeated_point", "short_row", "long_row",
+             "header_only", "missing_file", "no_shared_point"],
     )
     def test_stats_malformed_curve_exit_2(self, tmp_path, capsys, a_rows):
         header = "method,duration_s,seed,n_trials,n_correct,accuracy"
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        a.write_text("\n".join([header, *a_rows]) + "\n")
+        if a_rows is not None:
+            a.write_text("\n".join([header, *a_rows]) + "\n")
         b.write_text(f"{header}\ncca_e1,1.05,0,20,2,0.1\ncca_e1,2.1,0,20,3,0.15\n")
         assert main(["stats", "--a", str(a), "--b", str(b)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
@@ -490,6 +496,12 @@ class TestCli:
         out = tmp_path / "s.cvep"
         assert main(["--config", str(cfg), "simulate", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.cvep"
+        assert main(["--config", str(tmp_path / "no.json"), "simulate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: unreadable config file")
         assert not out.exists()
 
     def test_config_keys_are_flag_names(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,8 +60,11 @@ def test_wrong_code_scores_lower():
 
 
 def test_fit_filters_degenerate():
-    with pytest.raises(DegenerateCovariance):
+    with pytest.raises(DegenerateCovariance, match="non-positive trace"):
         fit_filters(np.zeros((3, 3)), np.zeros((3, 5)), np.eye(5))
+    # a positive trace, but not positive definite however ridged
+    with pytest.raises(DegenerateCovariance, match="not positive definite"):
+        fit_filters(np.diag([1.0, -0.5, 1.0]), np.zeros((3, 5)), np.eye(5))
 
 
 def test_temporal_filter_sign_convention():
@@ -132,7 +136,7 @@ def test_rho_degrades_with_noise():
 
 def test_update_cumulative_single_term():
     trial = _clean_trial(1)
-    state = CcaState(mode=cca.MODE_CUMULATIVE)
+    state = CcaState()
     state = DECODER_2S.update_cumulative(state, trial, 1)
     x = trial.samples
     assert np.allclose(state.sxx, x @ x.T)
@@ -141,23 +145,41 @@ def test_update_cumulative_single_term():
 
 def test_update_cumulative_order_invariant_sxx():
     t1, t2 = _clean_trial(0), _clean_trial(1, seed=4)
-    s_a = CcaState(mode=cca.MODE_CUMULATIVE)
+    s_a = CcaState()
     s_a = DECODER_2S.update_cumulative(s_a, t1, 0)
     s_a = DECODER_2S.update_cumulative(s_a, t2, 1)
-    s_b = CcaState(mode=cca.MODE_CUMULATIVE)
+    s_b = CcaState()
     s_b = DECODER_2S.update_cumulative(s_b, t2, 1)
     s_b = DECODER_2S.update_cumulative(s_b, t1, 0)
     assert np.allclose(s_a.sxx, s_b.sxx)
 
 
 def test_update_requires_cumulative_mode():
-    with pytest.raises(errors.ConfigError):
-        DECODER_2S.update_cumulative(CcaState(), _clean_trial(0), 0)
+    # a default state is a cumulative one: it takes an update
+    state = DECODER_2S.update_cumulative(CcaState(), _clean_trial(0), 0)
+    assert state.n_trials_seen == 1
+    assert np.shape(state.smm) == (cca.PHASE_DIM, cca.PHASE_DIM)
+
+
+def test_trial_count_does_not_route_a_decision():
+    # a state is its sums: five decided trials' sums pool alike whatever
+    # trial count the state carries
+    state = CcaState()
+    for i in range(5):
+        trial = synthesize_trial(CODES[i], ForwardModel(snr=0.5), 2.1, i, i)
+        state = DECODER_2S.update_cumulative(state, trial, DECODER_2S.decode(trial, state).label)
+    assert state.n_trials_seen == 5
+    trial = synthesize_trial(CODES[7], ForwardModel(snr=0.5), 2.1, 7, 7)
+    want = DECODER_2S.decode(trial, state)
+    got = DECODER_2S.decode(trial, replace(state, n_trials_seen=0))
+    assert got.label == want.label and got.confidence == want.confidence
+    assert np.array_equal(got.scores, want.scores)
+    assert not np.array_equal(want.scores, DECODER_2S.decode(trial).scores)
 
 
 @pytest.mark.parametrize("label", [20, -1, -21])
 def test_update_refuses_label_out_of_range(label):
-    state = CcaState(mode=cca.MODE_CUMULATIVE)
+    state = CcaState()
     with pytest.raises(errors.LabelOutOfRange):
         DECODER_2S.update_cumulative(state, _clean_trial(0), label)
 
@@ -168,7 +190,7 @@ def test_longer_trial_refused():
     trial = _clean_trial(4)
     longer = Trial(samples=np.concatenate([trial.samples, trial.samples[:, -1:]], axis=1))
     assert (trial.n_samples, longer.n_samples) == (378, 379)
-    state = DECODER_2S.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), trial, 4)
+    state = DECODER_2S.update_cumulative(CcaState(), trial, 4)
     for call in (
         lambda: DECODER_2S.decode(longer),
         lambda: DECODER_2S.decode(longer, state),
@@ -227,7 +249,7 @@ def test_frame_kernel_matches_dense_design(n_samples):
 
     # cca_ec with one past trial, folded in under its predicted label
     label = decoder.decode(past).label
-    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, label)
+    state = decoder.update_cumulative(CcaState(), past, label)
     m0 = mats[label]
     dense_state = (x0 @ x0.T, x0 @ m0.T, m0 @ m0.T)
     got = decoder.decode(trial, state).scores
@@ -266,7 +288,7 @@ def test_one_decoder_decides_every_length_as_a_fresh_one():
         decisions = []
         for decoder in (bank.cca(n_samples), CcaDecoder(CODES, bank.n_cycles)):
             label = decoder.decode(past).label
-            state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, label)
+            state = decoder.update_cumulative(CcaState(), past, label)
             decisions.append([decoder.decode(trial), decoder.decode(trial, state)])
         for shared, fresh in zip(*decisions):
             assert shared.label == fresh.label
@@ -277,24 +299,24 @@ def test_one_decoder_decides_every_length_as_a_fresh_one():
 
 @pytest.mark.parametrize("n_samples", [54, 756, 5670])
 def test_whitening_routes_agree(n_samples):
-    # an empty-sum cumulative state refactors the decoder's own grams and
-    # solves per hypothesis; the instantaneous route applies the inverse factors.
+    # a state of zero-array sums, all or some of them beside fresh scalar
+    # ones, is pooled: it refactors the decoder's own grams and solves per
+    # hypothesis; the instantaneous route applies the inverse factors.
     # Code 0's 54 x 54 phase grams have rank 18 at 54 samples and 51 at
     # 756 and 5670: the ridge holds them up.
     decoder = CcaDecoder(CODES, 15)
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=4, codes=CODES[:1], dur_s=31.5)
     trial = Trial(samples=session.trials[0].samples[:, :n_samples])
     c = trial.n_channels
-    state = CcaState(
-        mode=cca.MODE_CUMULATIVE,
+    zero_sums = CcaState(
         sxx=np.zeros((c, c)),
         sxm=np.zeros((cca.PHASE_DIM, 3 * c)),
         smm=np.zeros((cca.PHASE_DIM, cca.PHASE_DIM)),
-        n_trials_seen=1,
     )
     instant = decoder.decode(trial).scores
-    cumulative = decoder.decode(trial, state).scores
-    assert np.all(np.abs(instant - cumulative) <= 1e-12 * np.abs(cumulative))
+    for state in (zero_sums, CcaState(sxx=np.zeros((c, c)))):
+        cumulative = decoder.decode(trial, state).scores
+        assert np.all(np.abs(instant - cumulative) <= 1e-12 * np.abs(cumulative))
 
 
 def _count_lapack_calls(monkeypatch, names):
@@ -332,7 +354,7 @@ def test_cumulative_decision_factors_each_distinct_block_once(monkeypatch, n_sam
     # 377 in a frame of two samples, which is not read
     decoder = CcaDecoder(CODES, 1)
     past, trial = (Trial(samples=_clean_trial(i).samples[:, :n_samples]) for i in (1, 2))
-    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
+    state = decoder.update_cumulative(CcaState(), past, 1)
     calls = _count_lapack_calls(monkeypatch, ["dtrtrs", "dpotrf"])
     assert decoder.decode(trial, state).label == 2
     names = [name for name, _, _ in calls]
@@ -410,7 +432,7 @@ def test_decoder_never_builds_the_dense_design(monkeypatch):
 
     monkeypatch.setattr(StructureMatrix, "mat", property(refuse))
     decoder = CcaDecoder(CODES, 1)
-    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), past, 1)
+    state = decoder.update_cumulative(CcaState(), past, 1)
     assert decoder.decode(trial, state).label == 2
 
 
@@ -421,7 +443,7 @@ def test_fresh_cumulative_state_decides_as_none(n_samples):
     session = synthesize_session(1, ForwardModel(snr=0.05), seed=6, codes=CODES[:1], dur_s=31.5)
     trial = Trial(samples=session.trials[0].samples[:, :n_samples])
     instant = decoder.decode(trial)
-    fresh = decoder.decode(trial, CcaState(mode=cca.MODE_CUMULATIVE))
+    fresh = decoder.decode(trial, CcaState())
     assert fresh.label == instant.label
     assert np.array_equal(fresh.scores, instant.scores)
     assert fresh.confidence == instant.confidence
@@ -430,7 +452,7 @@ def test_fresh_cumulative_state_decides_as_none(n_samples):
 @pytest.mark.parametrize("n_trials_seen", [0, 1])
 @pytest.mark.parametrize("name, shape", [("sxx", (3, 3)), ("sxm", (54, 9)), ("smm", (2, 54, 54))])
 def test_state_sums_of_another_shape_refused(n_trials_seen, name, shape):
-    state = CcaState(mode=cca.MODE_CUMULATIVE, n_trials_seen=n_trials_seen)
+    state = CcaState(n_trials_seen=n_trials_seen)
     setattr(state, name, np.zeros(shape))
     trial = _clean_trial(4)
     with pytest.raises(ShapeError, match=name):

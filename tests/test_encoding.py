@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvepdecode import cca, encoding, umm
+from cvepdecode import encoding
 from cvepdecode.cca import CcaDecoder, CcaState
 from cvepdecode.codegen import BitSequence, code_bits, default_code_set
 from cvepdecode.encoding import (
@@ -266,7 +266,7 @@ def test_decisions_fold_trials_of_two_code_cycles(monkeypatch, n_samples, most_f
     trial = synthesize_trial(codes[0], ForwardModel(snr=0.05), 31.5, 4, 0)
     trial = Trial(samples=trial.samples[:, :n_samples])
     seen = _record_window_sum_frames(monkeypatch)
-    state = decoder.update_cumulative(CcaState(mode=cca.MODE_CUMULATIVE), trial, 0)
+    state = decoder.update_cumulative(CcaState(), trial, 0)
     decoder.decode(trial, state)
     decoder.decode(trial)
     assert seen and max(seen) == most_frames
@@ -285,5 +285,5 @@ def test_flash_sums_fold_trials_of_two_code_cycles(monkeypatch, dur_s, most_fram
     seen = _record_window_sum_frames(monkeypatch)
     dec = UmmDecoder(codes, 15)
     out = dec.decode_epochs(ep)
-    dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), ep, out)
+    dec.update_cumulative(UmmState(), ep, out)
     assert seen and max(seen) == most_frames

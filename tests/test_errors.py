@@ -1,16 +1,21 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvepdecode.archive import write_archive
 from cvepdecode.cca import CcaDecoder, CcaState
-from cvepdecode.codegen import BitSequence, default_code_set, parse_code_set, select_subset
+from cvepdecode.codegen import BitSequence, default_code_set, generate_m_sequence, gold_set
+from cvepdecode.codegen import parse_code_set, periodic_cross_correlation, select_subset
 from cvepdecode.encoding import n_cycles_to_cover, structure_for_code, window_sums
 from cvepdecode.evaluate import DecoderBank
-from cvepdecode.errors import ConfigError, DataError, InvalidCodeSet, InvalidCutoff
-from cvepdecode.errors import LabelOutOfRange, ShapeError
-from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
-from cvepdecode.sigproc import ContinuousRecording, FilterSpec, Trial
+from cvepdecode.errors import ConfigError, CorruptArchive, DataError, InvalidCodeSet
+from cvepdecode.errors import InvalidCutoff, InvalidSeed, LabelOutOfRange, LengthMismatch
+from cvepdecode.errors import NotPrimitive, ShapeError
+from cvepdecode.outcome import DecodeOutcome
+from cvepdecode.sigproc import ContinuousRecording, FilterSpec, Trial, resample
 from cvepdecode.simulate import ForwardModel, synthesize_session, synthesize_trial
 from cvepdecode.umm import UmmDecoder, UmmState
 
@@ -30,19 +35,36 @@ def _cca_update(label):
     """A cumulative CCA update of a one-cycle trial under ``label``."""
     decoder = CcaDecoder(CODES, 1)
     trial = Trial(samples=np.ones((2, 378)))
-    return decoder.update_cumulative(CcaState(mode=MODE_CUMULATIVE), trial, label)
+    return decoder.update_cumulative(CcaState(), trial, label)
 
 
 def _umm_update(label):
     """A cumulative UMM update of a one-cycle trial decided as ``label``."""
     decided = DecodeOutcome(label=label, scores=np.zeros(len(CODES)), confidence=0.5)
     trial = Trial(samples=np.ones((2, 378)))
-    return UmmDecoder(CODES, 1).update_cumulative(UmmState(mode=MODE_CUMULATIVE), trial, decided)
+    return UmmDecoder(CODES, 1).update_cumulative(UmmState(), trial, decided)
+
+
+def _write_unequal_trials():
+    """write_archive of two trials of unequal length, which writes no file."""
+    session = _session(CODES[:2])
+    session.trials[1] = Trial(samples=session.trials[1].samples[:, :-3], code_index_true=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "unequal.cvep"
+        try:
+            write_archive(session, path)
+        finally:
+            assert not path.exists()
+
+
+def _resample_from(fs):
+    return resample(ContinuousRecording(np.zeros((2, 600)), fs=fs))
 
 
 #: malformed arguments to constructors and kernels, each with the typed
-#: error it must raise: a bare ValueError escapes the command line's
-#: error handling and its exit codes
+#: error it must raise, and where a raise site has siblings of that type,
+#: a pattern its message matches: a bare ValueError escapes the command
+#: line's error handling and its exit codes
 MALFORMED = {
     "zero-mixing": (lambda: ForwardModel(mixing=np.zeros(8)), ConfigError),
     "noise-kind": (lambda: ForwardModel(noise="brown"), ConfigError),
@@ -97,11 +119,32 @@ MALFORMED = {
     "cca-label-bool": (lambda: _cca_update(True), LabelOutOfRange),
     "umm-label-float": (lambda: _umm_update(2.5), LabelOutOfRange),
     "umm-label-bool": (lambda: _umm_update(True), LabelOutOfRange),
+    "archive-unequal-trials": (_write_unequal_trials, CorruptArchive, "differ in shape"),
+    "resample-at-target": (lambda: _resample_from(180.0), InvalidCutoff, "must be below"),
+    "resample-below-target": (lambda: _resample_from(128.0), InvalidCutoff, "must be below"),
+    # no fraction of denominator up to 10**6 lies within 1e-9 of the ratio
+    "resample-irrational": (lambda: _resample_from(math.pi * 1e6), InvalidCutoff, "rationally"),
+    "taps-no-degree": (lambda: generate_m_sequence((5, 1)), NotPrimitive, "degree-6"),
+    "seed-five-bits": (lambda: generate_m_sequence(init=(1, 0, 0, 0, 0)), InvalidSeed, "6 bits"),
+    # the register runs into all ones and never returns to its start
+    "taps-not-maximal": (
+        lambda: generate_m_sequence((6, 6, 1), init=(1, 0, 0, 0, 0, 0)),
+        NotPrimitive,
+        "do not yield a maximal-length sequence",
+    ),
+    "gold-modulated": (lambda: gold_set(CODES[0], CODES[1]), LengthMismatch),
+    "xcorr-lengths": (
+        lambda: periodic_cross_correlation(CODES[0], generate_m_sequence()), LengthMismatch
+    ),
+    "notch-at-nyquist": (
+        lambda: FilterSpec(kind="notch", center_hz=90.0).design(180.0), InvalidCutoff, "Nyquist"
+    ),
 }
 
 
-@pytest.mark.parametrize("call, error", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_arguments_raise_data_errors(call, error):
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_arguments_raise_data_errors(name):
+    call, error, *message = MALFORMED[name]
     assert issubclass(error, DataError)
-    with pytest.raises(error):
+    with pytest.raises(error, match=message[0] if message else None):
         call()

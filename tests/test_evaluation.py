@@ -41,7 +41,7 @@ from cvepdecode.evaluate import (
     sweep_csv_rows,
     wilcoxon_one_sided,
 )
-from cvepdecode.outcome import MODE_CUMULATIVE, DecodeOutcome
+from cvepdecode.outcome import DecodeOutcome
 from cvepdecode.sigproc import TARGET_FS, FilterSpec, Trial
 from cvepdecode.simulate import ForwardModel, Session, synthesize_session, synthesize_trial
 from cvepdecode.umm import UmmState
@@ -177,14 +177,12 @@ class TestDecodeSession:
         cca_decoder, umm_decoder = bank.cca(54), bank.umm()
         for call in (
             lambda: cca_decoder.decode(trial),
-            lambda: cca_decoder.decode(trial, CcaState(mode=MODE_CUMULATIVE)),
-            lambda: cca_decoder.update_cumulative(CcaState(mode=MODE_CUMULATIVE), trial, 0),
+            lambda: cca_decoder.decode(trial, CcaState()),
+            lambda: cca_decoder.update_cumulative(CcaState(), trial, 0),
             lambda: umm_decoder.decode(trial),
             lambda: umm_decoder.decode_epochs(TrialStats.of(trial)),
-            lambda: umm_decoder.update_cumulative(
-                UmmState(mode=MODE_CUMULATIVE), TrialStats.of(trial), decided
-            ),
-            lambda: umm_decoder.update_cumulative(UmmState(mode=MODE_CUMULATIVE), trial, decided),
+            lambda: umm_decoder.update_cumulative(UmmState(), TrialStats.of(trial), decided),
+            lambda: umm_decoder.update_cumulative(UmmState(), trial, decided),
         ):
             with pytest.raises(error):
                 call()
@@ -194,7 +192,7 @@ class TestDecodeSession:
         decided = DecodeOutcome(label=0, scores=np.zeros(len(CODES)), confidence=0.5)
         for call in (
             lambda ep: umm_decoder.decode_epochs(ep),
-            lambda ep: umm_decoder.update_cumulative(UmmState(mode=MODE_CUMULATIVE), ep, decided),
+            lambda ep: umm_decoder.update_cumulative(UmmState(), ep, decided),
         ):
             ep = TrialStats.of(Trial(samples=np.random.default_rng(2).normal(size=(8, 757))))
             with pytest.raises(ShapeError):
@@ -206,7 +204,7 @@ class TestDecodeSession:
         trial = _session(snr=0.05, seed=3).trials[1]
         decided = umm_decoder.decode(trial)
         from_trial, from_stats = (
-            umm_decoder.update_cumulative(UmmState(mode=MODE_CUMULATIVE), t, decided)
+            umm_decoder.update_cumulative(UmmState(), t, decided)
             for t in (trial, TrialStats.of(trial))
         )
         for name in ("scatter", "sq_norms4", "n_epochs", "delta_sum", "weight_total"):
@@ -235,7 +233,7 @@ class TestDecodeSession:
         # a state of three 4.2 s trials pools enough epochs for a trial of two
         session = _session(snr=0.05, seed=6)
         umm_decoder = DecoderBank(session.codes, max_dur_s=4.2).umm()
-        state = UmmState(mode=MODE_CUMULATIVE)
+        state = UmmState()
         for trial in session.trials[:3]:
             state = umm_decoder.update_cumulative(state, trial, umm_decoder.decode(trial, state))
         out = umm_decoder.decode(session.trials[3].prefix(57 / TARGET_FS), state)
@@ -309,6 +307,16 @@ class TestDecodeSession:
         session = _session()
         session.trials[0].samples[:] = 0.0
         with pytest.raises(DegenerateCovariance):
+            decode_session(session, tag, 4.2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tag", ["cca_e1", "umm_t11"])
+    def test_overflowing_trial_is_degenerate_covariance(self, tag):
+        # finite samples whose second moments overflow: numpy warns of the
+        # overflow, and the covariance's trace check raises
+        session = _session()
+        session.trials[0].samples[:] *= 1e200
+        with pytest.raises(DegenerateCovariance, match="non-finite trace"):
             decode_session(session, tag, 4.2)
 
     @pytest.mark.filterwarnings("error")

@@ -192,7 +192,7 @@ class TestTrialStatistics:
         rng = np.random.default_rng(12)
         codes = _random_codes(rng, 235)
         dec = UmmDecoder(codes, 2)
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         scatter, sq_norms4, delta_sum = 0.0, 0.0, 0.0
         updates = [(0, 0.5, 0.0), (2, 1.0, 50.0), (1, 0.0, -3.0), (2, 0.25, 1e4)]
         for label, weight, offset in updates:
@@ -329,7 +329,7 @@ class TestCovariance:
         # against the dense covariance of the three trials' scatter
         rng = np.random.default_rng(21)
         dec = UmmDecoder(CODES, 2)
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         trials = [rng.standard_normal((3, 3 * 235 + 51)) + off for off in (0.0, 5.0, -2.0)]
         out = DecodeOutcome(label=0, scores=np.zeros(len(CODES)), confidence=0.5)
         for x in trials[:2]:
@@ -554,9 +554,7 @@ def test_decision_factors_once_and_solves_forward_only(monkeypatch, pooled):
     state = None
     if pooled:
         past = slice_epochs(_trial_4s(idx=9, seed=12))
-        state = dec.update_cumulative(
-            UmmState(mode=umm.MODE_CUMULATIVE), past, dec.decode_epochs(past)
-        )
+        state = dec.update_cumulative(UmmState(), past, dec.decode_epochs(past))
     calls = _count_lapack_calls(monkeypatch, ["dpotrf", "dtrtrs", "dpotrs"])
     out = dec.decode_epochs(slice_epochs(_trial_4s()), state)
     assert out.scores.shape == (20,)
@@ -596,7 +594,7 @@ def test_tied_hypotheses_score_bit_equal(tag, n_samples):
     assert max(map(len, groups)) > 1
     dec = DecoderBank(CODES, 4.2).umm()
     rng = np.random.default_rng(0)
-    state = UmmState(mode=umm.MODE_CUMULATIVE) if tag == "umm_tcw" else None
+    state = UmmState() if tag == "umm_tcw" else None
     for _ in range(40):
         ep = slice_epochs(_trial_from_array(rng.standard_normal((8, n_samples))))
         out = dec.decode_epochs(ep, state)
@@ -634,7 +632,7 @@ class TestCumulative:
     def test_zero_confidence_keeps_means(self):
         dec = UmmDecoder(CODES, 1)
         ep = self._epochs()
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         outcome = DecodeOutcome(label=3, scores=np.zeros(20), confidence=0.0)
         state = dec.update_cumulative(state, ep, outcome)
         assert state.weight_total == 0.0
@@ -645,7 +643,7 @@ class TestCumulative:
         dec = UmmDecoder(CODES, 1)
         ep = self._epochs()
         out = dec.decode_epochs(ep)
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         one = DecodeOutcome(label=out.label, scores=out.scores, confidence=0.7)
         s1 = dec.update_cumulative(state, ep, one)
         s2 = dec.update_cumulative(s1, ep, one)
@@ -658,7 +656,7 @@ class TestCumulative:
         # without confidently-correct previous trials in the state; the
         # separation of the true hypothesis should grow on average
         dec = UmmDecoder(CODES, 1)
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         for seed in range(100, 103):
             prev = self._epochs(seed=seed, idx=5, snr=5.0)
             out = dec.decode_epochs(prev)
@@ -679,7 +677,7 @@ class TestCumulative:
     def test_confidence_nondecreasing_on_repeats(self):
         dec = UmmDecoder(CODES, 1)
         ep = self._epochs(seed=3, idx=7, snr=1.0)
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         confidences = []
         for _ in range(3):
             out = dec.decode_epochs(ep, state)
@@ -690,7 +688,7 @@ class TestCumulative:
 
     def test_shape_mismatch(self):
         dec = UmmDecoder(CODES, 1)
-        state = UmmState(mode=umm.MODE_CUMULATIVE)
+        state = UmmState()
         ep = self._epochs()
         out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=0.5)
         state = dec.update_cumulative(state, ep, out)
@@ -707,7 +705,7 @@ class TestCumulative:
         # checked whether or not the state has seen a trial: a wrongly
         # shaped sum must not broadcast into the decision
         dec = UmmDecoder(CODES, 1)
-        state = UmmState(mode=umm.MODE_CUMULATIVE, n_trials_seen=n_trials_seen)
+        state = UmmState(n_trials_seen=n_trials_seen)
         setattr(state, name, np.zeros(shape))
         ep = self._epochs()
         out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=0.5)
@@ -722,16 +720,19 @@ class TestCumulative:
         dec = UmmDecoder(CODES, 15)
         ep = slice_epochs(synthesize_trial(CODES[8], ForwardModel(snr=0.05), dur_s, 5, 8))
         instant = dec.decode_epochs(ep)
-        fresh = dec.decode_epochs(ep, UmmState(mode=umm.MODE_CUMULATIVE))
+        fresh = dec.decode_epochs(ep, UmmState())
         assert fresh.label == instant.label
         assert np.array_equal(fresh.scores, instant.scores)
         assert fresh.confidence == instant.confidence
 
     def test_update_requires_cumulative_mode(self):
+        # a default state is a cumulative one: it takes an update
         dec = UmmDecoder(CODES, 1)
         out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=0.5)
-        with pytest.raises(errors.ConfigError):
-            dec.update_cumulative(UmmState(), self._epochs(), out)
+        ep = self._epochs()
+        state = dec.update_cumulative(UmmState(), ep, out)
+        assert state.n_trials_seen == 1 and state.n_epochs == ep.n_epochs
+        assert state.weight_total == 0.5
 
     @pytest.mark.parametrize("label", [20, -1])
     def test_label_out_of_range(self, label):
@@ -739,7 +740,7 @@ class TestCumulative:
         dec = UmmDecoder(CODES, 1)
         out = DecodeOutcome(label=label, scores=np.zeros(20), confidence=0.5)
         with pytest.raises(errors.LabelOutOfRange):
-            dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), self._epochs(), out)
+            dec.update_cumulative(UmmState(), self._epochs(), out)
 
     @pytest.mark.parametrize("confidence", [np.nan, -1.0, 2.0])
     def test_confidence_outside_unit_interval_refused(self, confidence):
@@ -749,4 +750,4 @@ class TestCumulative:
         dec = UmmDecoder(CODES, 1)
         out = DecodeOutcome(label=0, scores=np.zeros(20), confidence=confidence)
         with pytest.raises(errors.ConfidenceOutOfRange):
-            dec.update_cumulative(UmmState(mode=umm.MODE_CUMULATIVE), self._epochs(), out)
+            dec.update_cumulative(UmmState(), self._epochs(), out)
