@@ -5,6 +5,8 @@ All sequences are degree-6 (period 63) as used by the 60 Hz speller grid;
 modulated codes are 126 bits long with flashes of one or two frames only.
 A code holds one bit per stimulus frame; every code is presented at the
 one frame rate PRESENTATION_RATE_HZ and carries no rate of its own.
+Cross-correlations of the +/-1 codes are exact sums of products, one per
+shift, with no FFT.
 """
 from __future__ import annotations
 
@@ -153,19 +155,13 @@ def modulate(code: BitSequence) -> BitSequence:
     return BitSequence(bits=tuple(out))
 
 
-def _circular_xcorr(px: NDArray, py: NDArray) -> NDArray[np.int_]:
-    """Circular cross-correlation of +/-1 sequences along the last axis,
-    broadcast over the leading axes, by FFT; the values are exact integers."""
-    n = px.shape[-1]
-    corr = np.fft.irfft(np.fft.rfft(px) * np.conj(np.fft.rfft(py)), n=n)
-    return np.round(corr).astype(int)
-
-
 def periodic_cross_correlation(x: BitSequence, y: BitSequence) -> NDArray[np.int_]:
-    """Periodic cross-correlation in the +/-1 alphabet, one value per shift."""
+    """Periodic cross-correlation in the +/-1 alphabet, one value per shift
+    s: the sum over n of x[n] y[n - s], indices taken mod the length."""
     if len(x) != len(y):
         raise LengthMismatch("sequences differ in length")
-    return _circular_xcorr(1 - 2 * x.array.astype(float), 1 - 2 * y.array.astype(float))
+    px, py = 1 - 2 * x.array.astype(int), 1 - 2 * y.array.astype(int)
+    return np.array([px @ np.roll(py, s) for s in range(len(py))])
 
 
 def select_subset(codes: list[BitSequence], n: int = 20) -> list[BitSequence]:
@@ -173,9 +169,11 @@ def select_subset(codes: list[BitSequence], n: int = 20) -> list[BitSequence]:
     cross-correlation magnitude. Ties break to the lowest index.
 
     The peak |cross-correlation| of every pair of the pool is computed once,
-    as one batched FFT; each greedy step then adds the candidate whose worst
-    peak against the codes chosen so far is smallest. InvalidCodeSet for
-    a pool :func:`code_bits` refuses.
+    as a running maximum over the shifts of the product of the pool's +/-1
+    codes with their shifted copies, sums of +/-1 that float64 holds
+    exactly; each greedy step then adds the candidate whose worst peak
+    against the codes chosen so far is smallest. InvalidCodeSet for a pool
+    :func:`code_bits` refuses.
     """
     if n < 1:
         raise ConfigError(f"asked for {n} codes; a code set holds at least one")
@@ -185,9 +183,11 @@ def select_subset(codes: list[BitSequence], n: int = 20) -> list[BitSequence]:
     if n == len(codes):
         return list(codes)
     # peak[i, j] = max over shifts of |xcorr(codes[i], codes[j])|
-    peak = np.abs(_circular_xcorr(pm[:, np.newaxis], pm[np.newaxis])).max(axis=-1)
+    peak = np.zeros((len(pm), len(pm)))
+    for shift in range(pm.shape[1]):
+        np.maximum(peak, np.abs(pm @ np.roll(pm, -shift, axis=1).T), out=peak)
     selected = [0]
-    cost = peak[:, 0].astype(float)
+    cost = peak[:, 0].copy()
     cost[0] = np.inf
     while len(selected) < n:
         best = int(np.argmin(cost))   # first minimum: the lowest index

@@ -10,11 +10,12 @@ covariance is the block-Toeplitz projection of the epochs' sample
 covariance, tapered linearly over the lags and shrunk toward the mean
 variance times the identity with a Ledoit-Wolf intensity: its lag blocks
 are the scatter's lag sums over 54 n (n epochs), one scale for the
-average and the taper. A decision factors the dense block-Toeplitz
-matrix, built from the lag blocks with one copy, by one in-place LAPACK
-Cholesky factorisation Sigma = L L^T, and scores every hypothesis by one
-forward triangular solve: delta^T Sigma^{-1} delta is the squared norm
-of L^{-1} delta.
+average and the taper, and each lag sum is one strided add per pair of
+sample phases. A decision factors the dense block-Toeplitz matrix, built
+from the lag blocks with one copy into a buffer the decoder keeps, by one
+in-place LAPACK Cholesky factorisation Sigma = L L^T, and scores every
+hypothesis by one forward triangular solve: delta^T Sigma^{-1} delta is
+the squared norm of L^{-1} delta.
 
 An epoch is 18 consecutive frames, so no epoch matrix is copied: the
 trial's :class:`.encoding.TrialStats` computes every epoch statistic from
@@ -22,10 +23,13 @@ its frames, once, among them the scatter as frame-block grams (no (D, D)
 scatter is formed) and the weighted sums, over the frames folded by the
 code period on a trial of two full cycles or more. :func:`_cov_model` reads
 the lag sums, the trace and the Ledoit-Wolf intensity from pooled grams,
-and :class:`UmmDecoder` keeps one cycle of the code bits. Like CCA's, the
-decoder refuses a trial of fewer than RESPONSE_LEN samples or past its
-reach, but its floor is higher: the covariance pools at least three
-epochs, 20 whole frames (60 samples), so a trial of 54-59 samples raises
+and :class:`UmmDecoder` keeps one cycle of the code bits and two buffers,
+the dense matrix and a cumulative decision's pooled grams, so that no
+decision allocates a block whose cost depends on the allocator's history
+(a decoder therefore serves one thread). Like CCA's, the decoder refuses
+a trial of fewer than RESPONSE_LEN samples or past its reach, but its
+floor is higher: the covariance pools at least three epochs, 20 whole
+frames (60 samples), so a trial of 54-59 samples raises
 InsufficientEpochs, which CCA decides. ``Trial.prefix`` is the one cut.
 """
 from __future__ import annotations
@@ -55,9 +59,10 @@ def slice_epochs(trial: Trial | TrialStats) -> TrialStats:
 
 # -- covariance --------------------------------------------------------------
 
-def _dense_toeplitz(blocks: NDArray) -> NDArray:
+def _dense_toeplitz(blocks: NDArray, out: NDArray | None = None) -> NDArray:
     """The dense (n * C, n * C) matrix T[i, j] = B(i - j) of the lag blocks
-    B(l) = blocks[l], B(-l) = B(l)^T, C-contiguous and exactly symmetric.
+    B(l) = blocks[l], B(-l) = B(l)^T, C-contiguous and exactly symmetric,
+    written into ``out`` (a C-contiguous array of that shape) when given.
     The lag-ordered blocks are laid out side by side, row a of every block
     in row a of a (C, (2n - 1) * C) array, lags n-1 .. -(n-1): then matrix
     row (i, a) is one contiguous run of n * C entries of row a, at offset
@@ -70,12 +75,15 @@ def _dense_toeplitz(blocks: NDArray) -> NDArray:
     rows = as_strided(
         wide[:, n - 1 :], shape=(n, c, n * c), strides=(-c * step, wide.strides[0], step)
     )
-    return rows.reshape(n * c, n * c)
+    out = np.empty((n * c, n * c)) if out is None else out
+    np.copyto(out.reshape(n, c, n * c), rows)
+    return out
 
 
-def _toeplitz_factor(blocks: NDArray) -> NDArray:
+def _toeplitz_factor(blocks: NDArray, out: NDArray | None = None) -> NDArray:
     """The lower Cholesky factor L of the symmetric block-Toeplitz matrix
-    T = L L^T of the lag blocks (see :func:`_dense_toeplitz`).
+    T = L L^T of the lag blocks (see :func:`_dense_toeplitz`), in ``out``
+    when given.
 
     Gathers the dense T once and factors it in place with LAPACK's potrf:
     T is C-contiguous and symmetric, so its transpose is the same matrix
@@ -85,7 +93,7 @@ def _toeplitz_factor(blocks: NDArray) -> NDArray:
     DegenerateCovariance if T is not positive definite. Nothing is scanned
     for NaN here: :func:`_cov_model` checks the scatter's trace.
     """
-    factor, info = lapack.dpotrf(_dense_toeplitz(blocks).T, lower=1, clean=0, overwrite_a=1)
+    factor, info = lapack.dpotrf(_dense_toeplitz(blocks, out).T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise DegenerateCovariance("covariance is not positive definite")
     return factor
@@ -122,37 +130,26 @@ class CovModel:
     shrinkage_gamma: float
 
 
-def _lag_triples() -> tuple[NDArray, NDArray, NDArray, NDArray]:
-    """(s, l, s2, starts): the (frame lag l, phase s, phase s2) triples of
-    an epoch whose sample lag L = 3l + s2 - s is not negative, sorted by
-    L, and where each L's run of triples starts. A scatter entry of frame
-    block (a, a + l) at phases (s, s2) pairs sample 3a + s with sample
-    3a + s + L."""
-    p = SAMPLES_PER_FRAME
-    s, l, s2 = (
-        g.ravel()
-        for g in np.meshgrid(np.arange(p), np.arange(FRAMES_PER_EPOCH), np.arange(p), indexing="ij")
-    )
-    lag = p * l + s2 - s
-    keep = np.flatnonzero(lag >= 0)
-    order = keep[np.argsort(lag[keep], kind="stable")]
-    starts = np.searchsorted(lag[order], np.arange(RESPONSE_LEN))
-    return s[order], l[order], s2[order], starts
-
-
-_LAG_TRIPLES = _lag_triples()
-
-
 def _lag_sums(grams: NDArray) -> NDArray:
     """The sums of the C x C block diagonals of the scatter (block Toeplitz
     projection), (RESPONSE_LEN, C, C): the grams summed over frame offsets,
-    one gather of the C x C sub-blocks of every (l, s, s2) triple and one
-    segmented sum into sample lags. The gathered blocks lie above the
-    diagonal, so their sums are the transposes of the lag sums."""
-    s, l, s2, starts = _LAG_TRIPLES
+    then one strided add per phase pair (s, s2) into sums over the sample
+    lags -2 .. RESPONSE_LEN - 1. Frame lag l of phases (s, s2) pairs sample
+    3a + s with sample 3(a + l) + s2, so it lands at sample lag
+    3l + s2 - s. The two negative lags, reached only at l = 0 by pairs
+    with s2 < s (blocks below the diagonal, which the lag sums leave out),
+    are sliced off. The grams' blocks lie above the diagonal, so their
+    sums are transposed."""
     p, c = SAMPLES_PER_FRAME, grams.shape[1] // SAMPLES_PER_FRAME
-    per_lag = grams.sum(axis=0).reshape(p, c, FRAMES_PER_EPOCH, p, c)
-    return np.add.reduceat(per_lag[s, :, l, s2, :], starts, axis=0).transpose(0, 2, 1)
+    # per_lag[s, s2, l]: the blocks (a, a + l) at phases (s, s2) summed over a, transposed
+    per_lag = grams.sum(axis=0).reshape(p, c, FRAMES_PER_EPOCH, p, c).transpose(0, 3, 2, 4, 1)
+    sums = np.zeros((RESPONSE_LEN + p - 1, c, c))
+    # s runs from 2 down to 0, so a lag's terms x_s add as x0 + (x1 + x2):
+    # the order of numpy's segmented add over s = 0, 1, 2, bit for bit
+    for s in range(p - 1, -1, -1):
+        for s2 in range(p):
+            sums[p - 1 + s2 - s :: p][:FRAMES_PER_EPOCH] += per_lag[s, s2]
+    return sums[p - 1 :]
 
 
 def _lw_gamma(sq_norms4: float, grams: NDArray, n: int, mu: float) -> float:
@@ -206,17 +203,19 @@ def estimate_covariance(ep: TrialStats) -> CovModel:
     return _cov_model(grams, sq_norms4, ep.n_epochs, None)
 
 
-def score_hypotheses(deltas: NDArray, cov: CovModel) -> DecodeOutcome:
+def score_hypotheses(deltas: NDArray, cov: CovModel, out: NDArray | None = None) -> DecodeOutcome:
     """Mahalanobis energy of each hypothesis' mean difference.
 
     With Sigma = L L^T, delta^T Sigma^{-1} delta = ||L^{-1} delta||^2:
     each score is the squared norm of the forward-solved mean difference,
     one triangular solve over all hypotheses and no back substitution.
-    Raises DegenerateCovariance if the covariance is not positive
-    definite, NumericalFailure if a score is not finite.
+    The dense model and its factor are built in ``out``, a C-contiguous
+    (D, D) array, when given (see :func:`_toeplitz_factor`). Raises
+    DegenerateCovariance if the covariance is not positive definite,
+    NumericalFailure if a score is not finite.
     """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-    white, _ = lapack.dtrtrs(_toeplitz_factor(cov.blocks), deltas.T, lower=1)   # (D, N)
+    white, _ = lapack.dtrtrs(_toeplitz_factor(cov.blocks, out), deltas.T, lower=1)   # (D, N)
     return decided(np.einsum("dn,dn->n", white, white))
 
 
@@ -264,11 +263,29 @@ class UmmDecoder:
     samples with ShapeError (:func:`.encoding.check_reach`), one of fewer
     than RESPONSE_LEN with TrialTooShort (:meth:`.encoding.TrialStats.of`);
     fewer than three pooled epochs raise InsufficientEpochs.
+
+    It also keeps two buffers that every decision reuses: the (D, D) dense
+    model, factored in place, and a cumulative decision's pooled grams.
+    Each is about 1.5 MB at C = 8, so a decision that allocated them would
+    pay for them by the allocator's history: served by ``mmap``, they are
+    page-faulted afresh each time. A decoder therefore serves one thread,
+    as a :class:`.cca.CcaDecoder` does.
     """
 
     def __init__(self, codes: list[BitSequence], n_cycles: int):
         self.bits = code_bits(codes)
         self.reach = tiling_reach(n_cycles, self.bits.shape[1])
+        self._buffers: dict[str, NDArray] = {}
+
+    def _buffer(self, name: str, shape: tuple[int, ...]) -> NDArray:
+        """The buffer ``name``, made at the first decision that needs it and
+        anew when its shape (the channel count) changes. Made together at the
+        first decision, the pooled one left each cumulative decision of a
+        fresh process paying 34 page faults; made when first pooled, none."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
 
     def _stats(self, trial: Trial | TrialStats) -> TrialStats:
         stats = TrialStats.of(trial)
@@ -305,20 +322,21 @@ class UmmDecoder:
     ) -> DecodeOutcome:
         """Score every hypothesis on the trial's epochs, pooling the
         covariance statistics and the sum of mean differences of any state
-        but a fresh one (:func:`.outcome.pooled`)."""
+        but a fresh one (:func:`.outcome.pooled`). The pooled grams and the
+        dense model are built in the decoder's buffers."""
         ep = self._stats(trial)
         state = pooled(state, _sum_shapes(ep))
         grams, sq_norms4 = ep.centered_moments
         n = ep.n_epochs
         if state is not None:
-            grams = grams + state.scatter
+            grams = np.add(grams, state.scatter, out=self._buffer("pooled", grams.shape))
             sq_norms4 += state.sq_norms4
             n += state.n_epochs
         cov = _cov_model(grams, sq_norms4, n, None)
         deltas = self._deltas(ep, np.arange(len(self.bits)))
         if state is not None:
             deltas = (state.delta_sum + deltas) / (state.weight_total + 1.0)
-        return score_hypotheses(deltas, cov)
+        return score_hypotheses(deltas, cov, self._buffer("dense", (ep.n_features,) * 2))
 
     def update_cumulative(
         self, state: UmmState, trial: Trial | TrialStats, outcome: DecodeOutcome

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,30 @@ def test_default_code_set_is_the_first_gold_codes():
     peaks = [int(np.max(np.abs(periodic_cross_correlation(family[0], c)))) for c in family[1:]]
     assert peaks == [34] * 64
     assert default_code_set(20) == family[:20]
+
+
+def test_cross_correlation_is_the_shifted_sum():
+    # value s is the sum over n of x[n] y[n - s], indices mod the length
+    rng = np.random.default_rng(4)
+    x, y = (BitSequence(bits=tuple(int(b) for b in rng.integers(0, 2, 31))) for _ in range(2))
+    px, py = 1 - 2 * x.array.astype(int), 1 - 2 * y.array.astype(int)
+    want = [sum(px[n] * py[(n - s) % 31] for n in range(31)) for s in range(31)]
+    assert periodic_cross_correlation(x, y).tolist() == want
+
+
+def test_select_subset_allocates_no_per_shift_table():
+    # the peaks are a running maximum over the shifts: no table of every
+    # pair at every shift is formed (an FFT route's peaked at 12.8 MB)
+    family = [modulate(c) for c in gold_set(
+        generate_m_sequence(DEFAULT_TAPS_A), generate_m_sequence(DEFAULT_TAPS_B))]
+    tracemalloc.start()
+    try:
+        subset = select_subset(family, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert subset == default_code_set(20)
 
 
 def _greedy_by_pairs(codes, n):

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from cvepdecode import errors, umm
+from cvepdecode.archive import write_archive
 from cvepdecode.codegen import BitSequence, code_bits, default_code_set
 from cvepdecode.encoding import n_cycles_to_cover
 from cvepdecode.errors import (
@@ -392,6 +398,9 @@ class TestBlockLevinson:
         assert got.flags.c_contiguous
         assert np.array_equal(got, dense)
         assert np.array_equal(got, got.T)
+        out = np.full_like(dense, np.nan)
+        assert umm._dense_toeplitz(lags, out) is out
+        assert np.array_equal(out, dense)
 
     def test_matches_dense_on_random_spd_block_toeplitz(self):
         rng = np.random.default_rng(5)
@@ -559,6 +568,78 @@ def test_decision_factors_once_and_solves_forward_only(monkeypatch, pooled):
     out = dec.decode_epochs(slice_epochs(_trial_4s()), state)
     assert out.scores.shape == (20,)
     assert sorted(calls) == [("dpotrf", (432, 432)), ("dtrtrs", (432, 432))]
+
+
+def test_decisions_after_the_first_allocate_neither_buffer():
+    # the decoder keeps the 432 x 432 dense model and a cumulative
+    # decision's pooled grams, each 1.5 MB at C = 8; a decision that
+    # allocated them peaked at 1.7 (umm_t11) and 3.2 MB (umm_tcw)
+    dec = UmmDecoder(CODES, 2)
+    past, ep = slice_epochs(_trial_4s(idx=9, seed=12)), slice_epochs(_trial_4s())
+    state = dec.update_cumulative(UmmState(), past, dec.decode_epochs(past))
+    want = dec.decode_epochs(ep), dec.decode_epochs(ep, state)
+    tracemalloc.start()
+    try:
+        got = dec.decode_epochs(ep), dec.decode_epochs(ep, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    for a, b in zip(got, want):
+        assert np.array_equal(a.scores, b.scores)
+
+
+def test_buffers_follow_the_channel_count():
+    # one decoder over trials of 8, 4 and 8 channels decides each as a
+    # fresh decoder does, pooled or not
+    def scores(decoder, ep):
+        out = decoder.decode_epochs(ep)
+        state = decoder.update_cumulative(UmmState(), ep, out)
+        return out.scores, decoder.decode_epochs(ep, state).scores
+
+    dec = UmmDecoder(CODES, 2)
+    rng = np.random.default_rng(3)
+    for n_channels in (8, 4, 8):
+        ep = slice_epochs(_trial_from_array(rng.standard_normal((n_channels, 378))))
+        for a, b in zip(scores(dec, ep), scores(UmmDecoder(CODES, 2), ep)):
+            assert np.array_equal(a, b)
+
+
+FRESH_PROCESS = """
+import resource, sys
+from cvepdecode.archive import read_archive
+from cvepdecode.evaluate import DecoderBank, decode_session
+
+session = read_archive(sys.argv[1])
+bank = DecoderBank(session.codes, 4.2)
+tags = ("umm_t11", "umm_tcw")
+for tag in tags:
+    decode_session(session, tag, 4.2, bank)
+for tag in tags:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    decode_session(session, tag, 4.2, bank)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    print((after - before) / len(session.trials))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc page faults")
+def test_fresh_process_decisions_fault_few_pages(tmp_path):
+    # a process that reads a small archive, and never builds the default
+    # code set, holds no freed block large enough to raise glibc's mmap
+    # threshold; a UMM decision that allocated 1.5 MB blocks had them
+    # mapped and page-faulted afresh, about 700 faults per decision
+    path = tmp_path / "small.cvep"
+    write_archive(synthesize_session(1, ForwardModel(snr=0.05), seed=3, dur_s=4.2), path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, str(path)], capture_output=True, text=True,
+        check=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    faults_per_decision = [float(line) for line in proc.stdout.split()]
+    assert len(faults_per_decision) == 2
+    assert max(faults_per_decision) < 50
 
 
 def _tied_groups(rows, complements):
